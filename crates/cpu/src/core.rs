@@ -32,8 +32,9 @@ use crate::config::{CoreConfig, MdpMode};
 use crate::forensics::{CoreStallInfo, HeadForensics, QueueOcc};
 use crate::lsq::{Forward, LoadQueue, StoreBuffer, StoreQueue};
 use crate::mdp::StoreSets;
-use crate::rename::Rename;
+use crate::rename::{PReg, Rename};
 use crate::rob::{Rob, RobEntry, Status};
+use crate::sched::Scheduler;
 use crate::shadow::ShadowTracker;
 use crate::stats::CoreStats;
 use crate::trace::{TraceKind, TraceLog};
@@ -83,7 +84,7 @@ pub struct Core {
     // Backend structures.
     rename: Rename,
     rob: Rob,
-    iq: Vec<Seq>,
+    sched: Scheduler,
     lq: LoadQueue,
     sq: StoreQueue,
     sb: StoreBuffer,
@@ -102,6 +103,62 @@ pub struct Core {
     record_observations: bool,
     recon_multi_source: bool,
     trace: TraceLog,
+
+    /// Whether the last tick changed pipeline state: completed,
+    /// committed, drained, supplied, issued or dispatched anything, or
+    /// froze out of fuel. A tick that did none of these only advanced
+    /// counters, and every later tick repeats it until the next event.
+    active: bool,
+    /// [`idle_counters`] as the last tick found them.
+    tick_start: [u64; 7],
+}
+
+/// The counters a quiescent tick advances: the cycle count, the one
+/// commit-stall bucket it lands in, and the scheme-delay probes of its
+/// issue stage.
+fn idle_counters(s: &mut CoreStats) -> [&mut u64; 7] {
+    [
+        &mut s.cycles,
+        &mut s.stall_head_load,
+        &mut s.stall_head_store,
+        &mut s.stall_head_branch,
+        &mut s.stall_head_other,
+        &mut s.stall_empty,
+        &mut s.scheme_delay_cycles,
+    ]
+}
+
+/// The operands an instruction waits for before it may issue. A plain
+/// store issues its address computation only: the data operand is
+/// decoupled (supplied to the SQ when it arrives) and never blocks
+/// issue. STT likewise only treats the store's address as the
+/// transmitted operand; tainted store data is handled at forwarding
+/// time (§4.5).
+fn issue_srcs(e: &RobEntry) -> &[Option<PReg>] {
+    if matches!(e.inst, Inst::Store { .. }) {
+        &e.srcs[..1]
+    } else {
+        &e.srcs[..]
+    }
+}
+
+/// The scheme gate of an entry whose issue operands are all produced:
+/// the youngest guard root among the operands its scheme checks (NDA
+/// refuses to read a guarded operand, STT to execute a transmitter on
+/// one), 0 when it checks none. The scheme refuses the entry exactly
+/// while `frontier < gate`, as a guard is active while `frontier < root`.
+fn scheme_gate(secure: &SecureConfig, guards: &GuardTable, e: &RobEntry) -> Seq {
+    let nda = secure.kind.delays_value_broadcast();
+    let stt = secure.kind.blocks_transmitters() && e.inst.is_transmitter();
+    if !(nda || stt) {
+        return 0;
+    }
+    issue_srcs(e)
+        .iter()
+        .flatten()
+        .filter_map(|&p| guards.get(p as usize))
+        .max()
+        .unwrap_or(0)
 }
 
 impl Core {
@@ -149,7 +206,7 @@ impl Core {
             fetch_paused: false,
             rename: Rename::new(cfg.num_pregs),
             rob: Rob::new(cfg.rob_entries),
-            iq: Vec::with_capacity(cfg.iq_entries),
+            sched: Scheduler::new(cfg.rob_entries, cfg.num_pregs),
             lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
             sb: StoreBuffer::new(cfg.sb_entries),
@@ -166,6 +223,8 @@ impl Core {
             record_observations: false,
             recon_multi_source: recon_cfg.multi_source,
             trace: TraceLog::with_capacity(cfg.trace_capacity),
+            active: false,
+            tick_start: [0; 7],
         }
     }
 
@@ -358,7 +417,7 @@ impl Core {
             fetch_pc: self.fetch_pc as u64,
             queues: vec![
                 queue("rob", self.rob.len(), self.cfg.rob_entries),
-                queue("iq", self.iq.len(), self.cfg.iq_entries),
+                queue("iq", self.sched.iq_len(), self.cfg.iq_entries),
                 queue("lq", self.lq.len(), self.cfg.lq_entries),
                 queue("sq", self.sq.len(), self.cfg.sq_entries),
                 queue("sb", self.sb.len(), self.cfg.sb_entries),
@@ -405,14 +464,7 @@ impl Core {
                 format!("in execution, result available at cycle {done_at}")
             }
             Status::Waiting => {
-                // A plain store issues its address computation only; the
-                // data operand never blocks issue.
-                let issue_srcs: &[Option<crate::rename::PReg>] =
-                    if matches!(e.inst, Inst::Store { .. }) {
-                        &e.srcs[..1]
-                    } else {
-                        &e.srcs[..]
-                    };
+                let issue_srcs = issue_srcs(e);
                 for p in issue_srcs.iter().flatten() {
                     if !self.rename.is_ready(*p) {
                         return format!("operand p{p} value not yet produced");
@@ -453,7 +505,7 @@ impl Core {
                         "amo ready to issue".to_string()
                     }
                     i if i.is_load() => {
-                        if self.unissued_amo_older_than(e.seq) {
+                        if self.sched.unissued_amo_older_than(e.seq) {
                             return "load waiting for an older amo to issue \
                                     (amo RMW serializes memory)"
                                 .to_string();
@@ -531,16 +583,9 @@ impl Core {
             }
         }
 
+        self.audit_sched(&site, &mut out);
+
         // Side queues: members must be live ROB entries, age-ordered.
-        for &seq in &self.iq {
-            if self.rob.get(seq).is_none() {
-                out.push(recon::AuditViolation::new(
-                    "iq-seq-live",
-                    format!("{site}.iq"),
-                    format!("IQ holds seq {seq} with no live ROB entry"),
-                ));
-            }
-        }
         let mut prev: Option<Seq> = None;
         for e in self.lq.iter() {
             if self.rob.get(e.seq).is_none() {
@@ -624,6 +669,129 @@ impl Core {
         out
     }
 
+    /// Scheduler invariants: the IQ occupancy counts exactly the ROB
+    /// entries waiting to issue; the ready list is ascending, holds only
+    /// waiting entries behind the scheme gate their operands give, and
+    /// lists every one whose issue operands are produced; every operand
+    /// not yet produced sits in its register's wait list; the completion
+    /// heap holds every executing entry exactly once, at its `done_at`,
+    /// and nothing else.
+    fn audit_sched(&self, site: &str, out: &mut Vec<recon::AuditViolation>) {
+        let mut flag = |rule: &'static str, what: &str, detail: String| {
+            out.push(recon::AuditViolation::new(
+                rule,
+                format!("{site}.{what}"),
+                detail,
+            ));
+        };
+        let ready = self.sched.ready();
+        if !ready.windows(2).all(|w| w[0].seq < w[1].seq) {
+            flag(
+                "ready-age-order",
+                "ready",
+                format!("ready list not ascending: {ready:?}"),
+            );
+        }
+        for r in ready {
+            let Some(e) = self.rob.get(r.seq).filter(|e| e.status == Status::Waiting) else {
+                flag(
+                    "ready-not-queued",
+                    "ready",
+                    format!(
+                        "ready list holds seq {}, which is not waiting in the IQ",
+                        r.seq
+                    ),
+                );
+                continue;
+            };
+            let gate = scheme_gate(&self.secure, &self.guards, e);
+            if r.gate != gate {
+                flag(
+                    "ready-gate",
+                    "ready",
+                    format!(
+                        "seq {} listed behind gate {} but its operands give {gate}",
+                        r.seq, r.gate
+                    ),
+                );
+            }
+        }
+        let mut waiting = 0;
+        for e in self.rob.iter().filter(|e| e.status == Status::Waiting) {
+            waiting += 1;
+            let mut operands_ready = true;
+            for (k, &p) in issue_srcs(e).iter().enumerate() {
+                let Some(p) = p.filter(|&p| !self.rename.is_ready(p)) else {
+                    continue;
+                };
+                operands_ready = false;
+                if !self.sched.waits_on(e.seq, k, p) {
+                    flag(
+                        "wakeup-missing",
+                        "wakeup",
+                        format!("seq {} waits on p{p} but is not in its wait list", e.seq),
+                    );
+                }
+            }
+            if operands_ready && !ready.iter().any(|r| r.seq == e.seq) {
+                flag(
+                    "ready-missing",
+                    "ready",
+                    format!(
+                        "seq {} has every issue operand ready but is not listed",
+                        e.seq
+                    ),
+                );
+            }
+        }
+        if waiting != self.sched.iq_len() {
+            flag(
+                "iq-count",
+                "iq",
+                format!(
+                    "IQ occupancy {} but {waiting} ROB entries wait to issue",
+                    self.sched.iq_len()
+                ),
+            );
+        }
+        let mut keys: Vec<(u64, Seq)> = self.sched.executing().collect();
+        keys.sort_unstable_by_key(|&(d, s)| (s, d));
+        for (i, &(done_at, seq)) in keys.iter().enumerate() {
+            if i > 0 && keys[i - 1].1 == seq {
+                flag(
+                    "completion-dup",
+                    "completion",
+                    format!("seq {seq} sits in the completion heap twice"),
+                );
+            }
+            let status = self.rob.get(seq).map(|e| e.status);
+            if status != Some(Status::Executing { done_at }) {
+                flag(
+                    "completion-stale",
+                    "completion",
+                    format!("heap entry (done_at {done_at}, seq {seq}) but ROB has {status:?}"),
+                );
+            }
+        }
+        for e in self.rob.iter() {
+            if let Status::Executing { done_at } = e.status {
+                if keys
+                    .binary_search_by_key(&(e.seq, done_at), |&(d, s)| (s, d))
+                    .is_err()
+                {
+                    flag(
+                        "completion-missing",
+                        "completion",
+                        format!(
+                            "executing seq {} (done_at {done_at}) not in the heap",
+                            e.seq
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
     /// Soft-error injection: flips one bit of a random LPT entry.
     /// Returns a description of the site, or `None` if the table holds
     /// no target.
@@ -660,7 +828,7 @@ impl Core {
     #[must_use]
     pub fn pipeline_empty(&self) -> bool {
         self.rob.is_empty()
-            && self.iq.is_empty()
+            && self.sched.iq_len() == 0
             && self.lq.is_empty()
             && self.sq.is_empty()
             && self.sb.is_empty()
@@ -815,11 +983,13 @@ impl Core {
     /// Advances the core one cycle against the shared memory system and
     /// functional memory. Returns `true` while the core still has work.
     pub fn tick(&mut self, mem: &mut MemorySystem, data: &mut SparseMem, now: u64) -> bool {
+        self.active = false;
+        self.tick_start = idle_counters(&mut self.stats).map(|c| *c);
         if self.is_done() || self.out_of_fuel {
             return false;
         }
         self.stats.cycles += 1;
-        self.complete(mem, now);
+        self.complete(now);
         self.commit(mem, now);
         self.drain_store_buffer(mem, data);
         self.supply_store_data();
@@ -829,28 +999,87 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Completion (writeback)
+    // Quiescent-cycle skipping
     // ------------------------------------------------------------------
 
-    fn complete(&mut self, mem: &mut MemorySystem, now: u64) {
-        loop {
-            // Oldest completed-this-cycle entry; re-scan after each, as a
-            // branch completion may squash younger entries.
-            let Some(seq) = self
-                .rob
-                .iter()
-                .find(|e| matches!(e.status, Status::Executing { done_at } if done_at <= now))
-                .map(|e| e.seq)
-            else {
-                break;
-            };
-            self.finish_one(seq, mem, now);
+    /// Whether the last [`Core::tick`] changed no pipeline state: it
+    /// completed, committed, drained, supplied, issued and dispatched
+    /// nothing (a finished or fuel-frozen core is always quiescent).
+    /// Such a tick only advanced counters, and every later tick repeats
+    /// it exactly until [`Core::next_event`].
+    #[must_use]
+    pub fn quiescent(&self) -> bool {
+        !self.active
+    }
+
+    /// After a quiescent tick at cycle `now`: the earliest later cycle
+    /// whose tick may change pipeline state — the next completion, or
+    /// the end of a fetch-redirect stall. `u64::MAX` when nothing is
+    /// scheduled (a finished, frozen or deadlocked core).
+    #[must_use]
+    pub fn next_event(&self, now: u64) -> u64 {
+        if self.is_done() || self.out_of_fuel {
+            return u64::MAX;
+        }
+        let done = self.sched.next_done_at().unwrap_or(u64::MAX);
+        let fetch = if self.fetch_stalled_until > now {
+            self.fetch_stalled_until
+        } else {
+            u64::MAX
+        };
+        done.min(fetch)
+    }
+
+    /// Accounts `cycles` more repetitions of the last tick, which must
+    /// have been quiescent: each adds that tick's counter increments
+    /// (its cycle, its commit-stall bucket, its scheme-delay probes)
+    /// and changes nothing else, so the result is exactly that of
+    /// ticking them one by one.
+    pub fn skip_quiescent(&mut self, cycles: u64) {
+        debug_assert!(self.quiescent(), "only a quiescent tick repeats");
+        for (c, start) in idle_counters(&mut self.stats)
+            .into_iter()
+            .zip(self.tick_start)
+        {
+            *c += (*c - start) * cycles;
         }
     }
 
-    fn finish_one(&mut self, seq: Seq, mem: &mut MemorySystem, now: u64) {
+    // ------------------------------------------------------------------
+    // Completion (writeback)
+    // ------------------------------------------------------------------
+
+    fn complete(&mut self, now: u64) {
+        let due = self.sched.take_due(now);
+        for &seq in &due {
+            // Oldest first: a branch or violation completing here
+            // squashes the younger due entries, which then are gone.
+            if self.rob.get(seq).is_some() {
+                self.finish_one(seq, now);
+            }
+        }
+        self.active |= !due.is_empty();
+        self.sched.return_due(due);
+    }
+
+    /// Writes `value` back to `preg` and wakes the IQ entries waiting on
+    /// it. The guard of `preg` must already be final: a woken entry's
+    /// scheme gate is read from it.
+    fn writeback(&mut self, preg: PReg, value: u64) {
+        self.rename.write(preg, value);
+        let (rob, rename, guards, secure) = (&self.rob, &self.rename, &self.guards, &self.secure);
+        self.sched.wake(preg, |seq| {
+            let e = rob.get(seq)?;
+            let ready = e.status == Status::Waiting
+                && issue_srcs(e).iter().flatten().all(|&p| rename.is_ready(p));
+            ready.then(|| scheme_gate(secure, guards, e))
+        });
+    }
+
+    fn finish_one(&mut self, seq: Seq, now: u64) {
         let frontier = self.shadows.frontier();
         let entry = self.rob.get_mut(seq).expect("completing entry exists");
+        debug_assert!(matches!(entry.status, Status::Executing { done_at } if done_at <= now));
         entry.status = Status::Done;
         let inst = entry.inst;
         let entry_pc = entry.pc;
@@ -882,7 +1111,7 @@ impl Core {
                     }
                     None => self.guards.clear(dst.new as usize),
                 }
-                self.rename.write(dst.new, value);
+                self.writeback(dst.new, value);
             }
             Inst::Store { .. } => {
                 // Store address resolution: the store shadow lifts and,
@@ -899,7 +1128,6 @@ impl Core {
                         let pc = self.rob.get(victim).expect("violating load present").pc;
                         self.mdp.violation(pc, store_pc);
                         self.squash_from(victim, pc, now);
-                        return;
                     }
                 }
             }
@@ -913,17 +1141,15 @@ impl Core {
                     self.stats.branch_mispredicts += 1;
                     self.bpred.repair(token, actual);
                     self.squash_from(seq + 1, next_pc, now);
-                    return;
                 }
             }
             _ => {
                 // ALU-class: write back and propagate taint (STT).
                 if let Some(dst) = entry.dst {
                     let value = entry.value.expect("ALU computed a value");
-                    let srcs: Vec<usize> =
-                        entry.srcs.iter().flatten().map(|&p| p as usize).collect();
-                    self.rename.write(dst.new, value);
+                    let srcs = entry.srcs;
                     if self.secure.kind.propagates_taint() {
+                        let srcs = srcs.iter().flatten().map(|&p| p as usize);
                         match self.guards.propagate(srcs, None, frontier) {
                             Some(root) => self.guards.set(dst.new as usize, root),
                             None => self.guards.clear(dst.new as usize),
@@ -934,10 +1160,10 @@ impl Core {
                     } else {
                         self.guards.clear(dst.new as usize);
                     }
+                    self.writeback(dst.new, value);
                 }
             }
         }
-        let _ = mem;
     }
 
     // ------------------------------------------------------------------
@@ -953,6 +1179,7 @@ impl Core {
             // instructions regardless of commit width.
             if self.fuel == 0 && !self.halted {
                 self.out_of_fuel = true;
+                self.active = true;
                 break;
             }
             let Some(head) = self.rob.head() else {
@@ -982,12 +1209,12 @@ impl Core {
                 break;
             }
             committed_any = true;
+            self.active = true;
             let entry = self.rob.pop_head().expect("head exists");
             let seq = entry.seq;
             self.trace.push(now, seq, entry.pc, TraceKind::Commit);
             self.stats.committed += 1;
             self.fuel = self.fuel.saturating_sub(1);
-            self.iq.retain(|&s| s != seq); // Done entries normally left already
 
             match entry.inst {
                 Inst::Load { .. } => {
@@ -1078,7 +1305,7 @@ impl Core {
                     // The data may not have been supplied yet this cycle
                     // (the producer can commit in the same burst); it is
                     // necessarily ready by now, so read it directly.
-                    if self.sq.iter().any(|e| e.seq == seq && e.value.is_none()) {
+                    if self.sq.head().is_some_and(|e| e.value.is_none()) {
                         let val_preg = entry.srcs[1].expect("store has a data source");
                         debug_assert!(self.rename.is_ready(val_preg));
                         self.sq.set_value(seq, self.rename.read(val_preg));
@@ -1122,6 +1349,7 @@ impl Core {
         if let Some((addr, value)) = self.sb.pop() {
             mem.write(self.id, addr);
             data.write(addr, value);
+            self.active = true;
         }
     }
 
@@ -1130,104 +1358,84 @@ impl Core {
     /// before commit.
     fn supply_store_data(&mut self) {
         let frontier = self.shadows.frontier();
-        let pending: Vec<Seq> = self
-            .sq
-            .iter()
-            .filter(|e| e.value.is_none())
-            .map(|e| e.seq)
-            .collect();
-        for seq in pending {
-            let Some(entry) = self.rob.get(seq) else {
-                continue;
-            };
-            let Some(val_preg) = entry.srcs[1] else {
-                continue;
-            };
-            if !self.rename.is_ready(val_preg) {
-                continue;
-            }
-            if self.secure.kind.delays_value_broadcast()
-                && self.guards.is_active(val_preg as usize, frontier)
-            {
-                continue; // NDA: the value is not yet visible to anyone
-            }
-            self.sq.set_value(seq, self.rename.read(val_preg));
-        }
+        let nda = self.secure.kind.delays_value_broadcast();
+        let (rob, rename, guards) = (&self.rob, &self.rename, &self.guards);
+        self.active |= self.sq.supply(|seq| {
+            let val_preg = rob.get(seq)?.srcs[1]?;
+            // NDA: the value is not yet visible to anyone while guarded.
+            let visible = rename.is_ready(val_preg)
+                && !(nda && guards.is_active(val_preg as usize, frontier));
+            visible.then(|| rename.read(val_preg))
+        });
     }
 
     // ------------------------------------------------------------------
     // Issue / execute
     // ------------------------------------------------------------------
 
+    /// Probes the ready list oldest first until `issue_width`
+    /// instructions issue. Only entries whose issue operands are produced
+    /// are listed; a probe of any other IQ entry could not issue it and
+    /// would change nothing, so the order and side effects are those of
+    /// probing the whole IQ oldest first.
     fn issue(&mut self, mem: &mut MemorySystem, data: &mut SparseMem, now: u64) {
+        // Issue writes no register and resolves no shadow, so one
+        // frontier serves the whole stage.
+        let frontier = self.shadows.frontier();
         let mut budget = self.cfg.issue_width;
-        let mut i = 0;
-        while i < self.iq.len() && budget > 0 {
-            let seq = self.iq[i];
-            match self.try_issue(seq, mem, data, now) {
-                IssueResult::Issued => {
-                    if self.trace.is_enabled() {
-                        if let Some(e) = self.rob.get(seq) {
-                            let pc = e.pc;
-                            self.trace.push(now, seq, pc, TraceKind::Issue);
-                        }
-                    }
-                    self.iq.remove(i);
-                    budget -= 1;
+        let mut at = 0;
+        while budget > 0 {
+            let Some(&ready) = self.sched.ready().get(at) else {
+                break;
+            };
+            let seq = ready.seq;
+            if frontier < ready.gate {
+                // The scheme refuses a guarded operand; every refused
+                // probe counts.
+                self.stats.scheme_delay_cycles += 1;
+                if !ready.delayed {
+                    self.rob
+                        .get_mut(seq)
+                        .expect("present")
+                        .was_delayed_by_scheme = true;
+                    self.sched.mark_delayed(at);
                 }
-                IssueResult::NotReady => {
-                    i += 1;
-                }
+                at += 1;
+                continue;
             }
+            let Some(done_at) = self.try_issue(seq, frontier, mem, data, now) else {
+                at += 1;
+                continue;
+            };
+            let e = self.rob.get_mut(seq).expect("issued entry present");
+            e.status = Status::Executing { done_at };
+            let pc = e.pc;
+            self.trace.push(now, seq, pc, TraceKind::Issue);
+            self.sched.issued(at, done_at);
+            self.active = true;
+            budget -= 1;
         }
     }
 
+    /// Executes listed entry `seq`, which its scheme admits, if the
+    /// memory-ordering gates allow it, returning the cycle its result is
+    /// available.
     fn try_issue(
         &mut self,
         seq: Seq,
+        frontier: Seq,
         mem: &mut MemorySystem,
         data: &mut SparseMem,
         now: u64,
-    ) -> IssueResult {
-        let frontier = self.shadows.frontier();
-        let Some(entry) = self.rob.get(seq) else {
-            // Squashed while queued; drop silently.
-            return IssueResult::Issued;
-        };
+    ) -> Option<u64> {
+        let entry = self.rob.get(seq).expect("listed entries are in flight");
         let inst = entry.inst;
         let srcs = entry.srcs;
-
-        // A plain store issues its *address computation* only: the data
-        // operand is decoupled (supplied to the SQ when it arrives) and
-        // never blocks issue. STT likewise only treats the store's
-        // address as the transmitted operand; tainted store data is
-        // handled at forwarding time (§4.5).
-        let issue_srcs: &[Option<crate::rename::PReg>] = if matches!(inst, Inst::Store { .. }) {
-            &srcs[..1]
-        } else {
-            &srcs[..]
-        };
-
-        // Dataflow readiness.
-        for p in issue_srcs.iter().flatten() {
-            if !self.rename.is_ready(*p) {
-                return IssueResult::NotReady;
-            }
-        }
-        // Scheme checks.
-        let nda_blocks = self.secure.kind.delays_value_broadcast();
-        let stt_blocks = self.secure.kind.blocks_transmitters() && inst.is_transmitter();
-        if nda_blocks || stt_blocks {
-            for p in issue_srcs.iter().flatten() {
-                if self.guards.is_active(*p as usize, frontier) {
-                    self.stats.scheme_delay_cycles += 1;
-                    if let Some(e) = self.rob.get_mut(seq) {
-                        e.was_delayed_by_scheme = true;
-                    }
-                    return IssueResult::NotReady;
-                }
-            }
-        }
+        debug_assert!(issue_srcs(entry)
+            .iter()
+            .flatten()
+            .all(|&p| self.rename.is_ready(p)));
+        debug_assert!(frontier >= scheme_gate(&self.secure, &self.guards, entry));
 
         match inst {
             Inst::LoadImm { imm, .. } => self.finish_alu(seq, imm, now, 1),
@@ -1254,50 +1462,41 @@ impl Core {
                 let a = self.rename.read(srcs[0].expect("branch src a"));
                 let b = self.rename.read(srcs[1].expect("branch src b"));
                 let taken = kind.taken(a, b);
-                let e = self.rob.get_mut(seq).expect("present");
-                e.taken_actual = Some(taken);
-                e.status = Status::Executing { done_at: now + 1 };
-                IssueResult::Issued
+                self.rob.get_mut(seq).expect("present").taken_actual = Some(taken);
+                Some(now + 1)
             }
             Inst::Load { offset, .. } => {
-                self.issue_load(seq, LoadAddr::Offset(offset), mem, data, now)
+                self.issue_load(seq, LoadAddr::Offset(offset), frontier, mem, data, now)
             }
-            Inst::LoadIdx { .. } => self.issue_load(seq, LoadAddr::Indexed, mem, data, now),
+            Inst::LoadIdx { .. } => {
+                self.issue_load(seq, LoadAddr::Indexed, frontier, mem, data, now)
+            }
             Inst::Store { offset, .. } => {
                 // Address computation; data is supplied separately.
                 let base = self.rename.read(srcs[0].expect("store base"));
                 let addr = base.wrapping_add(offset as u64) & !7;
-                let e = self.rob.get_mut(seq).expect("present");
-                e.addr = Some(addr);
-                e.status = Status::Executing { done_at: now + 1 };
-                IssueResult::Issued
+                self.rob.get_mut(seq).expect("present").addr = Some(addr);
+                Some(now + 1)
             }
             Inst::AmoAdd { offset, .. } => self.issue_amo(seq, offset, mem, data, now),
-            Inst::Jump { .. } | Inst::Nop | Inst::Halt => {
-                let e = self.rob.get_mut(seq).expect("present");
-                e.status = Status::Executing { done_at: now };
-                IssueResult::Issued
-            }
+            Inst::Jump { .. } | Inst::Nop | Inst::Halt => Some(now),
         }
     }
 
-    fn finish_alu(&mut self, seq: Seq, value: u64, now: u64, latency: u32) -> IssueResult {
-        let e = self.rob.get_mut(seq).expect("present");
-        e.value = Some(value);
-        e.status = Status::Executing {
-            done_at: now + u64::from(latency),
-        };
-        IssueResult::Issued
+    fn finish_alu(&mut self, seq: Seq, value: u64, now: u64, latency: u32) -> Option<u64> {
+        self.rob.get_mut(seq).expect("present").value = Some(value);
+        Some(now + u64::from(latency))
     }
 
     fn issue_load(
         &mut self,
         seq: Seq,
         mode: LoadAddr,
+        frontier: Seq,
         mem: &mut MemorySystem,
         data: &mut SparseMem,
         now: u64,
-    ) -> IssueResult {
+    ) -> Option<u64> {
         let entry = self.rob.get(seq).expect("present");
         let base_preg = entry.srcs[0].expect("load base");
         let addr = match mode {
@@ -1319,8 +1518,8 @@ impl Core {
         // would make this load's memory view stale: AMOs live outside
         // the SQ (forwarding cannot catch the conflict) and execute only
         // at the ROB head, so the load must wait for it to issue.
-        if self.unissued_amo_older_than(seq) {
-            return IssueResult::NotReady;
+        if self.sched.unissued_amo_older_than(seq) {
+            return None;
         }
 
         if !conservative {
@@ -1328,12 +1527,12 @@ impl Core {
             // in-flight store to resolve before issuing.
             let pc = self.rob.get(seq).expect("present").pc;
             if self.mdp.load_must_wait(pc, seq).is_some() {
-                return IssueResult::NotReady;
+                return None;
             }
         }
         let fwd = self.sq.forward(seq, addr, conservative);
         let (value, latency, revealed, forwarded, fwd_seq) = match fwd {
-            Forward::MustWait => return IssueResult::NotReady,
+            Forward::MustWait => return None,
             Forward::FromStore { seq: s, value } => {
                 // Forwarded data is concealed (§4.4.2); taint travels with
                 // it under STT via the store's data guard, conservatively
@@ -1359,7 +1558,6 @@ impl Core {
                 }
             },
         };
-        let frontier = self.shadows.frontier();
         // Taint forwarded from an in-flight store's data register (STT).
         let fwd_guard = if self.secure.kind.propagates_taint() {
             fwd_seq
@@ -1377,19 +1575,7 @@ impl Core {
         e.revealed = revealed;
         e.forwarded = forwarded;
         e.guard_root = fwd_guard; // stashed for completion-time merge
-        e.status = Status::Executing {
-            done_at: now + u64::from(latency),
-        };
-        IssueResult::Issued
-    }
-
-    /// Whether an AMO older than `seq` is still waiting to issue. Its
-    /// memory update happens at issue, so younger loads gate on this.
-    fn unissued_amo_older_than(&self, seq: Seq) -> bool {
-        self.rob
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .any(|e| matches!(e.inst, Inst::AmoAdd { .. }) && matches!(e.status, Status::Waiting))
+        Some(now + u64::from(latency))
     }
 
     fn issue_amo(
@@ -1399,7 +1585,7 @@ impl Core {
         mem: &mut MemorySystem,
         data: &mut SparseMem,
         now: u64,
-    ) -> IssueResult {
+    ) -> Option<u64> {
         // AMOs are serializing: execute only at the ROB head, with every
         // older committed store drained out of the store buffer so the
         // read-modify-write sees up-to-date memory. At the head there is
@@ -1410,13 +1596,13 @@ impl Core {
         // in the AMO's fetch shadow.
         let at_head = self.rob.head().is_some_and(|h| h.seq == seq);
         if !at_head || !self.sb.is_empty() {
-            return IssueResult::NotReady;
+            return None;
         }
         // Historical bug, reintroducible for liveness-tooling tests only
         // (see `CoreConfig::amo_empty_sq_bug`): waiting for an empty SQ
         // here deadlocks when a younger store sits in the AMO's shadow.
         if self.cfg.amo_empty_sq_bug && !self.sq.is_empty() {
-            return IssueResult::NotReady;
+            return None;
         }
         let entry = self.rob.get(seq).expect("present");
         let base_preg = entry.srcs[0].expect("amo base");
@@ -1431,10 +1617,7 @@ impl Core {
         e.addr = Some(addr);
         e.value = Some(old);
         e.revealed = false;
-        e.status = Status::Executing {
-            done_at: now + u64::from(out.latency),
-        };
-        IssueResult::Issued
+        Some(now + u64::from(out.latency))
     }
 
     // ------------------------------------------------------------------
@@ -1457,7 +1640,7 @@ impl Core {
             };
             let inst = d.inst;
             // Structural resources, from the pre-decoded class flags.
-            if !self.rob.has_space() || self.iq.len() >= self.cfg.iq_entries {
+            if !self.rob.has_space() || self.sched.iq_len() >= self.cfg.iq_entries {
                 break;
             }
             if d.is_load && !self.lq.has_space() {
@@ -1481,34 +1664,27 @@ impl Core {
 
             let seq = self.rob.push(pc, inst);
             self.trace.push(now, seq, pc, TraceKind::Dispatch);
-            {
-                let e = self.rob.get_mut(seq).expect("just pushed");
-                e.srcs = renamed;
-                e.dst = dst;
-            }
+            self.active = true;
 
             // Frontend control flow + queue allocation.
+            let mut pred = None;
+            self.fetch_pc = pc + 1;
             match inst {
                 Inst::Branch { target, .. } => {
-                    let (pred, token) = self.bpred.predict(pc);
-                    self.rob.get_mut(seq).expect("present").pred = Some((pred, token));
+                    let (taken, token) = self.bpred.predict(pc);
+                    pred = Some((taken, token));
                     self.shadows.cast(seq);
-                    self.fetch_pc = if pred { target } else { pc + 1 };
-                    self.iq.push(seq);
+                    if taken {
+                        self.fetch_pc = target;
+                    }
                 }
-                Inst::Jump { target } => {
-                    self.fetch_pc = target;
-                    self.iq.push(seq);
-                }
+                Inst::Jump { target } => self.fetch_pc = target,
                 Inst::Halt => {
                     self.fetch_halted = true;
-                    self.iq.push(seq);
                     self.fetch_pc = pc; // frozen
                 }
-                Inst::Load { .. } | Inst::LoadIdx { .. } => {
+                Inst::Load { .. } | Inst::LoadIdx { .. } | Inst::AmoAdd { .. } => {
                     self.lq.push(seq);
-                    self.iq.push(seq);
-                    self.fetch_pc = pc + 1;
                 }
                 Inst::Store { .. } => {
                     self.sq.push(seq);
@@ -1516,19 +1692,20 @@ impl Core {
                     if self.cfg.mdp == MdpMode::Predictor {
                         self.mdp.store_dispatched(pc, seq);
                     }
-                    self.iq.push(seq);
-                    self.fetch_pc = pc + 1;
                 }
-                Inst::AmoAdd { .. } => {
-                    self.lq.push(seq);
-                    self.iq.push(seq);
-                    self.fetch_pc = pc + 1;
-                }
-                _ => {
-                    self.iq.push(seq);
-                    self.fetch_pc = pc + 1;
-                }
+                _ => {}
             }
+            let e = self.rob.get_mut(seq).expect("just pushed");
+            e.srcs = renamed;
+            e.dst = dst;
+            e.pred = pred;
+            let unready = issue_srcs(e)
+                .iter()
+                .enumerate()
+                .filter_map(|(k, p)| Some((k, (*p)?)))
+                .filter(|&(_, p)| !self.rename.is_ready(p));
+            let gate = || scheme_gate(&self.secure, &self.guards, e);
+            self.sched.dispatch(seq, unready, gate, d.is_amo);
         }
     }
 
@@ -1539,17 +1716,17 @@ impl Core {
     /// Squashes every instruction with `seq >= first`, redirecting fetch
     /// to `new_pc`.
     fn squash_from(&mut self, first: Seq, new_pc: usize, now: u64) {
-        let squashed = self.rob.squash_after(first.saturating_sub(1));
-        self.stats.squashed += squashed.len() as u64;
-        for e in &squashed {
+        // Youngest first: rename undo runs in reverse program order.
+        while let Some(e) = self.rob.squash_youngest(first) {
+            self.stats.squashed += 1;
             self.trace.push(now, e.seq, e.pc, TraceKind::Squash);
-            // Youngest-first rename undo.
             if let Some(dst) = e.dst {
                 self.guards.clear(dst.new as usize);
                 self.rename.undo(dst);
             }
+            self.sched.forget(&e);
         }
-        self.iq.retain(|&s| s < first);
+        self.sched.squash_from(first);
         self.lq.squash_after(first.saturating_sub(1));
         self.sq.squash_after(first.saturating_sub(1));
         self.shadows.squash_from(first);
@@ -1558,11 +1735,6 @@ impl Core {
         self.fetch_halted = false;
         self.fetch_stalled_until = now + u64::from(self.cfg.redirect_penalty);
     }
-}
-
-enum IssueResult {
-    Issued,
-    NotReady,
 }
 
 /// Effective-address mode of an issuing load.

@@ -25,6 +25,7 @@ pub mod lsq;
 pub mod mdp;
 pub mod rename;
 pub mod rob;
+mod sched;
 pub mod shadow;
 pub mod stats;
 pub mod trace;

@@ -53,6 +53,8 @@ pub enum Forward {
 pub struct StoreQueue {
     entries: VecDeque<SqEntry>,
     capacity: usize,
+    /// Entries whose data has not been supplied yet.
+    unsupplied: usize,
 }
 
 impl StoreQueue {
@@ -62,6 +64,7 @@ impl StoreQueue {
         StoreQueue {
             entries: VecDeque::new(),
             capacity,
+            unsupplied: 0,
         }
     }
 
@@ -96,19 +99,29 @@ impl StoreQueue {
             addr: None,
             value: None,
         });
+        self.unsupplied += 1;
+    }
+
+    /// The entry of store `seq`, found by binary search (entries are
+    /// in ascending sequence order).
+    fn get_mut(&mut self, seq: Seq) -> Option<&mut SqEntry> {
+        let at = self.entries.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        self.entries.get_mut(at)
     }
 
     /// Records the resolved address of a store.
     pub fn set_addr(&mut self, seq: Seq, addr: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(e) = self.get_mut(seq) {
             e.addr = Some(addr);
         }
     }
 
     /// Records the data of a store.
     pub fn set_value(&mut self, seq: Seq, value: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
-            e.value = Some(value);
+        if let Some(e) = self.get_mut(seq) {
+            if e.value.replace(value).is_none() {
+                self.unsupplied -= 1;
+            }
         }
     }
 
@@ -174,13 +187,40 @@ impl StoreQueue {
     /// Drops all stores younger than `seq` (squash).
     pub fn squash_after(&mut self, seq: Seq) {
         while matches!(self.entries.back(), Some(e) if e.seq > seq) {
-            self.entries.pop_back();
+            if self.entries.pop_back().is_some_and(|e| e.value.is_none()) {
+                self.unsupplied -= 1;
+            }
         }
     }
 
     /// Iterates entries oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &SqEntry> {
         self.entries.iter()
+    }
+
+    /// Supplies data to stores still waiting for it, oldest first:
+    /// `supply(seq)` returns the value of store `seq` once available.
+    /// Returns whether any store received its data. Free when every
+    /// store already has its data.
+    pub fn supply(&mut self, mut supply: impl FnMut(Seq) -> Option<u64>) -> bool {
+        if self.unsupplied == 0 {
+            return false;
+        }
+        let mut any = false;
+        for e in self.entries.iter_mut().filter(|e| e.value.is_none()) {
+            if let Some(v) = supply(e.seq) {
+                e.value = Some(v);
+                self.unsupplied -= 1;
+                any = true;
+            }
+        }
+        any
+    }
+
+    /// The oldest store, if any (the next to commit).
+    #[must_use]
+    pub fn head(&self) -> Option<&SqEntry> {
+        self.entries.front()
     }
 }
 
@@ -310,7 +350,8 @@ impl LoadQueue {
 
     /// Marks a load executed at `addr`, with its forwarding source.
     pub fn complete(&mut self, seq: Seq, addr: u64, forwarded_from: Option<Seq>) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        let at = self.entries.binary_search_by_key(&seq, |e| e.seq);
+        if let Some(e) = at.ok().and_then(|i| self.entries.get_mut(i)) {
             e.addr = Some(addr);
             e.forwarded_from = forwarded_from;
             e.done = true;

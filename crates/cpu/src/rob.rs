@@ -195,24 +195,22 @@ impl Rob {
         self.next_seq = seq;
     }
 
-    /// Removes every entry **younger than** `seq`, returning them
-    /// youngest-first (the order rename undo must be applied in).
+    /// Squash step: removes and returns the youngest entry if its
+    /// sequence number is `>= first`. Calling it until `None` squashes
+    /// every entry from `first` on, youngest first (the order rename
+    /// undo must be applied in).
     ///
     /// Squashed sequence numbers are reused by subsequent pushes: the
     /// caller must purge them from every side structure (IQ, LSQ,
     /// shadows, guards), which also keeps the window's sequence numbers
     /// contiguous.
-    pub fn squash_after(&mut self, seq: Seq) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
-        while matches!(self.entries.back(), Some(e) if e.seq > seq) {
-            squashed.push(self.entries.pop_back().expect("checked"));
+    pub fn squash_youngest(&mut self, first: Seq) -> Option<RobEntry> {
+        if self.entries.back()?.seq < first {
+            return None;
         }
-        if let Some(youngest_kept) = self.entries.back() {
-            self.next_seq = youngest_kept.seq + 1;
-        } else if let Some(oldest_squashed) = squashed.last() {
-            self.next_seq = oldest_squashed.seq;
-        }
-        squashed
+        let e = self.entries.pop_back()?;
+        self.next_seq = e.seq;
+        Some(e)
     }
 }
 
@@ -260,8 +258,9 @@ mod tests {
         for pc in 0..5 {
             rob.push(pc, nop());
         }
-        let squashed = rob.squash_after(1);
-        let seqs: Vec<_> = squashed.iter().map(|e| e.seq).collect();
+        let seqs: Vec<_> = std::iter::from_fn(|| rob.squash_youngest(2))
+            .map(|e| e.seq)
+            .collect();
         assert_eq!(seqs, vec![4, 3, 2]);
         assert_eq!(rob.len(), 2);
         // Squashed sequence numbers are reused to keep the window

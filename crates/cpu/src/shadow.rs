@@ -10,7 +10,7 @@
 //! — this single comparison drives guard (taint) activity in
 //! [`recon_secure::GuardTable`].
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 use recon_secure::Seq;
 
@@ -29,7 +29,9 @@ use recon_secure::Seq;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ShadowTracker {
-    unresolved: BTreeSet<Seq>,
+    /// Unresolved casters in ascending order. Casters dispatch in
+    /// sequence order, so a cast appends; a squash truncates the tail.
+    unresolved: VecDeque<Seq>,
 }
 
 impl ShadowTracker {
@@ -41,30 +43,31 @@ impl ShadowTracker {
 
     /// A shadow-casting instruction (branch or store) dispatched.
     pub fn cast(&mut self, seq: Seq) {
-        self.unresolved.insert(seq);
+        let at = self.unresolved.partition_point(|&s| s < seq);
+        if self.unresolved.get(at) != Some(&seq) {
+            self.unresolved.insert(at, seq);
+        }
     }
 
     /// The shadow-caster resolved (branch executed / store address
     /// computed).
     pub fn resolve(&mut self, seq: Seq) {
-        self.unresolved.remove(&seq);
+        if let Ok(at) = self.unresolved.binary_search(&seq) {
+            self.unresolved.remove(at);
+        }
     }
 
     /// Removes all casters with sequence `>= first` (squash).
     pub fn squash_from(&mut self, first: Seq) {
-        self.unresolved = self
-            .unresolved
-            .iter()
-            .copied()
-            .filter(|&s| s < first)
-            .collect();
+        let keep = self.unresolved.partition_point(|&s| s < first);
+        self.unresolved.truncate(keep);
     }
 
     /// The oldest unresolved shadow-caster, or `Seq::MAX` when none —
     /// the value to compare guards against.
     #[must_use]
     pub fn frontier(&self) -> Seq {
-        self.unresolved.first().copied().unwrap_or(Seq::MAX)
+        self.unresolved.front().copied().unwrap_or(Seq::MAX)
     }
 
     /// Whether an instruction with sequence `seq` is currently under a

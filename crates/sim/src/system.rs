@@ -497,6 +497,11 @@ impl System {
         while !self.cores.iter().all(Core::pipeline_empty) && spent < bound {
             self.tick();
             spent += 1;
+            if let Some(event) = self.quiescent_until() {
+                let end = event.min(self.cycle + (bound - spent));
+                spent += end.saturating_sub(self.cycle);
+                self.skip_to(end);
+            }
         }
         for core in &mut self.cores {
             core.pause_fetch(false);
@@ -610,6 +615,39 @@ impl System {
         busy
     }
 
+    /// After a tick in which no core changed pipeline state (see
+    /// [`Core::quiescent`]): the cycle of the next tick that may, the
+    /// earliest [`Core::next_event`]. Every tick before it would repeat
+    /// the quiescent one exactly. `None` after an active tick.
+    fn quiescent_until(&self) -> Option<u64> {
+        let now = self.cycle - 1;
+        let mut next = u64::MAX;
+        for core in &self.cores {
+            if !core.quiescent() {
+                return None;
+            }
+            next = next.min(core.next_event(now));
+        }
+        Some(next)
+    }
+
+    /// Jumps from the current cycle to `end` after a quiescent tick, with
+    /// the same effect as ticking every cycle in between: each core adds
+    /// the quiescent tick's counter increments once per skipped cycle,
+    /// and the memory system's clock (part of every snapshot) reads as
+    /// the last skipped tick set it. A no-op unless `end` is ahead.
+    fn skip_to(&mut self, end: u64) {
+        if end <= self.cycle {
+            return;
+        }
+        let skipped = end - self.cycle;
+        for core in &mut self.cores {
+            core.skip_quiescent(skipped);
+        }
+        self.cycle = end;
+        self.mem.set_now(end - 1);
+    }
+
     /// Runs until every core halts or `max_cycles` elapse.
     pub fn run(&mut self, max_cycles: u64) -> SystemResult {
         match self.run_budgeted(max_cycles, &Budget::default()) {
@@ -699,6 +737,23 @@ impl System {
         loop {
             if !self.tick() {
                 break;
+            }
+            // Quiescent stretch: jump to the next event, but never past a
+            // cycle at which one of the checks below would act, so every
+            // stop, poll, audit and checkpoint lands where single-stepping
+            // puts it.
+            if let Some(event) = self.quiescent_until() {
+                let end = [
+                    Some(max_cycles),
+                    Some(self.cycle.next_multiple_of(CANCEL_CHECK_INTERVAL)),
+                    watchdog.map(|w| wd_last_progress.saturating_add(w)),
+                    next_audit,
+                    next_ckpt,
+                ]
+                .into_iter()
+                .flatten()
+                .fold(event, u64::min);
+                self.skip_to(end);
             }
             if self.cycle >= max_cycles {
                 break;
