@@ -1,12 +1,13 @@
 //! Schema stability for the JSON reports the repo writes:
 //! `BENCH_runner.json` (`BatchResults::write_json`), `BENCH_serve.json`
-//! (`BenchServeReport`), and `BENCH_speed.json` (`SpeedReport`). All
+//! (`BenchServeReport`), `BENCH_chaos.json` (`ChaosStormReport`), and
+//! `BENCH_speed.json` (`SpeedReport`). All
 //! are parsed back with the serving layer's own JSON reader, so the
 //! documents stay valid JSON with a fixed field set — and the runner's
 //! timings stay deterministic across worker counts.
 
 use recon_secure::SecureConfig;
-use recon_serve::{json, BenchServeReport};
+use recon_serve::{json, BenchServeReport, ChaosStormReport};
 use recon_sim::{run_batch, Experiment, SpeedReport};
 use recon_workloads::{find, Scale, Suite};
 
@@ -130,6 +131,57 @@ fn bench_serve_report_golden() {
     // And through the file writer.
     let path = tmp_path("serve-golden.json");
     report.write_json(&path).expect("write BENCH_serve.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(text, golden);
+}
+
+#[test]
+fn chaos_storm_report_golden() {
+    // The committed `BENCH_chaos.json` (seed 42, 6 clients x 8 requests).
+    let injected = [
+        ("worker-panic", 2),
+        ("latency", 6),
+        ("drop-request", 7),
+        ("drop-response", 3),
+        ("truncate-http", 1),
+        ("garbage", 4),
+        ("queue-burst", 5),
+        ("ckpt-torn", 3),
+    ];
+    let report = ChaosStormReport {
+        seed: 42,
+        clients: 6,
+        requests_per_client: 8,
+        faults: "all=80,max-latency-ms=2".to_string(),
+        ok: 36,
+        deadline: 12,
+        mismatches: 0,
+        lost: 0,
+        retries: 18,
+        reconnects: 15,
+        injected: injected
+            .iter()
+            .map(|&(site, n)| (site.to_string(), n))
+            .collect(),
+        injected_total: 31,
+        worker_restarts: 2,
+        jobs_rejected: 0,
+        cache_hits: 5,
+        cache_misses: 49,
+        singleflight_joined: 0,
+        checkpoints_written: 93,
+        checkpoints_resumed: 0,
+        checkpoints_dropped_corrupt: 0,
+        wall_seconds: 1.830947,
+    };
+    // Byte-for-byte golden: any schema change must update this test.
+    let golden = "{\n  \"seed\": 42,\n  \"clients\": 6,\n  \"requests_per_client\": 8,\n  \"faults\": \"all=80,max-latency-ms=2\",\n  \"ok\": 36,\n  \"deadline\": 12,\n  \"mismatches\": 0,\n  \"lost\": 0,\n  \"retries\": 18,\n  \"reconnects\": 15,\n  \"injected\": {\n    \"worker-panic\": 2,\n    \"latency\": 6,\n    \"drop-request\": 7,\n    \"drop-response\": 3,\n    \"truncate-http\": 1,\n    \"garbage\": 4,\n    \"queue-burst\": 5,\n    \"ckpt-torn\": 3\n  },\n  \"injected_total\": 31,\n  \"worker_restarts\": 2,\n  \"jobs_rejected\": 0,\n  \"cache_hits\": 5,\n  \"cache_misses\": 49,\n  \"singleflight_joined\": 0,\n  \"checkpoints_written\": 93,\n  \"checkpoints_resumed\": 0,\n  \"checkpoints_dropped_corrupt\": 0,\n  \"wall_seconds\": 1.830947\n}\n";
+    assert_eq!(report.to_json(), golden);
+    assert!(report.pass());
+
+    let path = tmp_path("chaos-golden.json");
+    report.write_json(&path).expect("write BENCH_chaos.json");
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(text, golden);
