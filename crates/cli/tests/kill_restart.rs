@@ -54,15 +54,6 @@ fn spawn_serve(dir: &std::path::Path, extra: &[&str]) -> (Child, SocketAddr) {
     (child, addr)
 }
 
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(u64::MAX)
-}
-
 #[test]
 fn kill_dash_nine_then_restart_recovers_the_cache() {
     let dir = std::env::temp_dir().join(format!("recon-kill-restart-{}", std::process::id()));
@@ -108,11 +99,14 @@ fn kill_dash_nine_then_restart_recovers_the_cache() {
         .expect("metrics")
         .body;
     assert!(
-        scrape(&metrics, "recon_cache_recovered_total") >= 1,
+        client::scrape(&metrics, "recon_cache_recovered_total")
+            .expect("recon_cache_recovered_total series")
+            >= 1,
         "{metrics}"
     );
     assert_eq!(
-        scrape(&metrics, "recon_cache_dropped_records_total"),
+        client::scrape(&metrics, "recon_cache_dropped_records_total")
+            .expect("recon_cache_dropped_records_total series"),
         1,
         "{metrics}"
     );
@@ -206,11 +200,15 @@ fn sigkill_mid_job_resumes_from_checkpoint_with_identical_bytes() {
         .expect("metrics")
         .body;
     assert!(
-        scrape(&metrics, "recon_checkpoints_resumed_total") >= 1,
+        client::scrape(&metrics, "recon_checkpoints_resumed_total")
+            .expect("recon_checkpoints_resumed_total series")
+            >= 1,
         "the orphaned job must resume from its checkpoint, not restart:\n{metrics}"
     );
     assert!(
-        scrape(&metrics, "recon_checkpoints_written_total") >= 1,
+        client::scrape(&metrics, "recon_checkpoints_written_total")
+            .expect("recon_checkpoints_written_total series")
+            >= 1,
         "{metrics}"
     );
 

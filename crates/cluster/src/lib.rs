@@ -16,12 +16,12 @@
 //!   a down node costs one syscall, not a retry schedule), and `200`
 //!   results are replicated to the ring replica's cache so the
 //!   failover target can answer without recomputing.
-//! * [`storm`] — the cluster chaos storm behind `recon chaos
-//!   --nodes N`. It spawns real node processes, SIGKILLs and restarts
-//!   them mid-job, drives a checkpoint migration from a draining node
-//!   to its ring successor, and asserts 0 lost / 0 mismatched /
-//!   byte-identical against single-node expected output, publishing
-//!   `BENCH_cluster.json`.
+//! * [`storm`] — the cluster topology of `recon chaos --nodes N`. It
+//!   spawns real node processes, SIGKILLs and restarts them mid-job,
+//!   and drives a checkpoint migration from a draining node to its ring
+//!   successor, while `recon_serve::storm`'s driver, aimed at the
+//!   gateway, asserts 0 lost / 0 mismatched / byte-identical against
+//!   single-node expected output. It publishes `BENCH_cluster.json`.
 //!
 //! Migration itself lives on the nodes (`POST /drain` ships the newest
 //! RCK1 checkpoint per unfinished job to the ring successor's

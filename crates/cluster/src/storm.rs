@@ -3,7 +3,9 @@
 //! Unlike the single-node storm (which injects synthetic faults inside
 //! one process), this storm kills *real processes*. It spawns N
 //! `recon serve` worker nodes as children, fronts them with an
-//! in-process [`Gateway`], and then:
+//! in-process [`Gateway`], and points the storm driver of
+//! [`recon_serve::storm`] at the gateway's address: this module is only
+//! the topology and its choreography. Then:
 //!
 //! 1. **Kill phase** — client threads drive unique-digest jobs through
 //!    the gateway while the storm SIGKILLs the primary of a watched
@@ -36,25 +38,22 @@
 //!    `BENCH_cluster.json`. (CPU-bound jobs cannot scale past the
 //!    physical core count on a one-core host; see EXPERIMENTS.md.)
 
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use recon_serve::client::{self, submit_with_retry, Connection, RetryPolicy};
-use recon_serve::job::{self, CkptPlan, JobError, JobSpec};
+use recon_serve::client::{self, Connection, RetryPolicy};
+use recon_serve::job::JobSpec;
 use recon_serve::json::parse;
+use recon_serve::storm::{
+    report_json, run_client, scratch_dir, spawn_clients, storm_plan, write_report, Expected, Tally,
+    STORM_CKPT_EVERY,
+};
 
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-
-/// Checkpoint cadence for storm jobs, in simulated cycles. Matches the
-/// single-node storm: small enough that watched jobs cross a checkpoint
-/// boundary almost immediately, so the kill and drain windows are wide.
-const STORM_CKPT_EVERY: u64 = 5_000;
 
 /// Cluster storm configuration (the `recon chaos --nodes N` flags).
 #[derive(Clone, Debug)]
@@ -182,63 +181,46 @@ impl ClusterStormReport {
     /// Renders the report as the `BENCH_cluster.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"clients\": {},", self.clients);
-        let _ = writeln!(
-            s,
-            "  \"requests_per_client\": {},",
-            self.requests_per_client
-        );
-        let _ = writeln!(s, "  \"ok\": {},", self.ok);
-        let _ = writeln!(s, "  \"deadline\": {},", self.deadline);
-        let _ = writeln!(s, "  \"mismatches\": {},", self.mismatches);
-        let _ = writeln!(s, "  \"lost\": {},", self.lost);
-        let _ = writeln!(s, "  \"retries\": {},", self.retries);
-        let _ = writeln!(s, "  \"kills\": {},", self.kills);
-        let _ = writeln!(s, "  \"restarts\": {},", self.restarts);
-        let _ = writeln!(
-            s,
-            "  \"kill_orphan_resumed\": {},",
-            self.kill_orphan_resumed
-        );
-        let _ = writeln!(s, "  \"migrated\": {},", self.migrated);
-        let _ = writeln!(
-            s,
-            "  \"successor_migrations_in\": {},",
-            self.successor_migrations_in
-        );
-        let _ = writeln!(s, "  \"successor_resumes\": {},", self.successor_resumes);
-        let _ = writeln!(
-            s,
-            "  \"migrated_byte_identical\": {},",
-            self.migrated_byte_identical
-        );
-        let _ = writeln!(s, "  \"reroutes\": {},", self.reroutes);
-        let _ = writeln!(s, "  \"gateway_reroutes\": {},", self.gateway_reroutes);
-        let _ = writeln!(s, "  \"replications\": {},", self.replications);
-        let _ = writeln!(s, "  \"throughput\": [");
-        for (i, p) in self.throughput.iter().enumerate() {
-            let comma = if i + 1 < self.throughput.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                s,
-                "    {{\"nodes\": {}, \"jobs\": {}, \"wall_seconds\": {:.6}, \"rps\": {:.2}}}{comma}",
-                p.nodes, p.jobs, p.wall_seconds, p.rps
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"speedup\": {:.3},", self.speedup);
-        let _ = writeln!(s, "  \"pass\": {},", self.pass());
-        let _ = writeln!(s, "  \"wall_seconds\": {:.6}", self.wall_seconds);
-        let _ = writeln!(s, "}}");
-        s
+        let throughput: String = self
+            .throughput
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                format!(
+                    "{}\n    {{\"nodes\": {}, \"jobs\": {}, \"wall_seconds\": {:.6}, \"rps\": {:.2}}}",
+                    if i > 0 { "," } else { "" },
+                    p.nodes,
+                    p.jobs,
+                    p.wall_seconds,
+                    p.rps
+                )
+            })
+            .collect();
+        report_json(&[
+            ("seed", &self.seed),
+            ("nodes", &self.nodes),
+            ("clients", &self.clients),
+            ("requests_per_client", &self.requests_per_client),
+            ("ok", &self.ok),
+            ("deadline", &self.deadline),
+            ("mismatches", &self.mismatches),
+            ("lost", &self.lost),
+            ("retries", &self.retries),
+            ("kills", &self.kills),
+            ("restarts", &self.restarts),
+            ("kill_orphan_resumed", &self.kill_orphan_resumed),
+            ("migrated", &self.migrated),
+            ("successor_migrations_in", &self.successor_migrations_in),
+            ("successor_resumes", &self.successor_resumes),
+            ("migrated_byte_identical", &self.migrated_byte_identical),
+            ("reroutes", &self.reroutes),
+            ("gateway_reroutes", &self.gateway_reroutes),
+            ("replications", &self.replications),
+            ("throughput", &format!("[{throughput}\n  ]")),
+            ("speedup", &format!("{:.3}", self.speedup)),
+            ("pass", &self.pass()),
+            ("wall_seconds", &format!("{:.6}", self.wall_seconds)),
+        ])
     }
 
     /// Writes [`Self::to_json`] to `path`.
@@ -247,8 +229,7 @@ impl ClusterStormReport {
     ///
     /// File I/O errors.
     pub fn write_json(&self, path: &str) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
+        write_report(Some(path), &self.to_json())
     }
 }
 
@@ -267,47 +248,6 @@ impl NodeProc {
     }
 }
 
-/// Reserves a free loopback port by binding and dropping a listener.
-/// A tiny race against other processes remains; [`spawn_node`] retries.
-fn free_port() -> io::Result<u16> {
-    Ok(TcpListener::bind("127.0.0.1:0")?.local_addr()?.port())
-}
-
-fn spawn_child(
-    exe: &std::path::Path,
-    port: u16,
-    dir: Option<&PathBuf>,
-    workers: usize,
-    queue_cap: usize,
-    chaos: Option<&str>,
-) -> io::Result<Child> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("serve")
-        .arg("--addr")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--workers")
-        .arg(workers.to_string())
-        .arg("--queue-cap")
-        .arg(queue_cap.to_string())
-        .arg("--handler-cap")
-        .arg("32")
-        .arg("--node")
-        .arg(format!("127.0.0.1:{port}"))
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(dir) = dir {
-        cmd.arg("--cache-dir")
-            .arg(dir)
-            .arg("--checkpoint-every")
-            .arg(STORM_CKPT_EVERY.to_string());
-    }
-    if let Some(spec) = chaos {
-        cmd.arg("--chaos").arg(spec);
-    }
-    cmd.spawn()
-}
-
 /// Spawns a node and waits until `/healthz` answers. `port` pins the
 /// address (required when restarting a killed node); `None` picks a
 /// fresh free port per attempt.
@@ -321,11 +261,36 @@ fn spawn_node(
 ) -> io::Result<NodeProc> {
     let mut last = None;
     for _ in 0..10 {
+        // An unpinned port is reserved by binding and dropping a
+        // listener; a lost race against another process is retried.
         let p = match port {
             Some(p) => p,
-            None => free_port()?,
+            None => TcpListener::bind("127.0.0.1:0")?.local_addr()?.port(),
         };
-        let mut child = spawn_child(exe, p, dir.as_ref(), workers, queue_cap, chaos)?;
+        let name = format!("127.0.0.1:{p}");
+        let mut cmd = Command::new(exe);
+        cmd.args([
+            "serve",
+            "--addr",
+            &name,
+            "--node",
+            &name,
+            "--handler-cap",
+            "32",
+        ])
+        .args(["--workers", &workers.to_string()])
+        .args(["--queue-cap", &queue_cap.to_string()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+        if let Some(dir) = &dir {
+            cmd.arg("--cache-dir").arg(dir);
+            cmd.args(["--checkpoint-every", &STORM_CKPT_EVERY.to_string()]);
+        }
+        if let Some(spec) = chaos {
+            cmd.args(["--chaos", spec]);
+        }
+        let mut child = cmd.spawn()?;
         let addr = SocketAddr::from(([127, 0, 0, 1], p));
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -335,7 +300,7 @@ fn spawn_node(
                 .unwrap_or(false)
             {
                 return Ok(NodeProc {
-                    name: format!("127.0.0.1:{p}"),
+                    name,
                     addr,
                     dir,
                     child,
@@ -362,31 +327,13 @@ fn spawn_node(
     Err(last.unwrap_or_else(|| io::Error::other("node spawn failed")))
 }
 
-/// Sums every sample of `name` in a node's `/metrics` output,
-/// tolerating `{node="..."}` labels.
-fn scrape(addr: SocketAddr, name: &str) -> u64 {
-    let Ok(r) = client::request(addr, "GET", "/metrics", None) else {
-        return 0;
-    };
-    let mut total = 0u64;
-    for line in r.body.lines() {
-        let rest = match line.strip_prefix(name) {
-            Some(rest) => rest,
-            None => continue,
-        };
-        let value = match rest.as_bytes().first() {
-            Some(b' ') => rest.trim(),
-            Some(b'{') => match rest.split_once("} ") {
-                Some((_, v)) => v.trim(),
-                None => continue,
-            },
-            _ => continue,
-        };
-        if let Ok(v) = value.parse::<f64>() {
-            total += v as u64;
-        }
-    }
-    total
+/// A node's `/metrics` sample sum for `name` (0 when the node does not
+/// answer or has no such series).
+fn node_metric(addr: SocketAddr, name: &str) -> u64 {
+    client::request(addr, "GET", "/metrics", None)
+        .ok()
+        .and_then(|r| client::scrape(&r.body, name))
+        .unwrap_or(0)
 }
 
 /// Polls a node until its inflight gauge drains to zero (background
@@ -394,7 +341,7 @@ fn scrape(addr: SocketAddr, name: &str) -> u64 {
 fn wait_idle(addr: SocketAddr, deadline: Duration) {
     let end = Instant::now() + deadline;
     while Instant::now() < end {
-        if scrape(addr, "recon_jobs_inflight") == 0 {
+        if node_metric(addr, "recon_jobs_inflight") == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -411,59 +358,19 @@ fn progress(start: Instant, msg: &str) {
     );
 }
 
-/// Whether `dir` holds an RCK1 checkpoint for `digest`.
-fn has_checkpoint(dir: &std::path::Path, digest: u64) -> bool {
+/// Waits (up to 60s) until `dir` holds an RCK1 checkpoint for `digest`.
+fn await_checkpoint(dir: &std::path::Path, digest: u64) {
     let prefix = format!("{digest:016x}-");
-    std::fs::read_dir(dir).is_ok_and(|entries| {
-        entries.flatten().any(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.starts_with(&prefix) && name.ends_with(".rck")
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while Instant::now() < deadline
+        && !std::fs::read_dir(dir).is_ok_and(|entries| {
+            entries.flatten().any(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with(&prefix) && name.ends_with(".rck")
+            })
         })
-    })
-}
-
-/// One request in a client's kill-phase slice.
-#[derive(Clone, Debug)]
-struct Expected {
-    json: String,
-    digest: u64,
-    status: u16,
-    body: String,
-}
-
-/// Builds an `Expected` by executing the spec directly with the storm's
-/// checkpoint cadence (no disk) — exactly how a node computes it.
-fn expect(json: String, plan: Option<&CkptPlan>) -> Expected {
-    let v = parse(&json).expect("storm spec parses");
-    let spec = JobSpec::from_json(&v).expect("storm spec validates");
-    let digest = spec.digest();
-    match job::execute_ckpt(&spec, None, plan).0 {
-        Ok(out) => Expected {
-            json,
-            digest,
-            status: 200,
-            body: out.payload,
-        },
-        Err(JobError::DeadlineExceeded { payload, .. }) => Expected {
-            json,
-            digest,
-            status: 408,
-            body: payload,
-        },
-        Err(e) => panic!("storm spec failed directly: {e:?}"),
-    }
-}
-
-/// The cadence-only plan matching a node's persisted execution: the
-/// checkpoint drains perturb stats identically whether or not the
-/// bytes hit disk, so these expected payloads are valid for fresh,
-/// locally-resumed, and cross-node-resumed executions alike.
-fn storm_plan() -> CkptPlan {
-    CkptPlan {
-        dir: None,
-        cadence: STORM_CKPT_EVERY,
-        keep: 2,
+    {
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -492,91 +399,38 @@ fn build_slice(client_id: usize, requests: usize, run_fuel: u64) -> Vec<Expected
                     1000 + uniq
                 ),
             };
-            expect(json, Some(&plan))
+            Expected::direct(json, Some(&plan))
         })
         .collect()
 }
 
-#[derive(Default)]
-struct ClientTally {
-    ok: u64,
-    deadline: u64,
-    mismatches: u64,
-    lost: u64,
-    retries: u64,
-}
-
-/// Drives one slice through the gateway. The policy is generous: a
-/// node kill mid-job costs a gateway-side failover, not a client-side
-/// failure, but the client still rides out relayed backpressure.
-fn client_loop(
-    gateway: SocketAddr,
-    slice: &[Expected],
-    seed: u64,
-    client_id: usize,
-) -> ClientTally {
-    let mut t = ClientTally::default();
-    let mut conn = Connection::with_timeout(gateway, Duration::from_secs(120));
-    let policy = RetryPolicy {
+/// The storm clients' retry policy. It is generous: a node kill mid-job
+/// costs a gateway-side failover, not a client-side failure, but the
+/// client still rides out relayed backpressure. The gateway stays up for
+/// the whole storm, so a refused connection is a harness bug and counts
+/// as `lost` at once.
+fn client_policy(seed: u64) -> RetryPolicy {
+    RetryPolicy {
         max_attempts: 60,
         base_delay: Duration::from_millis(2),
         max_delay: Duration::from_millis(200),
         retry_after_cap: Duration::from_millis(200),
-        seed: seed ^ (client_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        // The gateway stays up for the whole storm; refused would be a
-        // harness bug, so surface it as `lost` immediately.
+        seed,
         fail_fast_refused: true,
-    };
-    let mut sleep = |d: Duration| std::thread::sleep(d);
-    for expected in slice {
-        match submit_with_retry(
-            &mut conn,
-            &expected.json,
-            expected.digest,
-            &policy,
-            &mut sleep,
-        ) {
-            Ok(r) => {
-                t.retries += u64::from(r.attempts - 1);
-                if r.response.status == expected.status && r.response.body == expected.body {
-                    if r.response.status == 200 {
-                        t.ok += 1;
-                    } else {
-                        t.deadline += 1;
-                    }
-                } else if r.response.status == expected.status {
-                    t.mismatches += 1;
-                } else {
-                    t.lost += 1;
-                }
-            }
-            Err(_) => {
-                t.retries += u64::from(policy.max_attempts - 1);
-                t.lost += 1;
-            }
-        }
     }
-    t
 }
 
-/// A unique scratch directory for one node's checkpoints and cache.
-fn scratch_dir(seed: u64, tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "recon-cluster-{}-{seed}-{tag}-{n}",
-        std::process::id()
-    ))
-}
+/// Per-I/O timeout of the storm clients' gateway connections.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Finds a long-run spec whose ring route satisfies `want` (searching
 /// over a fuel tail leaves the workload identical-shaped but moves the
-/// digest around the ring).
+/// digest around the ring) and computes its expected answer.
 fn find_spec_with_route(
     ring: &HashRing,
     base_fuel: u64,
     want: impl Fn(&[&str]) -> bool,
-) -> (String, u64) {
+) -> Expected {
     for t in 0..10_000u64 {
         let json = format!(
             r#"{{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt+recon","fuel":{}}}"#,
@@ -584,9 +438,8 @@ fn find_spec_with_route(
         );
         let v = parse(&json).expect("probe spec parses");
         let spec = JobSpec::from_json(&v).expect("probe spec validates");
-        let digest = spec.digest();
-        if want(&ring.route(digest)) {
-            return (json, digest);
+        if want(&ring.route(spec.digest())) {
+            return Expected::direct(json, Some(&storm_plan()));
         }
     }
     unreachable!("no digest with the wanted route in 10k probes");
@@ -620,27 +473,20 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
 
     // Precompute all expected bytes before any process starts.
     let run_fuel = (config.watch_fuel / 4).max(1_000_000);
-    let slices: Vec<Arc<Vec<Expected>>> = (0..clients)
-        .map(|c| Arc::new(build_slice(c, requests, run_fuel)))
+    let mut slices: Vec<Vec<Expected>> = (0..clients)
+        .map(|c| build_slice(c, requests, run_fuel))
         .collect();
     progress(start, "expected payloads precomputed");
 
     // ---- Spawn the worker fleet. --------------------------------------
     let queue_cap = clients * requests + 8;
-    let mut fleet: Vec<NodeProc> = Vec::with_capacity(n);
-    for i in 0..n {
-        let dir = scratch_dir(config.seed, &format!("node{i}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
-        fleet.push(spawn_node(
-            &config.node_exe,
-            None,
-            Some(dir),
-            config.node_workers.max(1),
-            queue_cap,
-            None,
-        )?);
-    }
+    let workers = config.node_workers.max(1);
+    let mut fleet = (0..n)
+        .map(|i| {
+            let dir = scratch_dir(&format!("cluster-{}-node{i}", config.seed))?;
+            spawn_node(&config.node_exe, None, Some(dir), workers, queue_cap, None)
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
     let ring = HashRing::new(&names, DEFAULT_VNODES);
 
@@ -660,52 +506,32 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
 
     // ---- Choreography digests. ----------------------------------------
     // Kill job: any long run; its primary is the victim.
-    let (kill_json, kill_digest) = find_spec_with_route(&ring, config.watch_fuel, |_| true);
-    let victim = ring.route(kill_digest)[0].to_string();
+    let kill = find_spec_with_route(&ring, config.watch_fuel, |_| true);
+    let victim = ring.route(kill.digest)[0].to_string();
     // Drain job: neither its primary nor its successor may be the kill
     // victim, so the successor's metric deltas can only come from the
     // migration (needs n >= 3; with n == 2 the successor is the
     // restarted victim, whose orphan recovery we wait out instead).
-    let (drain_json, drain_digest) =
-        find_spec_with_route(&ring, config.watch_fuel + 1_000_000, |route| {
-            if n >= 3 {
-                route[0] != victim && route[1] != victim
-            } else {
-                route[0] != victim
-            }
-        });
-    let plan = storm_plan();
-    let kill_expected = expect(kill_json.clone(), Some(&plan));
-    let drain_expected = expect(drain_json.clone(), Some(&plan));
+    let drain = find_spec_with_route(&ring, config.watch_fuel + 1_000_000, |route| {
+        if n >= 3 {
+            route[0] != victim && route[1] != victim
+        } else {
+            route[0] != victim
+        }
+    });
     progress(start, "fleet up, choreography digests chosen");
 
-    // ---- Kill phase. --------------------------------------------------
-    let client_handles: Vec<_> = slices
-        .iter()
-        .enumerate()
-        .map(|(c, slice)| {
-            let slice = Arc::clone(slice);
-            let seed = config.seed;
-            std::thread::spawn(move || client_loop(gw_addr, &slice, seed, c))
-        })
-        .collect();
-    let kill_handle = {
-        let expected = kill_expected.clone();
-        let seed = config.seed;
-        std::thread::spawn(move || {
-            client_loop(gw_addr, std::slice::from_ref(&expected), seed, usize::MAX)
-        })
-    };
+    // ---- Kill phase: the clients, plus one more watching the kill job. -
+    let kill_digest = kill.digest;
+    slices.push(vec![kill]);
+    let kill_clients = spawn_clients(gw_addr, slices, &client_policy(config.seed), CLIENT_TIMEOUT);
 
     // Wait for the victim's first checkpoint of the watched job, then
     // SIGKILL it mid-run and restart it on the same port and directory.
     let vi = by_name(&fleet, &victim);
     let victim_dir = fleet[vi].dir.clone().expect("kill nodes have dirs");
     let victim_port = fleet[vi].addr.port();
-    let kill_deadline = Instant::now() + Duration::from_secs(60);
-    while !has_checkpoint(&victim_dir, kill_digest) && Instant::now() < kill_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_checkpoint(&victim_dir, kill_digest);
     fleet[vi].kill();
     progress(start, "victim SIGKILLed mid-run");
     report.kills = 1;
@@ -713,56 +539,47 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
         &config.node_exe,
         Some(victim_port),
         Some(victim_dir),
-        config.node_workers.max(1),
+        workers,
         queue_cap,
         None,
     )?;
     report.restarts = 1;
 
-    for h in client_handles {
-        let t = h.join().expect("client thread");
-        report.ok += t.ok;
-        report.deadline += t.deadline;
-        report.mismatches += t.mismatches;
-        report.lost += t.lost;
-        report.retries += t.retries;
-    }
-    let kt = kill_handle.join().expect("kill-watch thread");
-    report.ok += kt.ok;
-    report.mismatches += kt.mismatches;
-    report.lost += kt.lost;
-    report.retries += kt.retries;
+    let t = kill_clients.join();
+    report.ok = t.ok;
+    report.deadline = t.deadline;
+    report.mismatches = t.mismatches;
+    report.lost = t.lost;
+    report.retries = t.retries;
     progress(start, "kill-phase clients drained");
 
     // Let the restarted victim finish recovering its orphaned job so
     // the drain-phase metric deltas cannot be confused with it.
     wait_idle(fleet[vi].addr, Duration::from_secs(120));
-    report.kill_orphan_resumed = scrape(fleet[vi].addr, "recon_checkpoints_resumed_total") >= 1;
+    report.kill_orphan_resumed =
+        node_metric(fleet[vi].addr, "recon_checkpoints_resumed_total") >= 1;
     progress(start, "restarted victim idle (orphan recovery done)");
 
     // ---- Drain phase: checkpoint migration to the ring successor. -----
-    let primary = ring.route(drain_digest)[0].to_string();
-    let successor = ring.route(drain_digest)[1].to_string();
+    let primary = ring.route(drain.digest)[0].to_string();
+    let successor = ring.route(drain.digest)[1].to_string();
     let (pi, si) = (by_name(&fleet, &primary), by_name(&fleet, &successor));
     let succ_addr = fleet[si].addr;
-    let pre_migrations = scrape(succ_addr, "recon_migrations_in_total");
-    let pre_resumes = scrape(succ_addr, "recon_checkpoints_resumed_total");
+    let pre_migrations = node_metric(succ_addr, "recon_migrations_in_total");
+    let pre_resumes = node_metric(succ_addr, "recon_checkpoints_resumed_total");
 
     // Submit the watched job straight to the primary (one attempt, no
     // healing: the drain is *supposed* to cancel it).
     let drain_submit = {
-        let json = drain_json.clone();
+        let json = drain.json.clone();
         let addr = fleet[pi].addr;
         std::thread::spawn(move || {
-            let mut conn = Connection::with_timeout(addr, Duration::from_secs(120));
+            let mut conn = Connection::with_timeout(addr, CLIENT_TIMEOUT);
             let _ = conn.request("POST", "/jobs", Some(&json));
         })
     };
     let primary_dir = fleet[pi].dir.clone().expect("drain nodes have dirs");
-    let drain_deadline = Instant::now() + Duration::from_secs(60);
-    while !has_checkpoint(&primary_dir, drain_digest) && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_checkpoint(&primary_dir, drain.digest);
     let drain_body = format!("{{\"to\":\"{}\"}}", fleet[si].name);
     let drain_resp = client::request(fleet[pi].addr, "POST", "/drain", Some(&drain_body))?;
     if drain_resp.status == 200 {
@@ -782,54 +599,37 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     // Wait until the gateway notices the primary is gone, then resubmit
     // through it: failover lands exactly on the successor, which joins
     // the migrated job's resumed execution (or its cached result).
+    let gw = gateway.shared();
+    let primary_state = &gw.nodes[gw
+        .ring
+        .nodes()
+        .iter()
+        .position(|x| *x == primary)
+        .expect("ring member")];
     let down_deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < down_deadline {
-        if !gateway.shared().nodes[gateway
-            .shared()
-            .ring
-            .nodes()
-            .iter()
-            .position(|x| *x == primary)
-            .expect("ring member")]
-        .is_up()
-        {
-            break;
-        }
+    while primary_state.is_up() && Instant::now() < down_deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    let mut conn = Connection::with_timeout(gw_addr, Duration::from_secs(120));
-    let policy = RetryPolicy {
-        max_attempts: 60,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(200),
-        retry_after_cap: Duration::from_millis(200),
-        seed: config.seed,
-        fail_fast_refused: true,
-    };
-    let mut sleep = |d: Duration| std::thread::sleep(d);
-    match submit_with_retry(&mut conn, &drain_json, drain_digest, &policy, &mut sleep) {
-        Ok(r) if r.response.status == 200 => {
-            report.migrated_byte_identical = r.response.body == drain_expected.body;
-            if !report.migrated_byte_identical {
-                report.mismatches += 1;
-            }
-        }
-        _ => report.lost += 1,
-    }
+    let t = run_client(
+        gw_addr,
+        &[drain],
+        &client_policy(config.seed),
+        CLIENT_TIMEOUT,
+    );
+    report.migrated_byte_identical = t.ok == 1;
+    report.mismatches += t.mismatches;
+    report.lost += t.lost;
     progress(start, "resubmission answered from the successor");
     wait_idle(succ_addr, Duration::from_secs(60));
     report.successor_migrations_in =
-        scrape(succ_addr, "recon_migrations_in_total").saturating_sub(pre_migrations);
+        node_metric(succ_addr, "recon_migrations_in_total").saturating_sub(pre_migrations);
     report.successor_resumes =
-        scrape(succ_addr, "recon_checkpoints_resumed_total").saturating_sub(pre_resumes);
+        node_metric(succ_addr, "recon_checkpoints_resumed_total").saturating_sub(pre_resumes);
 
-    report.reroutes = gateway.shared().metrics.client_reroutes.get();
-    report.gateway_reroutes = gateway.shared().metrics.gateway_reroutes.get();
-    report.replications = gateway.shared().metrics.replications.get();
+    report.reroutes = gw.metrics.client_reroutes.get();
+    report.gateway_reroutes = gw.metrics.gateway_reroutes.get();
+    report.replications = gw.metrics.replications.get();
 
-    // Our keep-alive connection parks a gateway handler in its read
-    // loop; close it first so `wait()` below joins promptly.
-    drop(conn);
     let _ = client::request(gw_addr, "POST", "/shutdown", None);
     gateway.wait();
     for node in &mut fleet {
@@ -843,14 +643,9 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
 
     // ---- Throughput phase. --------------------------------------------
     for &count in &[1usize, n] {
-        let point = throughput_phase(config, count)?;
-        progress(
-            start,
-            &format!(
-                "throughput @{count} node(s): {} jobs in {:.2}s",
-                point.jobs, point.wall_seconds
-            ),
-        );
+        let (point, t) = throughput_phase(config, count)?;
+        report.mismatches += t.mismatches;
+        report.lost += t.lost;
         report.throughput.push(point);
     }
     report.speedup = match (report.throughput.first(), report.throughput.last()) {
@@ -859,17 +654,19 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     };
 
     report.wall_seconds = start.elapsed().as_secs_f64();
-    if let Some(path) = &config.out {
-        report.write_json(path)?;
-    }
+    write_report(config.out.as_deref(), &report.to_json())?;
     Ok(report)
 }
 
 /// Measures service-time-bound aggregate throughput at one node count:
 /// single-worker nodes with chaos-injected worker latency and tiny
 /// fuel-starved jobs, so the bottleneck is worker occupancy — the
-/// resource the ring shards — not CPU.
-fn throughput_phase(config: &ClusterStormConfig, count: usize) -> io::Result<ThroughputPoint> {
+/// resource the ring shards — not CPU. Returns the sample and the
+/// clients' tally, whose losses and mismatches count against the storm.
+fn throughput_phase(
+    config: &ClusterStormConfig,
+    count: usize,
+) -> io::Result<(ThroughputPoint, Tally)> {
     // Offered concurrency must be able to saturate the *largest* fleet
     // measured, and must be identical at every node count — otherwise
     // the sweep compares client pools, not fleets.
@@ -879,25 +676,21 @@ fn throughput_phase(config: &ClusterStormConfig, count: usize) -> io::Result<Thr
     // Unique digests via unique fuel; each expected body is a direct
     // plan-free execution (these nodes have no cache directory, so they
     // execute plan-free too). ~1k instructions each: negligible setup.
-    let slices: Vec<Arc<Vec<Expected>>> = (0..clients)
+    let slices = (0..clients)
         .map(|c| {
-            Arc::new(
-                (0..per_client)
-                    .map(|r| {
-                        // Unique digests via the fuel's low bits only:
-                        // every job stays fuel-starved (~1k cycles), so
-                        // the phase measures admission, not simulation.
-                        let uniq = (c * per_client + r) as u64;
-                        expect(
-                            format!(
-                                r#"{{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":{}}}"#,
-                                1000 + uniq
-                            ),
-                            None,
-                        )
-                    })
-                    .collect(),
-            )
+            (0..per_client)
+                .map(|r| {
+                    // Unique digests via the fuel's low bits only: every
+                    // job stays fuel-starved (~1k cycles), so the phase
+                    // measures admission, not simulation.
+                    let uniq = (c * per_client + r) as u64;
+                    let json = format!(
+                        r#"{{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":{}}}"#,
+                        1000 + uniq
+                    );
+                    Expected::direct(json, None)
+                })
+                .collect()
         })
         .collect();
 
@@ -911,17 +704,9 @@ fn throughput_phase(config: &ClusterStormConfig, count: usize) -> io::Result<Thr
     // 0-lost/0-mismatched gates still hold.
     let chaos = format!("{},latency=1000,max-latency-ms=40", config.seed);
     let queue_cap = clients * per_client + 8;
-    let mut fleet: Vec<NodeProc> = Vec::with_capacity(count);
-    for _ in 0..count {
-        fleet.push(spawn_node(
-            &config.node_exe,
-            None,
-            None,
-            1,
-            queue_cap,
-            Some(&chaos),
-        )?);
-    }
+    let mut fleet = (0..count)
+        .map(|_| spawn_node(&config.node_exe, None, None, 1, queue_cap, Some(&chaos)))
+        .collect::<io::Result<Vec<_>>>()?;
     let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
     let gateway = Gateway::start(&GatewayConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -943,30 +728,17 @@ fn throughput_phase(config: &ClusterStormConfig, count: usize) -> io::Result<Thr
     let gw_addr = gateway.addr();
 
     let start = Instant::now();
-    let handles: Vec<_> = slices
-        .iter()
-        .enumerate()
-        .map(|(c, slice)| {
-            let slice = Arc::clone(slice);
-            let seed = config.seed;
-            std::thread::spawn(move || client_loop(gw_addr, &slice, seed, c))
-        })
-        .collect();
-    let mut ok = 0u64;
-    for h in handles {
-        let t = h.join().expect("throughput client");
-        assert_eq!(t.lost, 0, "throughput phase lost a request");
-        assert_eq!(t.mismatches, 0, "throughput phase mismatched a response");
-        ok += t.ok + t.deadline;
-    }
+    let t = spawn_clients(gw_addr, slices, &client_policy(config.seed), CLIENT_TIMEOUT).join();
     let wall = start.elapsed().as_secs_f64();
+    let ok = t.ok + t.deadline;
 
     let rejected: u64 = fleet
         .iter()
-        .map(|p| scrape(p.addr, "recon_jobs_rejected_total"))
+        .map(|p| node_metric(p.addr, "recon_jobs_rejected_total"))
         .sum();
     println!(
-        "cluster storm [throughput] {count} node(s): {ok} jobs, {rejected} admission rejections"
+        "cluster storm [throughput] {count} node(s): {ok} jobs in {wall:.2}s, \
+         {rejected} admission rejections"
     );
 
     let _ = client::request(gw_addr, "POST", "/shutdown", None);
@@ -975,10 +747,11 @@ fn throughput_phase(config: &ClusterStormConfig, count: usize) -> io::Result<Thr
         node.kill();
     }
 
-    Ok(ThroughputPoint {
+    let point = ThroughputPoint {
         nodes: count,
         jobs: ok,
         wall_seconds: wall,
         rps: if wall > 0.0 { ok as f64 / wall } else { 0.0 },
-    })
+    };
+    Ok((point, t))
 }

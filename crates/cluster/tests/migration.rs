@@ -9,15 +9,9 @@ use recon_serve::client::{request, Connection};
 use recon_serve::job::{self, CkptPlan, JobSpec};
 use recon_serve::json::parse;
 use recon_serve::server::{ServeConfig, Server};
+use recon_serve::storm::scratch_dir;
 
 const CADENCE: u64 = 2_000;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("recon-migration-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
 
 fn start_node(dir: PathBuf) -> Server {
     Server::start(&ServeConfig {
@@ -36,8 +30,8 @@ fn start_node(dir: PathBuf) -> Server {
 
 #[test]
 fn drained_node_ships_its_checkpoint_and_the_peer_resumes_byte_identically() {
-    let dir_a = scratch("a");
-    let dir_b = scratch("b");
+    let dir_a = scratch_dir("migration-a").expect("scratch dir");
+    let dir_b = scratch_dir("migration-b").expect("scratch dir");
     let node_a = start_node(dir_a.clone());
     let node_b = start_node(dir_b.clone());
 

@@ -251,7 +251,7 @@ impl LoadPairTable {
 
     /// Invariant sweep: every *active* entry must be internally
     /// consistent — its tag must map to the slot it sits in
-    /// (`tag % entries == slot`, the only way [`LoadPairTable::lookup`]
+    /// (`tag % entries == slot`, the only way `LoadPairTable::lookup`
     /// can ever find it), the tag must name a real physical register,
     /// and the stored address must be word-aligned (commit masks all
     /// load addresses with `& !7` before installing).

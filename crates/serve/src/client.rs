@@ -1,5 +1,5 @@
-//! A blocking loopback HTTP client for the bench harness, the chaos
-//! storm, the CI smoke job, and tests.
+//! A blocking loopback HTTP client for the storm driver, the CI smoke
+//! jobs, and tests.
 //!
 //! Two layers:
 //!
@@ -357,6 +357,8 @@ pub struct Retried {
     pub response: Response,
     /// Attempts consumed, including the successful one.
     pub attempts: u32,
+    /// `429` answers among the attempts (a final one included).
+    pub backpressure_429: u32,
 }
 
 /// Submits a job over `conn`, retrying transport faults (connection
@@ -386,9 +388,11 @@ pub fn submit_with_retry(
 ) -> io::Result<Retried> {
     let max_attempts = policy.max_attempts.max(1);
     let mut last_err: Option<io::Error> = None;
+    let mut backpressure_429 = 0;
     for attempt in 0..max_attempts {
         match conn.request("POST", "/jobs", Some(json)) {
             Ok(response) if response.status == 429 || response.status == 503 => {
+                backpressure_429 += u32::from(response.status == 429);
                 if attempt + 1 < max_attempts {
                     let delay = response
                         .header("retry-after")
@@ -398,6 +402,7 @@ pub fn submit_with_retry(
                     return Ok(Retried {
                         response,
                         attempts: attempt + 1,
+                        backpressure_429,
                     });
                 }
             }
@@ -405,6 +410,7 @@ pub fn submit_with_retry(
                 return Ok(Retried {
                     response,
                     attempts: attempt + 1,
+                    backpressure_429,
                 })
             }
             Err(e) if policy.fail_fast_refused && e.kind() == io::ErrorKind::ConnectionRefused => {
@@ -421,9 +427,42 @@ pub fn submit_with_retry(
     Err(last_err.unwrap_or_else(|| io::Error::other("no attempts made")))
 }
 
+/// Sums every sample of the metric `name` in a Prometheus text
+/// exposition, with or without labels (`name 3`, `name{node="a"} 3`).
+/// Only whole names match: `name_suffix` is another metric. `None` when
+/// no sample of `name` is present.
+#[must_use]
+pub fn scrape(text: &str, name: &str) -> Option<u64> {
+    text.lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix(name)?;
+            let value = match rest.strip_prefix('{') {
+                Some(labelled) => labelled.split_once("} ")?.1,
+                None => rest.strip_prefix(' ')?,
+            };
+            value.trim().parse::<f64>().ok()
+        })
+        .fold(None, |total, v| Some(total.unwrap_or(0) + v as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scrape_counter_matches_whole_names() {
+        let text = "recon_cache_hits_total 7\nrecon_cache_hits_total_suffix 9\n";
+        assert_eq!(scrape(text, "recon_cache_hits_total"), Some(7));
+        assert_eq!(scrape(text, "recon_cache"), None);
+        assert_eq!(scrape(text, "recon_cache_misses_total"), None);
+
+        // Cluster nodes label every sample; all of a name's samples sum.
+        let text = "# TYPE recon_jobs_inflight gauge\n\
+                    recon_jobs_inflight{node=\"127.0.0.1:7001\"} 2\n\
+                    recon_jobs_inflight{node=\"127.0.0.1:7002\"} 3\n\
+                    recon_jobs_inflight_peak{node=\"127.0.0.1:7001\"} 9\n";
+        assert_eq!(scrape(text, "recon_jobs_inflight"), Some(5));
+    }
 
     #[test]
     fn backoff_schedule_is_deterministic() {
@@ -513,6 +552,7 @@ mod tests {
         // was busy, not down.
         assert_eq!(out.response.status, 429);
         assert_eq!(out.attempts, 3);
+        assert_eq!(out.backpressure_429, 3);
         server.join().unwrap();
 
         // Two sleeps (no sleep after the final attempt), matching the

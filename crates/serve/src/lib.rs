@@ -42,14 +42,14 @@
 //! the orphaned job; and the **self-healing client** ([`client`])
 //! retries with bounded, deterministically-jittered backoff over
 //! keep-alive connections. Simulation is deterministic, so the
-//! service's payloads are byte-identical to direct in-process runs —
-//! `bench-serve` asserts exactly that under concurrent load, and the
-//! [`storm`] asserts it while every fault class fires.
+//! service's payloads are byte-identical to direct in-process runs. The
+//! [`storm`] driver asserts exactly that: under a flooded queue
+//! (`bench-serve`), while every fault class fires (`recon chaos`), and
+//! through a cluster gateway (`recon chaos --nodes N`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod cache;
 pub mod chaos;
 pub mod client;
@@ -62,11 +62,10 @@ pub mod queue;
 pub mod server;
 pub mod storm;
 
-pub use bench::{run_bench_serve, BenchServeConfig, BenchServeReport};
 pub use cache::ResultCache;
 pub use chaos::{FaultPlan, FaultSite};
 pub use client::{
-    request, request_bytes, submit_job, submit_with_retry, Connection, Response, Retried,
+    request, request_bytes, scrape, submit_job, submit_with_retry, Connection, Response, Retried,
     RetryPolicy,
 };
 pub use job::{execute, JobError, JobKind, JobOutput, JobSpec};
@@ -74,4 +73,7 @@ pub use json::{parse, Json};
 pub use metrics::Metrics;
 pub use queue::{BoundedQueue, PushError};
 pub use server::{ServeConfig, Server};
-pub use storm::{run_chaos_storm, ChaosStormConfig, ChaosStormReport};
+pub use storm::{
+    run_bench_serve, run_chaos_storm, BenchServeConfig, BenchServeReport, ChaosStormConfig,
+    ChaosStormReport,
+};

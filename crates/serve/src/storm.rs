@@ -1,48 +1,498 @@
-//! `recon chaos`: a seeded fault storm against a loopback server.
+//! The storm driver: the one fan-out / compare / tally core behind every
+//! end-to-end load test of the service.
 //!
-//! Starts an in-process server with the chaos plane enabled, fans out
-//! client threads over a deterministic mix of *unique-digest* jobs
-//! (every fault class armed), and drives each request through the
-//! self-healing client ([`crate::client::submit_with_retry`] over a
-//! keep-alive [`crate::client::Connection`]). The storm then checks the
-//! robustness claim end-to-end:
+//! A storm is a set of client *slices*, each a list of [`Expected`]
+//! requests: a job spec plus the exact status and body that a direct
+//! in-process execution of it produces ([`Expected::direct`]).
+//! [`spawn_clients`] starts one thread per slice. Each thread runs
+//! [`run_client`]: [`submit_with_retry`] over one keep-alive
+//! [`Connection`], comparing every final response with its expectation
+//! byte for byte and counting the outcome into a [`Tally`].
+//! [`Clients::join`] merges the tallies. The driver needs nothing but
+//! the address to aim at, so three storms share it:
 //!
-//! 1. **Nothing is lost** — every request ends in a final response
-//!    despite dropped connections, corrupted bytes, synthetic `429`
-//!    bursts, and panicking workers.
-//! 2. **Nothing is wrong** — every `200` body is byte-identical to a
-//!    direct in-process execution of the same spec, and every deadline
-//!    spec answers its exact `408` partial-stats body. Faults can delay
-//!    an answer; they can never change it.
-//! 3. **The storm itself is reproducible** — job digests are disjoint
-//!    across clients and every client is serial, so each digest's
-//!    fault-draw sequence is consumed in submission order regardless of
-//!    thread interleaving: the same seed yields the same per-site
-//!    injected-fault counts on every run.
+//! * `recon bench-serve` ([`run_bench_serve`]) floods an in-process
+//!   server behind a deliberately small queue with a repeating mix (all
+//!   five schemes, a verifier cell, and a fuel-limited job that must
+//!   deadline). It checks that every request is answered exactly once
+//!   with the direct-execution bytes and that the flood really draws
+//!   `429` backpressure, which the clients ride out.
+//! * `recon chaos` ([`run_chaos_storm`]) aims the same clients at an
+//!   in-process server with the chaos plane armed (dropped and
+//!   corrupted connections, synthetic `429` bursts, panicking workers,
+//!   torn checkpoints). Faults may delay an answer but never change it:
+//!   nothing is lost and nothing mismatches.
+//! * `recon chaos --nodes N` (`recon-cluster`'s storm) aims them at a
+//!   gateway in front of real node processes that it kills, restarts
+//!   and drains.
 //!
-//! Determinism prerequisites (all arranged here): `queue_cap >=
-//! clients` so no timing-dependent *real* `429`s occur, generous
-//! client/server timeouts so no timing-dependent timeout ever fires,
-//! and worker panics recovered internally so clients never observe
-//! them.
+//! The chaos storm is reproducible: job digests are disjoint across
+//! clients and every client is serial, so each digest's fault-draw
+//! sequence is consumed in submission order regardless of thread
+//! interleaving, and the same seed yields the same report (bar
+//! `wall_seconds`) on every run. Its prerequisites are arranged in
+//! [`run_chaos_storm`]: `queue_cap >= clients` so no timing-dependent
+//! *real* `429`s occur, generous client and server timeouts so no
+//! timeout ever fires, and worker panics recovered inside the server so
+//! clients never observe them.
 
-use std::io::{self, Write as _};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::chaos::FaultSite;
-use crate::client::{Connection, RetryPolicy};
+use crate::client::{self, submit_with_retry, Connection, RetryPolicy};
 use crate::job::{self, CkptPlan, JobError, JobSpec};
 use crate::json::parse;
-use crate::server::{ServeConfig, Server};
+use crate::server::{ServeConfig, Server, Shared};
 
-/// Checkpoint cadence for storm jobs, in simulated cycles — small
-/// enough that run jobs cross several checkpoint boundaries, so the
-/// torn-checkpoint seam and resume-on-retry paths are actually
-/// exercised.
-const STORM_CKPT_EVERY: u64 = 5_000;
+/// Checkpoint cadence for storm jobs, in simulated cycles: small enough
+/// that run jobs cross several checkpoint boundaries, so the torn
+/// checkpoint seam, resume-on-retry and the cluster's kill and drain
+/// windows are all exercised.
+pub const STORM_CKPT_EVERY: u64 = 5_000;
+
+/// The cadence-only checkpoint plan of a storm node's persisted
+/// executions. Checkpoint drains perturb stats identically whether or
+/// not the bytes hit disk, so expectations computed under this plan
+/// hold for fresh, locally resumed and cross-node resumed executions.
+#[must_use]
+pub fn storm_plan() -> CkptPlan {
+    CkptPlan {
+        dir: None,
+        cadence: STORM_CKPT_EVERY,
+        keep: 2,
+    }
+}
+
+/// One request of a storm: the spec to send and the final
+/// `(status, body)` it must produce.
+#[derive(Clone, Debug)]
+pub struct Expected {
+    /// The job spec as JSON text.
+    pub json: String,
+    /// The spec's digest (the retry jitter key).
+    pub digest: u64,
+    /// `200` for a completing job, `408` for one that must deadline.
+    pub status: u16,
+    /// The exact payload: the result, or the deadline's partial stats.
+    pub body: String,
+}
+
+impl Expected {
+    /// Executes `json` directly in-process under `plan`, exactly as a
+    /// server with the same checkpoint cadence will, and records the
+    /// answer it must give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec does not parse or validate, or fails with
+    /// anything but a deadline (a bug in the storm's mix, not in the
+    /// service).
+    #[must_use]
+    pub fn direct(json: String, plan: Option<&CkptPlan>) -> Expected {
+        let v = parse(&json).expect("storm spec parses");
+        let spec = JobSpec::from_json(&v).expect("storm spec validates");
+        let digest = spec.digest();
+        let (status, body) = match job::execute_ckpt(&spec, None, plan).0 {
+            Ok(out) => (200, out.payload),
+            Err(JobError::DeadlineExceeded { payload, .. }) => (408, payload),
+            Err(e) => panic!("storm spec failed directly: {e:?}"),
+        };
+        Expected {
+            json,
+            digest,
+            status,
+            body,
+        }
+    }
+}
+
+/// What a storm's clients observed, summed over requests.
+#[derive(Clone, Debug, Default)]
+pub struct Tally {
+    /// Final `200`s byte-identical to the direct execution.
+    pub ok: u64,
+    /// Final `408`s byte-identical to the expected partial stats.
+    pub deadline: u64,
+    /// Final responses with the expected status but different bytes.
+    pub mismatches: u64,
+    /// Requests with no final response: retries exhausted, or an
+    /// unexpected status.
+    pub lost: u64,
+    /// Attempts beyond the first, across all requests.
+    pub retries: u64,
+    /// TCP reconnects: keep-alive connections re-dialed after a fault.
+    pub reconnects: u64,
+    /// `429` answers received; each is retried up to the policy's bound.
+    pub backpressure_429: u64,
+    /// Per-request latency, first attempt to final response including
+    /// backoff, in microseconds.
+    pub latencies_micros: Vec<u64>,
+}
+
+impl Tally {
+    /// Adds `other`'s counts and latencies to `self`.
+    pub fn merge(&mut self, other: Tally) {
+        self.ok += other.ok;
+        self.deadline += other.deadline;
+        self.mismatches += other.mismatches;
+        self.lost += other.lost;
+        self.retries += other.retries;
+        self.reconnects += other.reconnects;
+        self.backpressure_429 += other.backpressure_429;
+        self.latencies_micros.extend(other.latencies_micros);
+    }
+
+    /// The `q`-quantile latency in milliseconds (0 with no samples).
+    #[must_use]
+    pub fn percentile_ms(&self, q: f64) -> f64 {
+        let mut sorted = self.latencies_micros.clone();
+        sorted.sort_unstable();
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+        sorted[idx] as f64 / 1e3
+    }
+}
+
+/// Drives `slice` in order through one keep-alive connection to `addr`
+/// (per-I/O `timeout`) under `policy`, comparing each final response
+/// with its expectation.
+#[must_use]
+pub fn run_client(
+    addr: SocketAddr,
+    slice: &[Expected],
+    policy: &RetryPolicy,
+    timeout: Duration,
+) -> Tally {
+    let mut t = Tally {
+        latencies_micros: Vec::with_capacity(slice.len()),
+        ..Tally::default()
+    };
+    let mut conn = Connection::with_timeout(addr, timeout);
+    let mut sleep = |d: Duration| std::thread::sleep(d);
+    for expected in slice {
+        let start = Instant::now();
+        let outcome = submit_with_retry(
+            &mut conn,
+            &expected.json,
+            expected.digest,
+            policy,
+            &mut sleep,
+        );
+        t.latencies_micros
+            .push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        let Ok(r) = outcome else {
+            t.retries += u64::from(policy.max_attempts - 1);
+            t.lost += 1;
+            continue;
+        };
+        t.retries += u64::from(r.attempts - 1);
+        t.backpressure_429 += u64::from(r.backpressure_429);
+        if r.response.status != expected.status {
+            t.lost += 1;
+        } else if r.response.body != expected.body {
+            t.mismatches += 1;
+        } else if r.response.status == 200 {
+            t.ok += 1;
+        } else {
+            t.deadline += 1;
+        }
+    }
+    t.reconnects = conn.connects().saturating_sub(1);
+    t
+}
+
+/// A storm's running client threads.
+#[derive(Debug)]
+pub struct Clients(Vec<JoinHandle<Tally>>);
+
+impl Clients {
+    /// Waits for every client and merges their tallies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a client thread panicked.
+    #[must_use]
+    pub fn join(self) -> Tally {
+        let mut total = Tally::default();
+        for h in self.0 {
+            total.merge(h.join().expect("storm client thread"));
+        }
+        total
+    }
+}
+
+/// Starts one [`run_client`] thread per slice, all aimed at `addr`.
+/// Client `c` jitters its backoff with `policy.seed` mixed with `c`.
+#[must_use]
+pub fn spawn_clients(
+    addr: SocketAddr,
+    slices: Vec<Vec<Expected>>,
+    policy: &RetryPolicy,
+    timeout: Duration,
+) -> Clients {
+    Clients(
+        slices
+            .into_iter()
+            .enumerate()
+            .map(|(c, slice)| {
+                let policy = RetryPolicy {
+                    seed: policy.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    ..policy.clone()
+                };
+                std::thread::spawn(move || run_client(addr, &slice, &policy, timeout))
+            })
+            .collect(),
+    )
+}
+
+/// A fresh, empty directory for one storm's (or node's) checkpoints and
+/// persisted cache, unique per process and call. Left-over state would
+/// turn executions into cache hits and perturb the storm.
+///
+/// # Errors
+///
+/// I/O errors creating the directory.
+pub fn scratch_dir(tag: &str) -> io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("recon-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
+}
+
+/// Renders a report document: one `"key": value` line per field, in
+/// order. Values display as JSON text: floats are pre-formatted to the
+/// report's precision and nested objects or arrays already laid out.
+#[must_use]
+pub fn report_json(fields: &[(&str, &dyn std::fmt::Display)]) -> String {
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Writes a report document to `path` (`None` skips the file).
+///
+/// # Errors
+///
+/// File I/O errors.
+pub fn write_report(path: Option<&str>, json: &str) -> io::Result<()> {
+    match path {
+        Some(path) => std::fs::write(path, json),
+        None => Ok(()),
+    }
+}
+
+/// Runs one storm against a fresh in-process server: starts it with
+/// `serve`, drives `slices` through it with [`spawn_clients`], lets
+/// `inspect` read the server's state, then shuts it down. Returns the
+/// tally, the storm's wall-clock seconds and what `inspect` returned.
+fn in_process<R>(
+    serve: &ServeConfig,
+    slices: Vec<Vec<Expected>>,
+    policy: &RetryPolicy,
+    inspect: impl FnOnce(&Shared) -> R,
+) -> io::Result<(Tally, f64, R)> {
+    let server = Server::start(serve)?;
+    let addr = server.addr();
+    let start = Instant::now();
+    // Generous timeout: nothing in a storm legitimately takes this long,
+    // so timeouts never fire and never perturb the chaos storm's
+    // determinism.
+    let t = spawn_clients(addr, slices, policy, Duration::from_secs(60)).join();
+    let wall = start.elapsed().as_secs_f64();
+    let inspected = inspect(server.shared());
+    let _ = client::request(addr, "POST", "/shutdown", None);
+    server.wait();
+    Ok((t, wall, inspected))
+}
+
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get().min(8))
+}
+
+/// Load-generator configuration (the `recon bench-serve` flags).
+#[derive(Clone, Debug)]
+pub struct BenchServeConfig {
+    /// Concurrent client threads.
+    pub clients: usize,
+    /// Requests per client.
+    pub requests: usize,
+    /// Server queue capacity (1 = maximally flooded, the default).
+    pub queue_cap: usize,
+    /// Worker threads for the in-process server.
+    pub workers: usize,
+    /// Output report path.
+    pub out: String,
+}
+
+impl Default for BenchServeConfig {
+    fn default() -> Self {
+        BenchServeConfig {
+            clients: 8,
+            requests: 200,
+            queue_cap: 1,
+            workers: default_workers(),
+            out: "BENCH_serve.json".to_string(),
+        }
+    }
+}
+
+/// Aggregated results of one bench run.
+#[derive(Clone, Debug, Default)]
+pub struct BenchServeReport {
+    /// Concurrent client threads.
+    pub clients: usize,
+    /// Requests per client.
+    pub requests_per_client: usize,
+    /// Server queue capacity used.
+    pub queue_cap: usize,
+    /// Successful (`200`) responses.
+    pub ok: u64,
+    /// Deadline (`408`) responses (the fuel-limited spec).
+    pub deadline: u64,
+    /// `429` rejections observed; each is retried up to the client's
+    /// attempt bound.
+    pub backpressure_429: u64,
+    /// Responses whose body differed from the direct execution.
+    pub mismatches: u64,
+    /// Requests never answered: retries exhausted or an unexpected
+    /// status.
+    pub lost: u64,
+    /// Cache hits reported by the server after the run.
+    pub cache_hits: u64,
+    /// Cache misses reported by the server after the run.
+    pub cache_misses: u64,
+    /// Wall-clock for the whole run, in seconds.
+    pub wall_seconds: f64,
+    /// Served responses per second.
+    pub throughput_rps: f64,
+    /// Median request latency (first attempt to final response,
+    /// including backoff), in milliseconds.
+    pub p50_ms: f64,
+    /// 95th-percentile latency, in milliseconds.
+    pub p95_ms: f64,
+    /// 99th-percentile latency, in milliseconds.
+    pub p99_ms: f64,
+}
+
+impl BenchServeReport {
+    /// Renders the report as the `BENCH_serve.json` document (schema
+    /// checked by `tests/bench_json_schema.rs`).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        report_json(&[
+            ("clients", &self.clients),
+            ("requests_per_client", &self.requests_per_client),
+            ("queue_cap", &self.queue_cap),
+            ("ok", &self.ok),
+            ("deadline", &self.deadline),
+            ("backpressure_429", &self.backpressure_429),
+            ("mismatches", &self.mismatches),
+            ("lost", &self.lost),
+            ("cache_hits", &self.cache_hits),
+            ("cache_misses", &self.cache_misses),
+            ("wall_seconds", &format!("{:.6}", self.wall_seconds)),
+            ("throughput_rps", &format!("{:.3}", self.throughput_rps)),
+            ("p50_ms", &format!("{:.3}", self.p50_ms)),
+            ("p95_ms", &format!("{:.3}", self.p95_ms)),
+            ("p99_ms", &format!("{:.3}", self.p99_ms)),
+        ])
+    }
+
+    /// Writes [`Self::to_json`] to `path`.
+    ///
+    /// # Errors
+    ///
+    /// File I/O errors.
+    pub fn write_json(&self, path: &str) -> io::Result<()> {
+        write_report(Some(path), &self.to_json())
+    }
+}
+
+/// Runs the load generator and writes the report.
+///
+/// # Errors
+///
+/// I/O errors from the loopback server or the report file.
+pub fn run_bench_serve(config: &BenchServeConfig) -> io::Result<BenchServeReport> {
+    // The mix, cycled through by every client from its own offset: five
+    // `run` jobs (one per scheme), a verifier cell, and one fuel-limited
+    // job that must answer `408`. Executing it directly first also warms
+    // the workload constructors.
+    let mix: Vec<Expected> = [
+        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"unsafe"}"#,
+        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"nda"}"#,
+        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"nda+recon"}"#,
+        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt"}"#,
+        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt+recon"}"#,
+        r#"{"kind":"verify","gadget":"spectre-v1","scheme":"stt+recon"}"#,
+        r#"{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":1000}"#,
+    ]
+    .into_iter()
+    .map(|json| Expected::direct(json.to_string(), None))
+    .collect();
+    let slices = (0..config.clients)
+        .map(|c| {
+            (0..config.requests)
+                .map(|j| mix[(c + j) % mix.len()].clone())
+                .collect()
+        })
+        .collect();
+
+    let serve = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: config.workers,
+        queue_cap: config.queue_cap,
+        // Every keep-alive client holds one handler.
+        handler_cap: config.clients * 2 + 4,
+        ..ServeConfig::default()
+    };
+    // A flooded 1-slot queue answers some requests with a long run of
+    // 429s; ride them out in short steps, with a bound only a stuck
+    // server reaches.
+    let policy = RetryPolicy {
+        max_attempts: 20_000,
+        base_delay: Duration::from_micros(500),
+        max_delay: Duration::from_micros(500),
+        retry_after_cap: Duration::from_micros(500),
+        seed: 0,
+        fail_fast_refused: true,
+    };
+    let (t, wall, (cache_hits, cache_misses)) = in_process(&serve, slices, &policy, |s| {
+        (s.metrics.cache_hits.get(), s.metrics.cache_misses.get())
+    })?;
+
+    let total = (config.clients * config.requests) as u64;
+    let report = BenchServeReport {
+        clients: config.clients,
+        requests_per_client: config.requests,
+        queue_cap: config.queue_cap,
+        ok: t.ok,
+        deadline: t.deadline,
+        backpressure_429: t.backpressure_429,
+        mismatches: t.mismatches,
+        lost: t.lost,
+        cache_hits,
+        cache_misses,
+        wall_seconds: wall,
+        throughput_rps: if wall > 0.0 { total as f64 / wall } else { 0.0 },
+        p50_ms: t.percentile_ms(0.50),
+        p95_ms: t.percentile_ms(0.95),
+        p99_ms: t.percentile_ms(0.99),
+    };
+    write_report(Some(&config.out), &report.to_json())?;
+    Ok(report)
+}
 
 /// Storm configuration (the `recon chaos` flags).
 #[derive(Clone, Debug)]
@@ -69,7 +519,7 @@ impl Default for ChaosStormConfig {
             clients: 6,
             requests: 8,
             faults: "all=80,max-latency-ms=2".to_string(),
-            workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
+            workers: default_workers(),
             out: Some("BENCH_chaos.json".to_string()),
         }
     }
@@ -139,57 +589,38 @@ impl ChaosStormReport {
     /// Renders the report as the `BENCH_chaos.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"clients\": {},", self.clients);
-        let _ = writeln!(
-            s,
-            "  \"requests_per_client\": {},",
-            self.requests_per_client
-        );
-        let _ = writeln!(s, "  \"faults\": \"{}\",", self.faults);
-        let _ = writeln!(s, "  \"ok\": {},", self.ok);
-        let _ = writeln!(s, "  \"deadline\": {},", self.deadline);
-        let _ = writeln!(s, "  \"mismatches\": {},", self.mismatches);
-        let _ = writeln!(s, "  \"lost\": {},", self.lost);
-        let _ = writeln!(s, "  \"retries\": {},", self.retries);
-        let _ = writeln!(s, "  \"reconnects\": {},", self.reconnects);
-        let _ = writeln!(s, "  \"injected\": {{");
-        for (i, (site, n)) in self.injected.iter().enumerate() {
-            let comma = if i + 1 < self.injected.len() { "," } else { "" };
-            let _ = writeln!(s, "    \"{site}\": {n}{comma}");
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"injected_total\": {},", self.injected_total);
-        let _ = writeln!(s, "  \"worker_restarts\": {},", self.worker_restarts);
-        let _ = writeln!(s, "  \"jobs_rejected\": {},", self.jobs_rejected);
-        let _ = writeln!(s, "  \"cache_hits\": {},", self.cache_hits);
-        let _ = writeln!(s, "  \"cache_misses\": {},", self.cache_misses);
-        let _ = writeln!(
-            s,
-            "  \"singleflight_joined\": {},",
-            self.singleflight_joined
-        );
-        let _ = writeln!(
-            s,
-            "  \"checkpoints_written\": {},",
-            self.checkpoints_written
-        );
-        let _ = writeln!(
-            s,
-            "  \"checkpoints_resumed\": {},",
-            self.checkpoints_resumed
-        );
-        let _ = writeln!(
-            s,
-            "  \"checkpoints_dropped_corrupt\": {},",
-            self.checkpoints_dropped_corrupt
-        );
-        let _ = writeln!(s, "  \"wall_seconds\": {:.6}", self.wall_seconds);
-        let _ = writeln!(s, "}}");
-        s
+        let injected: String = self
+            .injected
+            .iter()
+            .enumerate()
+            .map(|(i, (site, n))| format!("{}\n    \"{site}\": {n}", if i > 0 { "," } else { "" }))
+            .collect();
+        report_json(&[
+            ("seed", &self.seed),
+            ("clients", &self.clients),
+            ("requests_per_client", &self.requests_per_client),
+            ("faults", &format!("\"{}\"", self.faults)),
+            ("ok", &self.ok),
+            ("deadline", &self.deadline),
+            ("mismatches", &self.mismatches),
+            ("lost", &self.lost),
+            ("retries", &self.retries),
+            ("reconnects", &self.reconnects),
+            ("injected", &format!("{{{injected}\n  }}")),
+            ("injected_total", &self.injected_total),
+            ("worker_restarts", &self.worker_restarts),
+            ("jobs_rejected", &self.jobs_rejected),
+            ("cache_hits", &self.cache_hits),
+            ("cache_misses", &self.cache_misses),
+            ("singleflight_joined", &self.singleflight_joined),
+            ("checkpoints_written", &self.checkpoints_written),
+            ("checkpoints_resumed", &self.checkpoints_resumed),
+            (
+                "checkpoints_dropped_corrupt",
+                &self.checkpoints_dropped_corrupt,
+            ),
+            ("wall_seconds", &format!("{:.6}", self.wall_seconds)),
+        ])
     }
 
     /// Writes [`Self::to_json`] to `path`.
@@ -198,28 +629,18 @@ impl ChaosStormReport {
     ///
     /// File I/O errors.
     pub fn write_json(&self, path: &str) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
+        write_report(Some(path), &self.to_json())
     }
 }
 
-/// One request in a client's slice: the spec to send and the final
-/// `(status, body)` it must eventually produce.
-#[derive(Clone, Debug)]
-struct Expected {
-    json: String,
-    digest: u64,
-    status: u16,
-    body: String,
-}
-
-/// Builds one client's request slice. Every spec carries a unique
+/// Builds one chaos client's request slice. Every spec carries a unique
 /// `fuel` value, so digests are disjoint across the whole storm (the
 /// keystone of reproducible injected-fault counts) while the payloads
 /// of completing jobs stay identical to a run with any other
 /// sufficient fuel.
-fn build_slice(client_id: usize, requests: usize) -> Vec<Expected> {
+fn chaos_slice(client_id: usize, requests: usize) -> Vec<Expected> {
     let schemes = ["unsafe", "nda", "nda+recon", "stt", "stt+recon"];
+    let plan = storm_plan();
     (0..requests)
         .map(|r| {
             let uniq = (client_id * requests + r) as u64;
@@ -247,97 +668,9 @@ fn build_slice(client_id: usize, requests: usize) -> Vec<Expected> {
                     1000 + uniq
                 ),
             };
-            let v = parse(&json).expect("storm spec parses");
-            let spec = JobSpec::from_json(&v).expect("storm spec validates");
-            let digest = spec.digest();
-            // Cadence-only plan: same drain timing as the server's
-            // persisted executions, no disk — the expected bytes must
-            // be computed the way the server will compute them.
-            let plan = CkptPlan {
-                dir: None,
-                cadence: STORM_CKPT_EVERY,
-                keep: 2,
-            };
-            match job::execute_ckpt(&spec, None, Some(&plan)).0 {
-                Ok(out) => Expected {
-                    json,
-                    digest,
-                    status: 200,
-                    body: out.payload,
-                },
-                Err(JobError::DeadlineExceeded { payload, .. }) => Expected {
-                    json,
-                    digest,
-                    status: 408,
-                    body: payload,
-                },
-                Err(e) => panic!("storm spec failed directly: {e:?}"),
-            }
+            Expected::direct(json, Some(&plan))
         })
         .collect()
-}
-
-#[derive(Default)]
-struct ClientTally {
-    ok: u64,
-    deadline: u64,
-    mismatches: u64,
-    lost: u64,
-    retries: u64,
-    reconnects: u64,
-}
-
-fn client_loop(
-    addr: std::net::SocketAddr,
-    slice: &[Expected],
-    seed: u64,
-    client_id: usize,
-) -> ClientTally {
-    let mut t = ClientTally::default();
-    // Generous timeout: nothing in the storm legitimately takes this
-    // long, so timeouts never fire and never perturb determinism.
-    let mut conn = Connection::with_timeout(addr, Duration::from_secs(60));
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        base_delay: Duration::from_millis(1),
-        max_delay: Duration::from_millis(20),
-        retry_after_cap: Duration::from_millis(20),
-        seed: seed ^ (client_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        // The single-node storm's server stays up for the whole run;
-        // refused would be a harness bug, so surface it as `lost`.
-        fail_fast_refused: true,
-    };
-    let mut sleep = |d: Duration| std::thread::sleep(d);
-    for expected in slice {
-        match crate::client::submit_with_retry(
-            &mut conn,
-            &expected.json,
-            expected.digest,
-            &policy,
-            &mut sleep,
-        ) {
-            Ok(r) => {
-                t.retries += u64::from(r.attempts - 1);
-                if r.response.status == expected.status && r.response.body == expected.body {
-                    if r.response.status == 200 {
-                        t.ok += 1;
-                    } else {
-                        t.deadline += 1;
-                    }
-                } else if r.response.status == expected.status {
-                    t.mismatches += 1;
-                } else {
-                    t.lost += 1;
-                }
-            }
-            Err(_) => {
-                t.retries += u64::from(policy.max_attempts - 1);
-                t.lost += 1;
-            }
-        }
-    }
-    t.reconnects = conn.connects().saturating_sub(1);
-    t
 }
 
 /// Runs the storm and (optionally) writes the `BENCH_chaos.json`
@@ -357,18 +690,10 @@ pub fn run_chaos_storm(config: &ChaosStormConfig) -> io::Result<ChaosStormReport
 
     // Precompute every client's slice (and expected bytes) before the
     // server starts, so the storm clock measures serving, not setup.
-    let slices: Vec<Arc<Vec<Expected>>> = (0..clients)
-        .map(|c| Arc::new(build_slice(c, requests)))
-        .collect();
+    let slices = (0..clients).map(|c| chaos_slice(c, requests)).collect();
 
-    // A fresh scratch dir per storm: checkpoints and the persisted
-    // result cache from a previous run would turn executions into cache
-    // hits and perturb the injected-fault fixed point.
-    let ckpt_dir = storm_scratch_dir(config.seed);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    std::fs::create_dir_all(&ckpt_dir)?;
-
-    let server = Server::start(&ServeConfig {
+    let ckpt_dir = scratch_dir(&format!("chaos-{}", config.seed))?;
+    let serve = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: config.workers,
         // No timing-dependent real 429s: every client is serial, so at
@@ -381,72 +706,72 @@ pub fn run_chaos_storm(config: &ChaosStormConfig) -> io::Result<ChaosStormReport
         cache_dir: Some(ckpt_dir.clone()),
         checkpoint_every_cycles: STORM_CKPT_EVERY,
         node_id: None,
+    };
+    let policy = RetryPolicy {
+        max_attempts: 16,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(20),
+        retry_after_cap: Duration::from_millis(20),
+        seed: config.seed,
+        // The server stays up for the whole run; refused would be a
+        // harness bug, so surface it as `lost`.
+        fail_fast_refused: true,
+    };
+    let (t, wall_seconds, server_side) = in_process(&serve, slices, &policy, |s| {
+        let m = &s.metrics;
+        ChaosStormReport {
+            injected: FaultSite::ALL
+                .iter()
+                .map(|&site| (site.label().to_string(), s.chaos.injected(site)))
+                .collect(),
+            injected_total: s.chaos.injected_total(),
+            worker_restarts: m.worker_restarts.get(),
+            jobs_rejected: m.jobs_rejected.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            singleflight_joined: m.singleflight_joined.get(),
+            checkpoints_written: m.checkpoints_written.get(),
+            checkpoints_resumed: m.checkpoints_resumed.get(),
+            checkpoints_dropped_corrupt: m.checkpoints_dropped_corrupt.get(),
+            ..ChaosStormReport::default()
+        }
     })?;
-    let addr = server.addr();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    let start = Instant::now();
-    let handles: Vec<_> = slices
-        .iter()
-        .enumerate()
-        .map(|(c, slice)| {
-            let slice = Arc::clone(slice);
-            let seed = config.seed;
-            std::thread::spawn(move || client_loop(addr, &slice, seed, c))
-        })
-        .collect();
-    let mut report = ChaosStormReport {
+    let report = ChaosStormReport {
         seed: config.seed,
         clients,
         requests_per_client: requests,
         faults: config.faults.clone(),
-        ..ChaosStormReport::default()
+        ok: t.ok,
+        deadline: t.deadline,
+        mismatches: t.mismatches,
+        lost: t.lost,
+        retries: t.retries,
+        reconnects: t.reconnects,
+        wall_seconds,
+        ..server_side
     };
-    for h in handles {
-        let t = h.join().expect("client thread");
-        report.ok += t.ok;
-        report.deadline += t.deadline;
-        report.mismatches += t.mismatches;
-        report.lost += t.lost;
-        report.retries += t.retries;
-        report.reconnects += t.reconnects;
-    }
-    report.wall_seconds = start.elapsed().as_secs_f64();
-
-    let shared = server.shared();
-    report.injected = FaultSite::ALL
-        .iter()
-        .map(|&s| (s.label().to_string(), shared.chaos.injected(s)))
-        .collect();
-    report.injected_total = shared.chaos.injected_total();
-    report.worker_restarts = shared.metrics.worker_restarts.get();
-    report.jobs_rejected = shared.metrics.jobs_rejected.get();
-    report.cache_hits = shared.metrics.cache_hits.get();
-    report.cache_misses = shared.metrics.cache_misses.get();
-    report.singleflight_joined = shared.metrics.singleflight_joined.get();
-    report.checkpoints_written = shared.metrics.checkpoints_written.get();
-    report.checkpoints_resumed = shared.metrics.checkpoints_resumed.get();
-    report.checkpoints_dropped_corrupt = shared.metrics.checkpoints_dropped_corrupt.get();
-
-    let _ = crate::client::request(addr, "POST", "/shutdown", None);
-    server.wait();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-
-    if let Some(path) = &config.out {
-        report.write_json(path)?;
-    }
+    write_report(config.out.as_deref(), &report.to_json())?;
     Ok(report)
-}
-
-/// A unique scratch directory for one storm's checkpoints and cache.
-fn storm_scratch_dir(seed: u64) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("recon-chaos-{}-{seed}-{n}", std::process::id()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_from_unsorted_micros() {
+        let mut t = Tally {
+            latencies_micros: (1..=100).rev().map(|i| i * 1000).collect(),
+            ..Tally::default()
+        };
+        // idx = round((n-1) * q): 49.5 rounds away from zero to 50.
+        assert!((t.percentile_ms(0.50) - 51.0).abs() < 1e-9);
+        assert!((t.percentile_ms(0.99) - 99.0).abs() < 1e-9);
+        t.latencies_micros.clear();
+        assert_eq!(t.percentile_ms(0.5), 0.0);
+    }
 
     /// A small storm with every fault class armed: nothing lost,
     /// nothing mismatched, and the same seed reproduces the same

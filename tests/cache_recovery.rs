@@ -22,15 +22,6 @@ fn start(dir: &std::path::Path) -> Server {
     .expect("bind loopback with cache dir")
 }
 
-fn scrape(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(u64::MAX)
-}
-
 #[test]
 fn restart_serves_recovered_entries_and_drops_the_torn_tail() {
     let dir = std::env::temp_dir().join(format!("recon-cache-recovery-{}", std::process::id()));
@@ -93,11 +84,14 @@ fn restart_serves_recovered_entries_and_drops_the_torn_tail() {
             .expect("metrics")
             .body;
         assert!(
-            scrape(&metrics, "recon_cache_recovered_total") >= 1,
+            client::scrape(&metrics, "recon_cache_recovered_total")
+                .expect("recon_cache_recovered_total series")
+                >= 1,
             "{metrics}"
         );
         assert_eq!(
-            scrape(&metrics, "recon_cache_dropped_records_total"),
+            client::scrape(&metrics, "recon_cache_dropped_records_total")
+                .expect("recon_cache_dropped_records_total series"),
             1,
             "exactly the torn tail is dropped: {metrics}"
         );
@@ -112,7 +106,11 @@ fn restart_serves_recovered_entries_and_drops_the_torn_tail() {
         let metrics = client::request(addr, "GET", "/metrics", None)
             .expect("metrics")
             .body;
-        assert_eq!(scrape(&metrics, "recon_cache_dropped_records_total"), 0);
+        assert_eq!(
+            client::scrape(&metrics, "recon_cache_dropped_records_total")
+                .expect("recon_cache_dropped_records_total series"),
+            0
+        );
         let hit = client::submit_job(addr, SPEC).expect("third-life submission");
         assert_eq!(hit.header("x-recon-cache"), Some("hit"));
         client::request(addr, "POST", "/shutdown", None).expect("shutdown");
