@@ -1369,7 +1369,39 @@ fn cmd_chaos_cluster(pairs: &[(&str, &str)]) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&format!("cluster storm failed: {e}")),
     };
-    print!("{}", report.to_json());
+    println!(
+        "cluster chaos: seed {} | {} nodes | {} clients x {} requests",
+        report.seed, report.nodes, report.clients, report.requests_per_client
+    );
+    println!(
+        "  ok {}  deadline {}  mismatches {}  lost {}  retries {}",
+        report.ok, report.deadline, report.mismatches, report.lost, report.retries
+    );
+    println!(
+        "  kills {}  restarts {}  orphan resumed after restart: {}",
+        report.kills, report.restarts, report.kill_orphan_resumed
+    );
+    println!(
+        "  migration: {} checkpoint(s) shipped, successor accepted {}, resumed {}, byte-identical: {}",
+        report.migrated,
+        report.successor_migrations_in,
+        report.successor_resumes,
+        report.migrated_byte_identical
+    );
+    println!(
+        "  gateway: {} transport reroutes, {} off-primary serves, {} replications",
+        report.reroutes, report.gateway_reroutes, report.replications
+    );
+    for p in &report.throughput {
+        println!(
+            "  throughput @{} node(s): {} jobs in {:.2}s = {:.1} req/s",
+            p.nodes, p.jobs, p.wall_seconds, p.rps
+        );
+    }
+    println!(
+        "  aggregate speedup at {} nodes: {:.2}x  wall {:.2}s",
+        report.nodes, report.speedup, report.wall_seconds
+    );
     if let Some(path) = &config.out {
         println!("report written to {path}");
     }
@@ -1425,7 +1457,22 @@ fn cmd_bench_serve(args: &[&str], jobs: usize) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&format!("bench-serve failed: {e}")),
     };
-    print!("{}", report.to_json());
+    println!(
+        "bench-serve: {} clients x {} requests (queue capacity {})",
+        report.clients, report.requests_per_client, report.queue_cap
+    );
+    println!(
+        "  ok {}  deadline {}  backpressure(429) {}  mismatches {}  lost {}",
+        report.ok, report.deadline, report.backpressure_429, report.mismatches, report.lost
+    );
+    println!(
+        "  cache {} hits / {} misses",
+        report.cache_hits, report.cache_misses
+    );
+    println!(
+        "  wall {:.2}s  throughput {:.1} req/s  p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms",
+        report.wall_seconds, report.throughput_rps, report.p50_ms, report.p95_ms, report.p99_ms
+    );
     println!("report written to {}", config.out);
     if report.lost > 0 || report.mismatches > 0 {
         return fail("responses were lost or differed from direct execution");
@@ -1449,10 +1496,13 @@ fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
     };
     for (flag, value) in &pairs {
         let parsed = match *flag {
-            "--seed" => value
-                .parse::<u64>()
-                .map(|n| config.seed = n)
-                .map_err(|_| format!("--seed wants an integer, got '{value}'")),
+            "--seed" => match value.parse::<u64>() {
+                Ok(n) => {
+                    config.seed = n;
+                    Ok(())
+                }
+                Err(_) => Err(format!("--seed wants an integer, got '{value}'")),
+            },
             "--clients" => flag_usize(&pairs, flag, config.clients).map(|n| config.clients = n),
             "--requests" => flag_usize(&pairs, flag, config.requests).map(|n| config.requests = n),
             "--workers" => flag_usize(&pairs, flag, config.workers).map(|n| config.workers = n),
@@ -1474,7 +1524,37 @@ fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&format!("chaos storm failed: {e}")),
     };
-    print!("{}", report.to_json());
+    println!(
+        "chaos: seed {} | {} clients x {} requests | faults {}",
+        report.seed, report.clients, report.requests_per_client, report.faults
+    );
+    println!(
+        "  ok {}  deadline {}  mismatches {}  lost {}  retries {}  reconnects {}",
+        report.ok,
+        report.deadline,
+        report.mismatches,
+        report.lost,
+        report.retries,
+        report.reconnects
+    );
+    let injected: Vec<String> = report
+        .injected
+        .iter()
+        .map(|(site, n)| format!("{site} {n}"))
+        .collect();
+    println!(
+        "  injected {} ({})",
+        report.injected_total,
+        injected.join(", ")
+    );
+    println!(
+        "  worker restarts {}  singleflight joins {}  cache {} hits / {} misses  wall {:.2}s",
+        report.worker_restarts,
+        report.singleflight_joined,
+        report.cache_hits,
+        report.cache_misses,
+        report.wall_seconds
+    );
     if let Some(path) = &config.out {
         println!("report written to {path}");
     }

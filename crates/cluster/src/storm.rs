@@ -48,7 +48,7 @@ use recon_serve::client::{self, Connection, RetryPolicy};
 use recon_serve::job::JobSpec;
 use recon_serve::json::parse;
 use recon_serve::storm::{
-    report_json, run_client, scratch_dir, spawn_clients, storm_plan, write_report, Expected, Tally,
+    report_json, run_client, scratch_dir, spawn_clients, storm_plan, Expected, Tally,
     STORM_CKPT_EVERY,
 };
 
@@ -229,7 +229,7 @@ impl ClusterStormReport {
     ///
     /// File I/O errors.
     pub fn write_json(&self, path: &str) -> io::Result<()> {
-        write_report(Some(path), &self.to_json())
+        std::fs::write(path, self.to_json())
     }
 }
 
@@ -248,6 +248,47 @@ impl NodeProc {
     }
 }
 
+/// Reserves a free loopback port by binding and dropping a listener.
+/// A tiny race against other processes remains; [`spawn_node`] retries.
+fn free_port() -> io::Result<u16> {
+    Ok(TcpListener::bind("127.0.0.1:0")?.local_addr()?.port())
+}
+
+fn spawn_child(
+    exe: &std::path::Path,
+    port: u16,
+    dir: Option<&PathBuf>,
+    workers: usize,
+    queue_cap: usize,
+    chaos: Option<&str>,
+) -> io::Result<Child> {
+    let mut cmd = Command::new(exe);
+    cmd.arg("serve")
+        .arg("--addr")
+        .arg(format!("127.0.0.1:{port}"))
+        .arg("--workers")
+        .arg(workers.to_string())
+        .arg("--queue-cap")
+        .arg(queue_cap.to_string())
+        .arg("--handler-cap")
+        .arg("32")
+        .arg("--node")
+        .arg(format!("127.0.0.1:{port}"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+    if let Some(dir) = dir {
+        cmd.arg("--cache-dir")
+            .arg(dir)
+            .arg("--checkpoint-every")
+            .arg(STORM_CKPT_EVERY.to_string());
+    }
+    if let Some(spec) = chaos {
+        cmd.arg("--chaos").arg(spec);
+    }
+    cmd.spawn()
+}
+
 /// Spawns a node and waits until `/healthz` answers. `port` pins the
 /// address (required when restarting a killed node); `None` picks a
 /// fresh free port per attempt.
@@ -261,36 +302,11 @@ fn spawn_node(
 ) -> io::Result<NodeProc> {
     let mut last = None;
     for _ in 0..10 {
-        // An unpinned port is reserved by binding and dropping a
-        // listener; a lost race against another process is retried.
         let p = match port {
             Some(p) => p,
-            None => TcpListener::bind("127.0.0.1:0")?.local_addr()?.port(),
+            None => free_port()?,
         };
-        let name = format!("127.0.0.1:{p}");
-        let mut cmd = Command::new(exe);
-        cmd.args([
-            "serve",
-            "--addr",
-            &name,
-            "--node",
-            &name,
-            "--handler-cap",
-            "32",
-        ])
-        .args(["--workers", &workers.to_string()])
-        .args(["--queue-cap", &queue_cap.to_string()])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-        if let Some(dir) = &dir {
-            cmd.arg("--cache-dir").arg(dir);
-            cmd.args(["--checkpoint-every", &STORM_CKPT_EVERY.to_string()]);
-        }
-        if let Some(spec) = chaos {
-            cmd.args(["--chaos", spec]);
-        }
-        let mut child = cmd.spawn()?;
+        let mut child = spawn_child(exe, p, dir.as_ref(), workers, queue_cap, chaos)?;
         let addr = SocketAddr::from(([127, 0, 0, 1], p));
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -300,7 +316,7 @@ fn spawn_node(
                 .unwrap_or(false)
             {
                 return Ok(NodeProc {
-                    name,
+                    name: format!("127.0.0.1:{p}"),
                     addr,
                     dir,
                     child,
@@ -358,18 +374,22 @@ fn progress(start: Instant, msg: &str) {
     );
 }
 
+/// Whether `dir` holds an RCK1 checkpoint for `digest`.
+fn has_checkpoint(dir: &std::path::Path, digest: u64) -> bool {
+    let prefix = format!("{digest:016x}-");
+    std::fs::read_dir(dir).is_ok_and(|entries| {
+        entries.flatten().any(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with(&prefix) && name.ends_with(".rck")
+        })
+    })
+}
+
 /// Waits (up to 60s) until `dir` holds an RCK1 checkpoint for `digest`.
 fn await_checkpoint(dir: &std::path::Path, digest: u64) {
-    let prefix = format!("{digest:016x}-");
     let deadline = Instant::now() + Duration::from_secs(60);
-    while Instant::now() < deadline
-        && !std::fs::read_dir(dir).is_ok_and(|entries| {
-            entries.flatten().any(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.starts_with(&prefix) && name.ends_with(".rck")
-            })
-        })
-    {
+    while !has_checkpoint(dir, digest) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -481,12 +501,18 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     // ---- Spawn the worker fleet. --------------------------------------
     let queue_cap = clients * requests + 8;
     let workers = config.node_workers.max(1);
-    let mut fleet = (0..n)
-        .map(|i| {
-            let dir = scratch_dir(&format!("cluster-{}-node{i}", config.seed))?;
-            spawn_node(&config.node_exe, None, Some(dir), workers, queue_cap, None)
-        })
-        .collect::<io::Result<Vec<_>>>()?;
+    let mut fleet: Vec<NodeProc> = Vec::with_capacity(n);
+    for i in 0..n {
+        let dir = scratch_dir(&format!("cluster-{}-node{i}", config.seed))?;
+        fleet.push(spawn_node(
+            &config.node_exe,
+            None,
+            Some(dir),
+            workers,
+            queue_cap,
+            None,
+        )?);
+    }
     let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
     let ring = HashRing::new(&names, DEFAULT_VNODES);
 
@@ -644,6 +670,13 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     // ---- Throughput phase. --------------------------------------------
     for &count in &[1usize, n] {
         let (point, t) = throughput_phase(config, count)?;
+        progress(
+            start,
+            &format!(
+                "throughput @{count} node(s): {} jobs in {:.2}s",
+                point.jobs, point.wall_seconds
+            ),
+        );
         report.mismatches += t.mismatches;
         report.lost += t.lost;
         report.throughput.push(point);
@@ -654,7 +687,9 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     };
 
     report.wall_seconds = start.elapsed().as_secs_f64();
-    write_report(config.out.as_deref(), &report.to_json())?;
+    if let Some(path) = &config.out {
+        report.write_json(path)?;
+    }
     Ok(report)
 }
 
@@ -704,9 +739,17 @@ fn throughput_phase(
     // 0-lost/0-mismatched gates still hold.
     let chaos = format!("{},latency=1000,max-latency-ms=40", config.seed);
     let queue_cap = clients * per_client + 8;
-    let mut fleet = (0..count)
-        .map(|_| spawn_node(&config.node_exe, None, None, 1, queue_cap, Some(&chaos)))
-        .collect::<io::Result<Vec<_>>>()?;
+    let mut fleet: Vec<NodeProc> = Vec::with_capacity(count);
+    for _ in 0..count {
+        fleet.push(spawn_node(
+            &config.node_exe,
+            None,
+            None,
+            1,
+            queue_cap,
+            Some(&chaos),
+        )?);
+    }
     let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
     let gateway = Gateway::start(&GatewayConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -737,8 +780,7 @@ fn throughput_phase(
         .map(|p| node_metric(p.addr, "recon_jobs_rejected_total"))
         .sum();
     println!(
-        "cluster storm [throughput] {count} node(s): {ok} jobs in {wall:.2}s, \
-         {rejected} admission rejections"
+        "cluster storm [throughput] {count} node(s): {ok} jobs, {rejected} admission rejections"
     );
 
     let _ = client::request(gw_addr, "POST", "/shutdown", None);

@@ -280,18 +280,6 @@ pub fn report_json(fields: &[(&str, &dyn std::fmt::Display)]) -> String {
     format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
-/// Writes a report document to `path` (`None` skips the file).
-///
-/// # Errors
-///
-/// File I/O errors.
-pub fn write_report(path: Option<&str>, json: &str) -> io::Result<()> {
-    match path {
-        Some(path) => std::fs::write(path, json),
-        None => Ok(()),
-    }
-}
-
 /// Runs one storm against a fresh in-process server: starts it with
 /// `serve`, drives `slices` through it with [`spawn_clients`], lets
 /// `inspect` read the server's state, then shuts it down. Returns the
@@ -415,7 +403,7 @@ impl BenchServeReport {
     ///
     /// File I/O errors.
     pub fn write_json(&self, path: &str) -> io::Result<()> {
-        write_report(Some(path), &self.to_json())
+        std::fs::write(path, self.to_json())
     }
 }
 
@@ -490,7 +478,7 @@ pub fn run_bench_serve(config: &BenchServeConfig) -> io::Result<BenchServeReport
         p95_ms: t.percentile_ms(0.95),
         p99_ms: t.percentile_ms(0.99),
     };
-    write_report(Some(&config.out), &report.to_json())?;
+    report.write_json(&config.out)?;
     Ok(report)
 }
 
@@ -629,7 +617,7 @@ impl ChaosStormReport {
     ///
     /// File I/O errors.
     pub fn write_json(&self, path: &str) -> io::Result<()> {
-        write_report(Some(path), &self.to_json())
+        std::fs::write(path, self.to_json())
     }
 }
 
@@ -752,7 +740,9 @@ pub fn run_chaos_storm(config: &ChaosStormConfig) -> io::Result<ChaosStormReport
         wall_seconds,
         ..server_side
     };
-    write_report(config.out.as_deref(), &report.to_json())?;
+    if let Some(path) = &config.out {
+        report.write_json(path)?;
+    }
     Ok(report)
 }
 
@@ -771,6 +761,35 @@ mod tests {
         assert!((t.percentile_ms(0.99) - 99.0).abs() < 1e-9);
         t.latencies_micros.clear();
         assert_eq!(t.percentile_ms(0.5), 0.0);
+    }
+
+    #[test]
+    fn report_json_is_complete() {
+        let r = BenchServeReport {
+            clients: 2,
+            requests_per_client: 3,
+            ..BenchServeReport::default()
+        };
+        let v = parse(&r.to_json()).expect("report parses");
+        for key in [
+            "clients",
+            "requests_per_client",
+            "queue_cap",
+            "ok",
+            "deadline",
+            "backpressure_429",
+            "mismatches",
+            "lost",
+            "cache_hits",
+            "cache_misses",
+            "wall_seconds",
+            "throughput_rps",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+        ] {
+            assert!(v.get(key).is_some(), "missing {key}");
+        }
     }
 
     /// A small storm with every fault class armed: nothing lost,
