@@ -1802,3 +1802,31 @@ fn main() -> ExitCode {
         _ => usage(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The checkpoint key of `recon run spec2017 mcf stt --checkpoint D`
+    /// at quick scale, under the given warmup and audit cadence.
+    fn mcf_key(ff: Option<u64>, audit: Option<u64>) -> u64 {
+        run_digest(
+            Suite::Spec2017,
+            "mcf",
+            SecureConfig::stt(),
+            DEFAULT_CKPT_EVERY,
+            ff,
+            audit,
+        )
+    }
+
+    #[test]
+    fn run_keys_are_stable() {
+        // These name `.rck` and `.res` files already on disk.
+        assert_eq!(scale_label(), "quick", "run with RECON_SCALE unset");
+        assert_eq!(mcf_key(None, None), 0xf704_28d2_06d8_16ff);
+        assert_eq!(mcf_key(Some(1000), None), 0x9f7f_3aa7_accf_d525);
+        assert_eq!(mcf_key(None, Some(4096)), 0x9f38_383a_a2bb_7a5b);
+        assert_eq!(mcf_key(Some(1000), Some(4096)), 0x9526_9b05_c145_36da);
+    }
+}
