@@ -48,6 +48,7 @@ use std::process::ExitCode;
 
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
+use recon_serve::job::experiment_for;
 use recon_sim::ckpt::{self, CkptContext};
 use recon_sim::report::Table;
 use recon_sim::{
@@ -107,18 +108,6 @@ const SCHEME_NAMES: &str = SecureConfig::PARSE_NAMES;
 
 fn parse_scheme(name: &str) -> Option<SecureConfig> {
     SecureConfig::parse(name)
-}
-
-fn experiment_for(suite: Suite) -> Experiment {
-    let mem = if suite == Suite::Parsec {
-        MemConfig::scaled_multicore()
-    } else {
-        MemConfig::scaled()
-    };
-    Experiment {
-        mem,
-        ..Experiment::default()
-    }
 }
 
 fn find_bench(suite_name: &str, bench: &str) -> Result<(Suite, Benchmark), String> {
@@ -369,91 +358,86 @@ fn ckpt_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<CkptContext>, String
     }
 }
 
-/// The meta records stored in a `recon run` checkpoint: enough to
-/// rebuild the exact system on `recon resume`.
-fn run_meta(
-    suite: Suite,
-    bench: &str,
-    secure: SecureConfig,
-    cadence: u64,
-    ff: Option<u64>,
-    audit: Option<u64>,
-) -> Vec<(String, String)> {
-    let mut meta = vec![
-        ("kind".to_string(), "run".to_string()),
-        ("suite".to_string(), suite.to_string().to_ascii_lowercase()),
-        ("bench".to_string(), bench.to_string()),
-        ("scheme".to_string(), secure.to_string()),
-        ("scale".to_string(), scale_label().to_string()),
-        ("cadence".to_string(), cadence.to_string()),
-    ];
-    if let Some(ff) = ff {
-        meta.push(("fast_forward".to_string(), ff.to_string()));
-    }
-    if let Some(audit) = audit {
-        meta.push(("audit".to_string(), audit.to_string()));
-    }
-    meta
+/// Parses the flags `recon run` and `recon suite` share: the
+/// checkpoint context and the run budget (`--fast-forward`,
+/// `--watchdog-cycles`, `--audit`).
+fn run_flags(pairs: &[(&str, &str)]) -> Result<(Option<CkptContext>, Budget), String> {
+    Ok((
+        ckpt_from_pairs(pairs)?,
+        Budget {
+            fast_forward: ff_from_pairs(pairs)?,
+            watchdog_cycles: wd_from_pairs(pairs)?,
+            audit_every_cycles: audit_from_pairs(pairs)?,
+            ..Budget::default()
+        },
+    ))
 }
 
-fn run_digest(
+/// Budget knobs a `recon run` checkpoint records in its meta, by key.
+const RUN_META_KNOBS: [&str; 3] = ["fast_forward", "audit", "watchdog_cycles"];
+
+/// The checkpoint key and meta of a `recon run` job. The key digests the
+/// job's identity (kind, suite, bench, scheme, scale, cadence) and the
+/// budget's outcome-changing knobs; the meta records the identity and
+/// the knobs `recon resume` restores ([`budget_from_meta`]), so a
+/// resumed run recomputes the same key.
+fn run_record(
     suite: Suite,
     bench: &str,
     secure: SecureConfig,
     cadence: u64,
-    ff: Option<u64>,
-    audit: Option<u64>,
-) -> u64 {
-    let suite = suite.to_string().to_ascii_lowercase();
-    let scheme = secure.to_string();
-    let cadence = cadence.to_string();
-    let mut parts = vec![
-        "run",
-        suite.as_str(),
-        bench,
-        scheme.as_str(),
-        scale_label(),
-        cadence.as_str(),
+    budget: &Budget,
+) -> (u64, Vec<(String, String)>) {
+    let mut meta: Vec<(String, String)> = [
+        ("kind", "run".to_string()),
+        ("suite", suite.to_string().to_ascii_lowercase()),
+        ("bench", bench.to_string()),
+        ("scheme", secure.to_string()),
+        ("scale", scale_label().to_string()),
+        ("cadence", cadence.to_string()),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+    .into();
+    let parts: Vec<&str> = meta.iter().map(|(_, v)| v.as_str()).collect();
+    let digest = ckpt::run_digest(&parts, budget);
+    let knobs = [
+        budget.fast_forward,
+        budget.audit_every_cycles,
+        budget.watchdog_cycles,
     ];
-    // The warmup length changes every result, so warmed runs get their
-    // own checkpoint/result records; unwarmed digests stay unchanged.
-    let ff = ff.map(|n| n.to_string());
-    if let Some(ff) = ff.as_deref() {
-        parts.push(ff);
+    for (key, v) in RUN_META_KNOBS.iter().zip(knobs) {
+        if let Some(v) = v {
+            meta.push((key.to_string(), v.to_string()));
+        }
     }
-    // Audited runs likewise get their own records: an audit cadence can
-    // turn a completed run into an invariant-violation record, and the
-    // two must never share a digest.
-    let audit = audit.map(|n| format!("audit{n}"));
-    if let Some(audit) = audit.as_deref() {
-        parts.push(audit);
+    (digest, meta)
+}
+
+/// The budget a `recon run` checkpoint recorded ([`run_record`]).
+fn budget_from_meta(ck: &ckpt::Checkpoint) -> Budget {
+    let [fast_forward, audit_every_cycles, watchdog_cycles] =
+        RUN_META_KNOBS.map(|key| ck.meta(key).and_then(|v| v.parse::<u64>().ok()));
+    Budget {
+        fast_forward,
+        watchdog_cycles,
+        audit_every_cycles,
+        ..Budget::default()
     }
-    ckpt::config_digest(&parts)
 }
 
 /// Runs one configured job under a checkpoint context and reports what
 /// the persistence layer did alongside the results.
-#[allow(clippy::too_many_arguments)]
 fn run_checkpointed(
     exp: &Experiment,
     suite: Suite,
     b: &Benchmark,
     secure: SecureConfig,
     ctx: &CkptContext,
-    ff: Option<u64>,
-    wd: Option<u64>,
-    audit: Option<u64>,
+    budget: &Budget,
 ) -> ExitCode {
-    let digest = run_digest(suite, b.name, secure, ctx.cadence, ff, audit);
-    let meta = run_meta(suite, b.name, secure, ctx.cadence, ff, audit);
-    let budget = Budget {
-        fast_forward: ff,
-        watchdog_cycles: wd,
-        audit_every_cycles: audit,
-        ..Budget::default()
-    };
+    let (digest, meta) = run_record(suite, b.name, secure, ctx.cadence, budget);
     let (r, info) =
-        ckpt::run_with_checkpoints(exp, &b.workload, secure, &budget, ctx, &meta, digest);
+        ckpt::run_with_checkpoints(exp, &b.workload, secure, budget, ctx, &meta, digest);
     if info.dropped_corrupt > 0 {
         println!(
             "dropped {} corrupt/stale checkpoint file(s)",
@@ -500,41 +484,26 @@ fn cmd_run(suite_name: &str, bench: &str, scheme: &str, rest: &[&str]) -> ExitCo
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let (ctx, ff, wd, audit) = match ckpt_from_pairs(&pairs).and_then(|c| {
-        Ok((
-            c,
-            ff_from_pairs(&pairs)?,
-            wd_from_pairs(&pairs)?,
-            audit_from_pairs(&pairs)?,
-        ))
-    }) {
+    let (ctx, budget) = match run_flags(&pairs) {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
     let exp = experiment_for(suite);
-    match ctx {
-        Some(ctx) => run_checkpointed(&exp, suite, &b, secure, &ctx, ff, wd, audit),
-        None => {
-            let budget = Budget {
-                fast_forward: ff,
-                watchdog_cycles: wd,
-                audit_every_cycles: audit,
-                ..Budget::default()
-            };
-            let r = match exp.try_run(&b.workload, secure, &budget) {
-                Ok(r) => r,
-                Err(e) => {
-                    print_stall_forensics(&e);
-                    return fail(&format!("run did not complete: {e}"));
-                }
-            };
-            if let Some(ff) = ff {
-                println!("(functional fast-forward: {ff} instructions before detailed timing)");
-            }
-            print_run_result(b.name, suite, secure, &r);
-            ExitCode::SUCCESS
-        }
+    if let Some(ctx) = ctx {
+        return run_checkpointed(&exp, suite, &b, secure, &ctx, &budget);
     }
+    let r = match exp.try_run(&b.workload, secure, &budget) {
+        Ok(r) => r,
+        Err(e) => {
+            print_stall_forensics(&e);
+            return fail(&format!("run did not complete: {e}"));
+        }
+    };
+    if let Some(ff) = budget.fast_forward {
+        println!("(functional fast-forward: {ff} instructions before detailed timing)");
+    }
+    print_run_result(b.name, suite, secure, &r);
+    ExitCode::SUCCESS
 }
 
 /// Resumes a run from a checkpoint file written by
@@ -581,13 +550,11 @@ fn cmd_resume(file: &str) -> ExitCode {
     let Some(secure) = parse_scheme(scheme) else {
         return fail(&format!("checkpoint names unknown scheme '{scheme}'"));
     };
-    // The warmup length rides in the meta so the resume recomputes the
-    // same digest; the warmup itself is never re-applied (the restored
-    // system is past cycle 0).
-    let ff = ck.meta("fast_forward").and_then(|v| v.parse::<u64>().ok());
-    // The audit cadence also rides in the meta: the resumed tail keeps
-    // sweeping (and the digest keeps matching the original run's).
-    let audit = ck.meta("audit").and_then(|v| v.parse::<u64>().ok());
+    // The budget knobs ride in the meta so the resume recomputes the
+    // same key; the warmup itself is never re-applied (the restored
+    // system is past cycle 0), while the audit and the watchdog keep
+    // watching the resumed tail.
+    let budget = budget_from_meta(&ck);
     let dir = PathBuf::from(file)
         .parent()
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
@@ -596,16 +563,7 @@ fn cmd_resume(file: &str) -> ExitCode {
         cadence,
         keep: CKPT_KEEP,
     };
-    run_checkpointed(
-        &experiment_for(suite),
-        suite,
-        &b,
-        secure,
-        &ctx,
-        ff,
-        None,
-        audit,
-    )
+    run_checkpointed(&experiment_for(suite), suite, &b, secure, &ctx, &budget)
 }
 
 fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
@@ -649,38 +607,20 @@ fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let (ctx, ff, wd, audit) = match ckpt_from_pairs(&pairs).and_then(|c| {
-        Ok((
-            c,
-            ff_from_pairs(&pairs)?,
-            wd_from_pairs(&pairs)?,
-            audit_from_pairs(&pairs)?,
-        ))
-    }) {
+    let (ctx, budget) = match run_flags(&pairs) {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
-    let budget = Budget {
-        fast_forward: ff,
-        watchdog_cycles: wd,
-        audit_every_cycles: audit,
-        ..Budget::default()
-    };
-    let exp = experiment_for(suite);
-    let (matrices, batch) = match &ctx {
-        None => exp.run_matrices_budgeted(&benchmarks, jobs, &budget),
-        Some(ctx) => {
-            // The tag namespaces this suite's jobs in the checkpoint
-            // dir; scale is folded in so quick/paper runs never share
-            // records.
-            let tag = format!(
-                "suite:{}:{}",
-                suite.to_string().to_ascii_lowercase(),
-                scale_label()
-            );
-            exp.run_matrices_checkpointed_budgeted(&benchmarks, jobs, &budget, ctx, &tag)
-        }
-    };
+    // The tag namespaces this suite's jobs in the checkpoint dir; scale
+    // is folded in so quick/paper runs never share records.
+    let tag = format!(
+        "suite:{}:{}",
+        suite.to_string().to_ascii_lowercase(),
+        scale_label()
+    );
+    let persist = ctx.as_ref().map(|ctx| (ctx, tag.as_str()));
+    let (matrices, batch) =
+        experiment_for(suite).run_matrices_with(&benchmarks, jobs, &budget, persist);
     let mut t = Table::new(&[
         "benchmark",
         "unsafe IPC",
@@ -726,7 +666,7 @@ fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
         batch.serial_seconds(),
         batch.speedup(),
     );
-    if let Some(ff) = ff {
+    if let Some(ff) = budget.fast_forward {
         println!("(each job fast-forwarded {ff} instructions functionally before detailed timing)");
     }
     let mut jt = Table::new(&["benchmark", "scheme", "seconds", "instructions", "MIPS"]);
@@ -1810,13 +1750,21 @@ mod tests {
     /// The checkpoint key of `recon run spec2017 mcf stt --checkpoint D`
     /// at quick scale, under the given warmup and audit cadence.
     fn mcf_key(ff: Option<u64>, audit: Option<u64>) -> u64 {
-        run_digest(
+        let budget = Budget {
+            fast_forward: ff,
+            audit_every_cycles: audit,
+            ..Budget::default()
+        };
+        mcf_record(&budget).0
+    }
+
+    fn mcf_record(budget: &Budget) -> (u64, Vec<(String, String)>) {
+        run_record(
             Suite::Spec2017,
             "mcf",
             SecureConfig::stt(),
             DEFAULT_CKPT_EVERY,
-            ff,
-            audit,
+            budget,
         )
     }
 
@@ -1828,5 +1776,30 @@ mod tests {
         assert_eq!(mcf_key(Some(1000), None), 0x9f7f_3aa7_accf_d525);
         assert_eq!(mcf_key(None, Some(4096)), 0x9f38_383a_a2bb_7a5b);
         assert_eq!(mcf_key(Some(1000), Some(4096)), 0x9526_9b05_c145_36da);
+    }
+
+    #[test]
+    fn resume_restores_the_recorded_budget_and_key() {
+        let budget = Budget {
+            fast_forward: Some(1000),
+            watchdog_cycles: Some(20),
+            audit_every_cycles: Some(4096),
+            ..Budget::default()
+        };
+        let (digest, meta) = mcf_record(&budget);
+        let ck = ckpt::Checkpoint {
+            config_digest: digest,
+            cycle: 0,
+            meta,
+            state: Vec::new(),
+        };
+        let resumed = budget_from_meta(&ck);
+        assert_eq!(resumed.watchdog_cycles, Some(20));
+        assert_eq!(mcf_record(&resumed).0, digest);
+        assert_ne!(
+            mcf_key(Some(1000), Some(4096)),
+            digest,
+            "the window keys the run"
+        );
     }
 }

@@ -677,30 +677,31 @@ fn render_system_result(out: &mut String, r: &SystemResult) {
 }
 
 fn deadline_error(spec: &JobSpec, e: SimError, checkpoint: Option<String>) -> JobError {
+    // A stall and an invariant violation differ only in label and report.
+    let diagnostic = |error: &str, summary: String, report: String, partial: &SystemResult| {
+        let mut body = format!(
+            "{{\"error\":\"{error}\",\"kind\":\"{}\",\"summary\":\"{}\",\"report\":\"{}\",\"partial\":{{",
+            spec.kind.label(),
+            escape(&summary),
+            escape(&report),
+        );
+        render_system_result(&mut body, partial);
+        body.push_str("}}");
+        body
+    };
     match e {
         SimError::Cancelled { .. } => JobError::Cancelled,
-        SimError::Stalled { partial, report } => {
-            let mut body = format!(
-                "{{\"error\":\"stalled\",\"kind\":\"{}\",\"summary\":\"{}\",\"report\":\"{}\",\"partial\":{{",
-                spec.kind.label(),
-                escape(&report.summary()),
-                escape(&report.to_string()),
-            );
-            render_system_result(&mut body, &partial);
-            body.push_str("}}");
-            JobError::Stalled { payload: body }
-        }
-        SimError::InvariantViolated { partial, report } => {
-            let mut body = format!(
-                "{{\"error\":\"invariant_violated\",\"kind\":\"{}\",\"summary\":\"{}\",\"report\":\"{}\",\"partial\":{{",
-                spec.kind.label(),
-                escape(&report.summary()),
-                escape(&report.to_string()),
-            );
-            render_system_result(&mut body, &partial);
-            body.push_str("}}");
-            JobError::AuditViolated { payload: body }
-        }
+        SimError::Stalled { partial, report } => JobError::Stalled {
+            payload: diagnostic("stalled", report.summary(), report.to_string(), &partial),
+        },
+        SimError::InvariantViolated { partial, report } => JobError::AuditViolated {
+            payload: diagnostic(
+                "invariant_violated",
+                report.summary(),
+                report.to_string(),
+                &partial,
+            ),
+        },
         SimError::DeadlineExceeded { partial, reason } => {
             let mut body = format!(
                 "{{\"error\":\"deadline_exceeded\",\"kind\":\"{}\",\"reason\":\"{reason}\",\"partial\":{{",

@@ -179,6 +179,28 @@ pub fn config_digest(parts: &[&str]) -> u64 {
     h.finish()
 }
 
+/// The key of a persisted run: [`config_digest`] over `parts` (the
+/// job's identity, cadence included) followed by every knob of `budget`
+/// that changes the run's outcome and is set. `fast_forward` is spelled
+/// as a bare decimal and `audit_every_cycles` as `audit{n}`, then come
+/// `wd{n}`, `fuel{n}` and `max_cycles{n}`. Unset knobs add nothing, so
+/// a run keeps the digest (and the records) it had before a knob
+/// existed. Cancellation is not part of the key: a cancelled run
+/// persists no outcome.
+#[must_use]
+pub fn run_digest(parts: &[&str], budget: &Budget) -> u64 {
+    let knobs = [
+        budget.fast_forward.map(|n| n.to_string()),
+        budget.audit_every_cycles.map(|n| format!("audit{n}")),
+        budget.watchdog_cycles.map(|n| format!("wd{n}")),
+        budget.fuel.map(|n| format!("fuel{n}")),
+        budget.max_cycles.map(|n| format!("max_cycles{n}")),
+    ];
+    let mut all = parts.to_vec();
+    all.extend(knobs.iter().flatten().map(String::as_str));
+    config_digest(&all)
+}
+
 /// Canonical file name of a checkpoint: digest then zero-padded cycle,
 /// so a lexicographic sort within one digest is a cycle sort.
 #[must_use]
@@ -197,8 +219,13 @@ pub fn file_name(config_digest: u64, cycle: u64) -> String {
 ///
 /// Propagates filesystem errors.
 pub fn write(dir: &Path, ck: &Checkpoint) -> io::Result<PathBuf> {
+    write_atomic(dir, &file_name(ck.config_digest, ck.cycle), ck)
+}
+
+/// Writes `ck` to `dir/name` through a `.tmp` sibling and a rename.
+fn write_atomic(dir: &Path, name: &str, ck: &Checkpoint) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let path = dir.join(file_name(ck.config_digest, ck.cycle));
+    let path = dir.join(name);
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, ck.encode())?;
     fs::rename(&tmp, &path)?;
@@ -303,40 +330,11 @@ pub fn delete_for_digest(dir: &Path, config_digest: u64) -> io::Result<usize> {
     Ok(deleted)
 }
 
-/// Extension used by completed-result records (suite resume).
+/// Extension used by outcome records (suite resume).
 pub const RESULT_EXTENSION: &str = "res";
 
-/// Writes the completion record of a finished job: the same `RCK1`
-/// envelope, but carrying a serialized [`SystemResult`] instead of
-/// machine state, under `<digest:016x>.res`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_result(
-    dir: &Path,
-    config_digest: u64,
-    result: &SystemResult,
-    meta: &[(String, String)],
-) -> io::Result<PathBuf> {
-    let mut w = SnapWriter::new();
-    result.save_snap(&mut w);
-    let ck = Checkpoint {
-        config_digest,
-        cycle: result.cycles,
-        meta: meta.to_vec(),
-        state: w.into_bytes(),
-    };
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{config_digest:016x}.{RESULT_EXTENSION}"));
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, ck.encode())?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// Meta key distinguishing record kinds in a `.res` file: absent or
-/// `"completed"` for a finished job, `"stalled"` for a watchdog trip.
+/// Meta key distinguishing record kinds in a `.res` file: absent for a
+/// completed run, else [`OUTCOME_STALLED`] or [`OUTCOME_AUDIT`].
 pub const OUTCOME_KEY: &str = "outcome";
 
 /// [`OUTCOME_KEY`] value for a persisted stall record.
@@ -345,107 +343,69 @@ pub const OUTCOME_STALLED: &str = "stalled";
 /// [`OUTCOME_KEY`] value for a persisted invariant-violation record.
 pub const OUTCOME_AUDIT: &str = "invariant-violated";
 
-/// A persisted `.res` record: either the completed result of a job, or
-/// the diagnostic of a job the liveness watchdog killed — persisted so
-/// a resumed server/suite can *explain* an orphaned job's failure
-/// instead of silently re-running a deterministic deadlock.
-#[derive(Clone, Debug)]
-pub enum ResultRecord {
-    /// The job finished; its full result.
-    Completed(SystemResult),
-    /// The job stalled; partial statistics plus the forensic report.
-    Stalled {
-        /// Statistics up to the stall point.
-        partial: SystemResult,
-        /// Forensic snapshot of every core at the stall point.
-        report: StallReport,
-    },
-    /// An invariant-audit sweep stopped the job; partial statistics
-    /// plus the violation forensics.
-    InvariantViolated {
-        /// Statistics up to the violating sweep.
-        partial: SystemResult,
-        /// Every violated invariant, with site and cycle.
-        report: AuditReport,
-    },
-}
-
-/// Writes the stall record of a job the liveness watchdog killed: the
-/// `RCK1` envelope carrying the partial [`SystemResult`] followed by
-/// the serialized [`StallReport`], with `outcome=stalled` in the meta
-/// so readers can tell it apart from a completion record.
+/// Writes the outcome record of a run, `<digest:016x>.res`: the `RCK1`
+/// envelope around the (partial) [`SystemResult`]. A stall or an
+/// invariant violation appends its serialized [`StallReport`] or
+/// [`AuditReport`] and sets [`OUTCOME_KEY`] in the meta, so a restarted
+/// server or suite explains the job's failure instead of re-running a
+/// deterministic deadlock. Deadline and cancel outcomes depend on the
+/// caller's patience, not on the configuration, so they are not
+/// persisted.
+///
+/// Returns whether `outcome` is one that is persisted.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_stall_record(
+pub fn write_record(
     dir: &Path,
     config_digest: u64,
-    partial: &SystemResult,
-    report: &StallReport,
+    outcome: &Result<SystemResult, SimError>,
     meta: &[(String, String)],
-) -> io::Result<PathBuf> {
+) -> io::Result<bool> {
     let mut w = SnapWriter::new();
-    partial.save_snap(&mut w);
-    report.save_snap(&mut w);
+    let (result, label) = match outcome {
+        Ok(r) => {
+            r.save_snap(&mut w);
+            (r, None)
+        }
+        Err(SimError::Stalled { partial, report }) => {
+            partial.save_snap(&mut w);
+            report.save_snap(&mut w);
+            (&**partial, Some(OUTCOME_STALLED))
+        }
+        Err(SimError::InvariantViolated { partial, report }) => {
+            partial.save_snap(&mut w);
+            report.save_snap(&mut w);
+            (&**partial, Some(OUTCOME_AUDIT))
+        }
+        Err(SimError::DeadlineExceeded { .. } | SimError::Cancelled { .. }) => return Ok(false),
+    };
     let mut meta = meta.to_vec();
-    meta.retain(|(k, _)| k != OUTCOME_KEY);
-    meta.push((OUTCOME_KEY.to_string(), OUTCOME_STALLED.to_string()));
+    if let Some(label) = label {
+        meta.retain(|(k, _)| k != OUTCOME_KEY);
+        meta.push((OUTCOME_KEY.to_string(), label.to_string()));
+    }
     let ck = Checkpoint {
         config_digest,
-        cycle: partial.cycles,
+        cycle: result.cycles,
         meta,
         state: w.into_bytes(),
     };
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{config_digest:016x}.{RESULT_EXTENSION}"));
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, ck.encode())?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
+    write_atomic(
+        dir,
+        &format!("{config_digest:016x}.{RESULT_EXTENSION}"),
+        &ck,
+    )?;
+    Ok(true)
 }
 
-/// Writes the record of a job the invariant auditor stopped: the
-/// `RCK1` envelope carrying the partial [`SystemResult`] followed by
-/// the serialized [`AuditReport`], with `outcome=invariant-violated`
-/// in the meta.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_audit_record(
-    dir: &Path,
-    config_digest: u64,
-    partial: &SystemResult,
-    report: &AuditReport,
-    meta: &[(String, String)],
-) -> io::Result<PathBuf> {
-    let mut w = SnapWriter::new();
-    partial.save_snap(&mut w);
-    report.save_snap(&mut w);
-    let mut meta = meta.to_vec();
-    meta.retain(|(k, _)| k != OUTCOME_KEY);
-    meta.push((OUTCOME_KEY.to_string(), OUTCOME_AUDIT.to_string()));
-    let ck = Checkpoint {
-        config_digest,
-        cycle: partial.cycles,
-        meta,
-        state: w.into_bytes(),
-    };
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{config_digest:016x}.{RESULT_EXTENSION}"));
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, ck.encode())?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// Reads whatever `.res` record exists for `config_digest` — completed
-/// or stalled. Returns `None` when absent or unreadable — a corrupt
-/// record simply means the job re-runs, never that wrong numbers are
-/// reported.
+/// Reads the outcome record of `config_digest` written by
+/// [`write_record`]. Returns `None` when absent or unreadable — a
+/// corrupt record simply means the job re-runs, never that wrong
+/// numbers are reported.
 #[must_use]
-pub fn read_record(dir: &Path, config_digest: u64) -> Option<ResultRecord> {
+pub fn read_record(dir: &Path, config_digest: u64) -> Option<Result<SystemResult, SimError>> {
     let path = dir.join(format!("{config_digest:016x}.{RESULT_EXTENSION}"));
     let bytes = fs::read(path).ok()?;
     let ck = Checkpoint::decode(&bytes).ok()?;
@@ -453,35 +413,25 @@ pub fn read_record(dir: &Path, config_digest: u64) -> Option<ResultRecord> {
         return None;
     }
     let mut r = SnapReader::new(&ck.state);
-    let result = SystemResult::load_snap(&mut r).ok()?;
-    match ck.meta(OUTCOME_KEY) {
-        Some(OUTCOME_STALLED) => {
-            let report = StallReport::load_snap(&mut r).ok()?;
-            Some(ResultRecord::Stalled {
-                partial: result,
-                report,
-            })
-        }
-        Some(OUTCOME_AUDIT) => {
-            let report = AuditReport::load_snap(&mut r).ok()?;
-            Some(ResultRecord::InvariantViolated {
-                partial: result,
-                report,
-            })
-        }
-        _ => Some(ResultRecord::Completed(result)),
-    }
+    let partial = Box::new(SystemResult::load_snap(&mut r).ok()?);
+    Some(match ck.meta(OUTCOME_KEY) {
+        Some(OUTCOME_STALLED) => Err(SimError::Stalled {
+            partial,
+            report: Box::new(StallReport::load_snap(&mut r).ok()?),
+        }),
+        Some(OUTCOME_AUDIT) => Err(SimError::InvariantViolated {
+            partial,
+            report: Box::new(AuditReport::load_snap(&mut r).ok()?),
+        }),
+        _ => Ok(*partial),
+    })
 }
 
-/// Reads a completion record written by [`write_result`]. Returns
-/// `None` when absent, unreadable, or a *stall* record (a stalled job
-/// never masquerades as a completed one).
+/// The completed result recorded for `config_digest`, if any (a
+/// stalled job never masquerades as a completed one).
 #[must_use]
 pub fn read_result(dir: &Path, config_digest: u64) -> Option<SystemResult> {
-    match read_record(dir, config_digest) {
-        Some(ResultRecord::Completed(res)) => Some(res),
-        _ => None,
-    }
+    read_record(dir, config_digest)?.ok()
 }
 
 /// What a checkpointed run did, for logs and metrics.
@@ -532,18 +482,23 @@ impl CkptContext {
 
 /// Runs one (workload, scheme) job with crash-safe checkpointing:
 ///
-/// 1. a persisted record short-circuits the run: a completion record
-///    replays the result (suite resume), a stall record replays the
-///    original [`SimError::Stalled`] diagnostic — a deterministic
-///    deadlock is explained, not silently re-run;
+/// 1. a persisted outcome record ([`read_record`]) short-circuits the
+///    run: a completed result replays (suite resume), a stall or an
+///    invariant violation replays its original diagnostic — a
+///    deterministic failure is explained, not silently re-run;
 /// 2. otherwise the newest valid checkpoint of `digest` is restored
 ///    (corrupt/torn files are dropped and counted, never trusted);
 /// 3. the run proceeds under `base` plus the checkpoint cadence,
 ///    writing a checkpoint file at every drained boundary and keeping
 ///    the newest `ctx.keep`;
-/// 4. completion writes a result record and deletes the checkpoints; a
-///    deadline/cancel stop leaves them for the next attempt and reports
-///    the newest as `last_checkpoint`.
+/// 4. a completed, stalled or violated outcome writes its record
+///    ([`write_record`]) and deletes the checkpoints; a deadline/cancel
+///    stop leaves them for the next attempt and reports the newest as
+///    `last_checkpoint`.
+///
+/// A record replays for every run under the same `digest`, so `digest`
+/// must key each knob of `base` that changes the outcome (as
+/// [`run_digest`] does).
 ///
 /// On resume, `base.fuel` is ignored: the per-core fuel remaining at
 /// the checkpoint rides in the snapshot, so the original budget stays
@@ -563,33 +518,13 @@ pub fn run_with_checkpoints(
     digest: u64,
 ) -> (Result<SystemResult, SimError>, CkptRunInfo) {
     let mut info = CkptRunInfo::default();
-    match read_record(&ctx.dir, digest) {
-        Some(ResultRecord::Completed(res)) => {
-            info.result_cached = true;
-            return (Ok(res), info);
-        }
-        Some(ResultRecord::Stalled { partial, report }) => {
-            // A stall is deterministic for a given configuration:
-            // replay the persisted forensics instead of burning the
-            // watchdog window again just to rediscover the deadlock.
-            info.stall_cached = true;
-            let err = SimError::Stalled {
-                partial: Box::new(partial),
-                report: Box::new(report),
-            };
-            return (Err(err), info);
-        }
-        Some(ResultRecord::InvariantViolated { partial, report }) => {
-            // Same replay discipline: the violation diagnostic is the
-            // job's persisted outcome.
-            info.stall_cached = true;
-            let err = SimError::InvariantViolated {
-                partial: Box::new(partial),
-                report: Box::new(report),
-            };
-            return (Err(err), info);
-        }
-        None => {}
+    if let Some(outcome) = read_record(&ctx.dir, digest) {
+        // Every persisted outcome is deterministic for its digest:
+        // replay it instead of simulating (a stall would only burn the
+        // watchdog window again to rediscover the deadlock).
+        info.result_cached = outcome.is_ok();
+        info.stall_cached = outcome.is_err();
+        return (outcome, info);
     }
 
     let mut sys = System::new(workload, exp.core, exp.mem, secure, exp.recon);
@@ -661,25 +596,11 @@ pub fn run_with_checkpoints(
     info.checkpoints_written = written;
     info.gc_deleted = gc_deleted;
     info.last_checkpoint = last;
-    match &r {
-        Ok(res) => {
-            let _ = write_result(&ctx.dir, digest, res, meta);
-            let _ = delete_for_digest(&ctx.dir, digest);
-            info.last_checkpoint = None;
-        }
-        Err(SimError::Stalled { partial, report }) => {
-            // Persist the diagnostic: a restarted server can explain
-            // this job's death instead of silently re-running it.
-            let _ = write_stall_record(&ctx.dir, digest, partial, report, meta);
-            let _ = delete_for_digest(&ctx.dir, digest);
-            info.last_checkpoint = None;
-        }
-        Err(SimError::InvariantViolated { partial, report }) => {
-            let _ = write_audit_record(&ctx.dir, digest, partial, report, meta);
-            let _ = delete_for_digest(&ctx.dir, digest);
-            info.last_checkpoint = None;
-        }
-        Err(_) => {}
+    // A persisted outcome ends the job, even if its record could not be
+    // written; a deadline or cancel leaves the checkpoints for a retry.
+    if write_record(&ctx.dir, digest, &r, meta).unwrap_or(true) {
+        let _ = delete_for_digest(&ctx.dir, digest);
+        info.last_checkpoint = None;
     }
     (r, info)
 }
@@ -730,16 +651,20 @@ mod tests {
         let partial = sample_result();
         let report = sample_report();
         let meta = vec![("bench".to_string(), "x".to_string())];
-        write_stall_record(&dir, 0x77, &partial, &report, &meta).unwrap();
+        let stalled = Err(SimError::Stalled {
+            partial: Box::new(partial.clone()),
+            report: Box::new(report.clone()),
+        });
+        assert!(write_record(&dir, 0x77, &stalled, &meta).unwrap());
         // A stall record must never surface as a completed result.
         assert!(read_result(&dir, 0x77).is_none());
         match read_record(&dir, 0x77) {
-            Some(ResultRecord::Stalled {
+            Some(Err(SimError::Stalled {
                 partial: p,
                 report: r,
-            }) => {
-                assert_eq!(p, partial);
-                assert_eq!(r, report);
+            })) => {
+                assert_eq!(*p, partial);
+                assert_eq!(*r, report);
             }
             other => panic!("expected stalled record, got {other:?}"),
         }
@@ -750,13 +675,80 @@ mod tests {
     fn completed_record_still_reads_as_result() {
         let dir = tmpdir("complrec");
         let res = sample_result();
-        write_result(&dir, 0x88, &res, &[]).unwrap();
+        assert!(write_record(&dir, 0x88, &Ok(res.clone()), &[]).unwrap());
         assert_eq!(read_result(&dir, 0x88), Some(res.clone()));
         assert!(matches!(
             read_record(&dir, 0x88),
-            Some(ResultRecord::Completed(r)) if r == res
+            Some(Ok(r)) if r == res
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deadline_and_cancel_outcomes_are_not_persisted() {
+        let dir = tmpdir("norec");
+        let stops = [
+            SimError::DeadlineExceeded {
+                partial: Box::new(sample_result()),
+                reason: crate::DeadlineReason::Fuel,
+            },
+            SimError::Cancelled {
+                partial: Box::new(sample_result()),
+            },
+        ];
+        for e in stops {
+            assert!(!write_record(&dir, 0x99, &Err(e), &[]).unwrap());
+        }
+        assert!(read_record(&dir, 0x99).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_digest_keys_exactly_the_set_knobs() {
+        let parts = ["run", "mcf", "stt", "500000"];
+        assert_eq!(
+            run_digest(&parts, &Budget::default()),
+            config_digest(&parts),
+            "an unset knob adds nothing"
+        );
+        let ff = Budget {
+            fast_forward: Some(1_000),
+            ..Budget::default()
+        };
+        assert_eq!(
+            run_digest(&parts, &ff),
+            config_digest(&["run", "mcf", "stt", "500000", "1000"])
+        );
+        let knobs = [
+            Budget {
+                audit_every_cycles: Some(64),
+                ..Budget::default()
+            },
+            Budget {
+                watchdog_cycles: Some(20),
+                ..Budget::default()
+            },
+            Budget {
+                watchdog_cycles: Some(0),
+                ..Budget::default()
+            },
+            Budget::with_fuel(1_000),
+            Budget {
+                max_cycles: Some(1_000),
+                ..Budget::default()
+            },
+            ff,
+        ];
+        let mut digests: Vec<u64> = knobs.iter().map(|b| run_digest(&parts, b)).collect();
+        digests.push(config_digest(&parts));
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), knobs.len() + 1, "every knob keys the run");
+        let cancel = Budget {
+            cancel: Some(std::sync::Arc::default()),
+            ..Budget::default()
+        };
+        assert_eq!(run_digest(&parts, &cancel), config_digest(&parts));
     }
 
     #[test]

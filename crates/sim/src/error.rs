@@ -185,24 +185,6 @@ impl SimError {
             | SimError::InvariantViolated { partial, .. } => partial,
         }
     }
-
-    /// The stall report, when this is a watchdog trip.
-    #[must_use]
-    pub fn stall_report(&self) -> Option<&StallReport> {
-        match self {
-            SimError::Stalled { report, .. } => Some(report),
-            _ => None,
-        }
-    }
-
-    /// The audit report, when this is an invariant violation.
-    #[must_use]
-    pub fn audit_report(&self) -> Option<&AuditReport> {
-        match self {
-            SimError::InvariantViolated { report, .. } => Some(report),
-            _ => None,
-        }
-    }
 }
 
 impl core::fmt::Display for SimError {

@@ -289,66 +289,23 @@ pub fn run_batch(
     configs: &[SecureConfig],
     jobs: usize,
 ) -> BatchResults {
-    run_batch_inner(exp, benches, configs, jobs, &Budget::default(), None)
+    run_batch_with(exp, benches, configs, jobs, &Budget::default(), None)
 }
 
-/// [`run_batch`] under an explicit per-job [`Budget`] — the path
-/// `recon suite --fast-forward` uses to warm every job functionally
-/// before its detailed region.
+/// [`run_batch`] under an explicit per-job [`Budget`] (fuel, deadlines,
+/// watchdog, audit cadence, functional fast-forward warmup), optionally
+/// with crash-safe persistence.
+///
+/// With `persist = Some((ctx, tag))` each job checkpoints into
+/// `ctx.dir` and records its outcome there, so re-running the same
+/// batch after a kill replays finished jobs outright and resumes partial
+/// ones from their last checkpoint. `tag` namespaces the batch (e.g.
+/// `"suite:spec2017:quick"`); each job is keyed by
+/// [`ckpt::run_digest`] over the tag, bench, scheme and cadence plus the
+/// budget's outcome-changing knobs, so batches under different budgets
+/// never share records.
 #[must_use]
-pub fn run_batch_budgeted(
-    exp: &Experiment,
-    benches: &[Benchmark],
-    configs: &[SecureConfig],
-    jobs: usize,
-    budget: &Budget,
-) -> BatchResults {
-    run_batch_inner(exp, benches, configs, jobs, budget, None)
-}
-
-/// [`run_batch`] with crash-safe persistence: each job checkpoints into
-/// `ctx.dir` and records its completion there, so re-running the same
-/// batch (same `tag`) after a kill skips finished jobs outright and
-/// resumes partial ones from their last checkpoint. `tag` namespaces
-/// the batch (e.g. `"spec2017/quick"`); it is folded into every job's
-/// config digest along with the cadence.
-#[must_use]
-pub fn run_batch_checkpointed(
-    exp: &Experiment,
-    benches: &[Benchmark],
-    configs: &[SecureConfig],
-    jobs: usize,
-    ctx: &CkptContext,
-    tag: &str,
-) -> BatchResults {
-    run_batch_inner(
-        exp,
-        benches,
-        configs,
-        jobs,
-        &Budget::default(),
-        Some((ctx, tag)),
-    )
-}
-
-/// [`run_batch_checkpointed`] under an explicit [`Budget`]. A
-/// fast-forward warmup is folded into each job's config digest (it
-/// changes every result), so warmed and unwarmed batches never share
-/// completion records.
-#[must_use]
-pub fn run_batch_checkpointed_budgeted(
-    exp: &Experiment,
-    benches: &[Benchmark],
-    configs: &[SecureConfig],
-    jobs: usize,
-    budget: &Budget,
-    ctx: &CkptContext,
-    tag: &str,
-) -> BatchResults {
-    run_batch_inner(exp, benches, configs, jobs, budget, Some((ctx, tag)))
-}
-
-fn run_batch_inner(
+pub fn run_batch_with(
     exp: &Experiment,
     benches: &[Benchmark],
     configs: &[SecureConfig],
@@ -380,14 +337,7 @@ fn run_batch_inner(
             Some((ctx, tag)) => {
                 let scheme = c.to_string();
                 let cadence = ctx.cadence.to_string();
-                let mut parts = vec![tag, b.name, scheme.as_str(), cadence.as_str()];
-                // Folded in only when set, so unwarmed batches keep
-                // their pre-existing on-disk records.
-                let ff = budget.fast_forward.map(|n| n.to_string());
-                if let Some(ff) = ff.as_deref() {
-                    parts.push(ff);
-                }
-                let digest = ckpt::config_digest(&parts);
+                let digest = ckpt::run_digest(&[tag, b.name, &scheme, &cadence], budget);
                 let caught = catch_retry(|| {
                     ckpt::run_with_checkpoints(
                         exp,
@@ -400,7 +350,7 @@ fn run_batch_inner(
                             ("tag".to_string(), tag.to_string()),
                             ("bench".to_string(), b.name.to_string()),
                             ("scheme".to_string(), scheme.clone()),
-                            ("cadence".to_string(), ctx.cadence.to_string()),
+                            ("cadence".to_string(), cadence.clone()),
                         ],
                         digest,
                     )
@@ -483,50 +433,23 @@ impl Experiment {
         benches: &[Benchmark],
         jobs: usize,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
-        self.run_matrices_budgeted(benches, jobs, &Budget::default())
+        self.run_matrices_with(benches, jobs, &Budget::default(), None)
     }
 
     /// [`run_matrices`](Self::run_matrices) under an explicit per-job
-    /// [`Budget`] (fuel, deadlines, functional fast-forward warmup).
+    /// [`Budget`], optionally with crash-safe suite resume: with
+    /// `persist = Some((ctx, tag))` completed jobs replay on a re-run
+    /// and partial ones resume from their last checkpoint (see
+    /// [`run_batch_with`]).
     #[must_use]
-    pub fn run_matrices_budgeted(
+    pub fn run_matrices_with(
         &self,
         benches: &[Benchmark],
         jobs: usize,
         budget: &Budget,
+        persist: Option<(&CkptContext, &str)>,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_budgeted(self, benches, &MATRIX, jobs, budget);
-        (Self::matrices_from(benches, &batch), batch)
-    }
-
-    /// [`run_matrices`](Self::run_matrices) with crash-safe suite
-    /// resume: jobs checkpoint into `ctx.dir` under `tag`, completed
-    /// jobs short-circuit on a re-run, and partial jobs resume from
-    /// their last checkpoint (see [`run_batch_checkpointed`]).
-    #[must_use]
-    pub fn run_matrices_checkpointed(
-        &self,
-        benches: &[Benchmark],
-        jobs: usize,
-        ctx: &CkptContext,
-        tag: &str,
-    ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_checkpointed(self, benches, &MATRIX, jobs, ctx, tag);
-        (Self::matrices_from(benches, &batch), batch)
-    }
-
-    /// [`run_matrices_checkpointed`](Self::run_matrices_checkpointed)
-    /// under an explicit per-job [`Budget`].
-    #[must_use]
-    pub fn run_matrices_checkpointed_budgeted(
-        &self,
-        benches: &[Benchmark],
-        jobs: usize,
-        budget: &Budget,
-        ctx: &CkptContext,
-        tag: &str,
-    ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_checkpointed_budgeted(self, benches, &MATRIX, jobs, budget, ctx, tag);
+        let batch = run_batch_with(self, benches, &MATRIX, jobs, budget, persist);
         (Self::matrices_from(benches, &batch), batch)
     }
 

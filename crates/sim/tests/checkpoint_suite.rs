@@ -1,5 +1,5 @@
 //! Crash-safe job persistence (`ckpt::run_with_checkpoints`) and suite
-//! resume (`run_batch_checkpointed`): completed jobs short-circuit via
+//! resume (`run_batch_with`): completed jobs short-circuit via
 //! result records, killed jobs resume from their newest checkpoint,
 //! corrupt files are dropped and never trusted, and GC bounds disk use.
 
@@ -11,7 +11,7 @@ use recon_cpu::CoreConfig;
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext};
-use recon_sim::runner::run_batch_checkpointed;
+use recon_sim::runner::run_batch_with;
 use recon_sim::{Budget, Experiment, System};
 use recon_workloads::gen::parallel::{generate, ParKind, ParallelParams};
 use recon_workloads::{Benchmark, Suite, Workload};
@@ -221,13 +221,27 @@ fn rerun_suite_batch_hits_the_result_cache() {
     let configs = [SecureConfig::unsafe_baseline(), SecureConfig::stt_recon()];
     let ctx = CkptContext::new(dir.clone(), CADENCE);
 
-    let first = run_batch_checkpointed(&e, &benches, &configs, 2, &ctx, "batch-test");
+    let first = run_batch_with(
+        &e,
+        &benches,
+        &configs,
+        2,
+        &Budget::default(),
+        Some((&ctx, "batch-test")),
+    );
     assert_eq!(first.failed_count(), 0);
     let s1 = first.ckpt.expect("checkpointed batch reports stats");
     assert_eq!(s1.cached, 0);
     assert!(s1.written > 0);
 
-    let second = run_batch_checkpointed(&e, &benches, &configs, 2, &ctx, "batch-test");
+    let second = run_batch_with(
+        &e,
+        &benches,
+        &configs,
+        2,
+        &Budget::default(),
+        Some((&ctx, "batch-test")),
+    );
     let s2 = second.ckpt.expect("stats");
     assert_eq!(
         s2.cached,
@@ -245,4 +259,99 @@ fn rerun_suite_batch_hits_the_result_cache() {
             );
         }
     }
+}
+
+fn tiny_benches() -> Vec<Benchmark> {
+    vec![
+        Benchmark {
+            name: "tiny-chase",
+            suite: Suite::Parsec,
+            workload: tiny_workload(ParKind::SharedChase),
+        },
+        Benchmark {
+            name: "tiny-pc",
+            suite: Suite::Parsec,
+            workload: tiny_workload(ParKind::ProducerConsumer),
+        },
+    ]
+}
+
+#[test]
+fn audited_rerun_never_replays_unaudited_records() {
+    let dir = scratch("audited");
+    let e = exp();
+    let benches = tiny_benches();
+    let configs = [SecureConfig::stt(), SecureConfig::stt_recon()];
+    let ctx = CkptContext::new(dir.clone(), CADENCE);
+    let audited = Budget {
+        audit_every_cycles: Some(64),
+        ..Budget::default()
+    };
+    let run = |budget: &Budget| {
+        let batch = run_batch_with(
+            &e,
+            &benches,
+            &configs,
+            2,
+            budget,
+            Some((&ctx, "audit-test")),
+        );
+        assert_eq!(batch.failed_count(), 0);
+        let cached = batch.ckpt.expect("stats").cached;
+        (batch, cached)
+    };
+
+    let (plain, _) = run(&Budget::default());
+    let (first, cached) = run(&audited);
+    assert_eq!(
+        cached, 0,
+        "an audited run must not replay an unaudited record"
+    );
+    let (second, cached) = run(&audited);
+    assert_eq!(cached, second.job_count(), "audited records replay");
+    for b in &benches {
+        for &c in &configs {
+            // The sweep is pure observation: a clean audited run equals
+            // the unaudited one.
+            assert_eq!(plain.get(b.name, c), first.get(b.name, c));
+            assert_eq!(first.get(b.name, c), second.get(b.name, c));
+        }
+    }
+}
+
+#[test]
+fn stall_under_a_narrow_watchdog_is_not_replayed_for_the_default_window() {
+    let dir = scratch("stallkey");
+    let e = exp();
+    let benches = tiny_benches();
+    let configs = [SecureConfig::stt()];
+    let ctx = CkptContext::new(dir.clone(), CADENCE);
+    let narrow = Budget {
+        watchdog_cycles: Some(20),
+        ..Budget::default()
+    };
+
+    let stalled = run_batch_with(&e, &benches, &configs, 2, &narrow, Some((&ctx, "wd-test")));
+    assert_eq!(stalled.failed_count(), stalled.job_count());
+    assert!(
+        stalled
+            .failures()
+            .iter()
+            .all(|(_, _, msg)| msg.contains("liveness stall")),
+        "{:?}",
+        stalled.failures()
+    );
+    let default = run_batch_with(
+        &e,
+        &benches,
+        &configs,
+        2,
+        &Budget::default(),
+        Some((&ctx, "wd-test")),
+    );
+    assert_eq!(default.failed_count(), 0, "{:?}", default.failures());
+    assert_eq!(default.ckpt.expect("stats").cached, 0);
+    let replayed = run_batch_with(&e, &benches, &configs, 2, &narrow, Some((&ctx, "wd-test")));
+    assert_eq!(replayed.failed_count(), replayed.job_count());
+    assert_eq!(replayed.ckpt.expect("stats").written, 0, "stall replays");
 }

@@ -15,7 +15,7 @@ use recon_cpu::{CoreConfig, CoreStallInfo, CoreStats};
 use recon_mem::{MemConfig, MemStats};
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext};
-use recon_sim::runner::run_batch_checkpointed_budgeted;
+use recon_sim::runner::run_batch_with;
 use recon_sim::{AuditReport, Budget, Experiment, SimError, StallReport, SystemResult};
 use recon_workloads::gen::parallel::{generate, ParKind, ParallelParams};
 use recon_workloads::{Benchmark, Suite, Workload};
@@ -111,17 +111,7 @@ fn write_outcome(
     outcome: &Result<SystemResult, SimError>,
     meta: &[(String, String)],
 ) {
-    match outcome {
-        Ok(r) => ckpt::write_result(dir, digest, r, meta).map(drop),
-        Err(SimError::Stalled { partial, report }) => {
-            ckpt::write_stall_record(dir, digest, partial, report, meta).map(drop)
-        }
-        Err(SimError::InvariantViolated { partial, report }) => {
-            ckpt::write_audit_record(dir, digest, partial, report, meta).map(drop)
-        }
-        Err(e) => panic!("{e} is not a persisted outcome"),
-    }
-    .expect("write record");
+    assert!(ckpt::write_record(dir, digest, outcome, meta).expect("write record"));
 }
 
 /// The outcome label and partial result, for comparing replays.
@@ -191,14 +181,13 @@ fn suite_keys(name: &str, budget: &Budget) -> Vec<String> {
         workload: tiny_workload(),
     }];
     let ctx = CkptContext::new(dir.clone(), 400);
-    let batch = run_batch_checkpointed_budgeted(
+    let batch = run_batch_with(
         &exp(),
         &benches,
         &[SecureConfig::stt()],
         1,
         budget,
-        &ctx,
-        "suite:golden:quick",
+        Some((&ctx, "suite:golden:quick")),
     );
     assert_eq!(batch.failed_count(), 0);
     let mut keys: Vec<String> = fs::read_dir(&dir)

@@ -32,8 +32,7 @@ pub mod trace;
 pub use differ::{run_cell, run_cell_budgeted, CellResult, Verdict};
 pub use gadget::{Gadget, GadgetKind, SECRET_A, SECRET_B};
 pub use matrix::{
-    run_cell_named, run_cell_named_budgeted, run_matrix, run_matrix_budgeted,
-    run_matrix_budgeted_with, soundness_sweep, soundness_sweep_budgeted, MatrixCell, MatrixReport,
-    SoundnessRun,
+    run_cell_named_budgeted, run_matrix, run_matrix_budgeted_with, soundness_sweep,
+    soundness_sweep_budgeted, MatrixCell, MatrixReport, SoundnessRun,
 };
 pub use trace::{Divergence, ObservationTrace};

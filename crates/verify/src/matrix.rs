@@ -16,7 +16,7 @@ use recon_secure::SecureConfig;
 use recon_sim::{parallel_map, Budget, SimError, System};
 use recon_workloads::{find, Scale, Suite};
 
-use crate::differ::{run_cell, CellResult, Verdict};
+use crate::differ::{CellResult, Verdict};
 use crate::gadget::{self, Gadget};
 
 /// The five evaluated configurations, baseline first (the paper's
@@ -168,11 +168,22 @@ pub fn run_matrix(
     scheme_filter: Option<SecureConfig>,
     jobs: usize,
 ) -> MatrixReport {
-    run_matrix_budgeted(gadget_filter, scheme_filter, jobs, &Budget::default())
+    run_matrix_budgeted_with(
+        gadget_filter,
+        scheme_filter,
+        jobs,
+        &Budget::default(),
+        false,
+    )
 }
 
 /// As [`run_matrix`], under an explicit [`Budget`] (fuel, cycle caps,
-/// cancellation).
+/// cancellation), optionally widening the unfiltered matrix to the
+/// embedded gadgets ([`gadget::embedded`]) — leakage payloads spliced
+/// into corpus host programs, where the speculative window opens inside
+/// a realistically warmed-up machine instead of a cold synthetic
+/// snippet. Naming an embedded gadget explicitly via `gadget_filter`
+/// works regardless of `embedded`.
 ///
 /// The budget's `fast_forward` field is deliberately ignored for
 /// gadget cells: ReCon's reveal state is *trained* by the detailed
@@ -189,26 +200,6 @@ pub fn run_matrix(
 /// Panics on an unknown `gadget_filter` name, or if a cell hits the
 /// budget's fuel/cycle deadline (the matrix has no partial-result
 /// form; deadline-tolerant callers use [`run_cell_named_budgeted`]).
-#[must_use]
-pub fn run_matrix_budgeted(
-    gadget_filter: Option<&str>,
-    scheme_filter: Option<SecureConfig>,
-    jobs: usize,
-    budget: &Budget,
-) -> MatrixReport {
-    run_matrix_budgeted_with(gadget_filter, scheme_filter, jobs, budget, false)
-}
-
-/// As [`run_matrix_budgeted`], optionally widening the unfiltered
-/// matrix to the embedded gadgets ([`gadget::embedded`]) — leakage
-/// payloads spliced into corpus host programs, where the speculative
-/// window opens inside a realistically warmed-up machine instead of a
-/// cold synthetic snippet. Naming an embedded gadget explicitly via
-/// `gadget_filter` works regardless of `embedded`.
-///
-/// # Panics
-///
-/// As [`run_matrix_budgeted`].
 #[must_use]
 pub fn run_matrix_budgeted_with(
     gadget_filter: Option<&str>,
@@ -243,22 +234,9 @@ pub fn run_matrix_budgeted_with(
     MatrixReport { cells, lifts }
 }
 
-/// Runs one (gadget, scheme) matrix cell by gadget name — the
-/// cell-as-job entry point `recon serve` dispatches verify jobs
-/// through. Returns `None` for an unknown gadget name (callers turn
-/// that into their own error; valid names come from
-/// [`gadget::all`]).
-#[must_use]
-pub fn run_cell_named(gadget_name: &str, scheme: SecureConfig) -> Option<MatrixCell> {
-    let g = gadget::find(gadget_name)?;
-    Some(MatrixCell {
-        expected: expected_verdict(&g, scheme),
-        result: run_cell(g, scheme),
-    })
-}
-
-/// As [`run_cell_named`], under an explicit [`Budget`] — lets `recon
-/// serve` apply per-job deadlines to verify cells. `None` for an
+/// Runs one (gadget, scheme) matrix cell by gadget name under an
+/// explicit [`Budget`] — the cell-as-job entry point `recon serve`
+/// dispatches verify jobs through, with per-job deadlines. `None` for an
 /// unknown gadget name; `Some(Err(..))` when the budget expired, with
 /// the partial result inside the error.
 #[must_use]
@@ -341,7 +319,7 @@ pub fn soundness_sweep(jobs: usize) -> Vec<SoundnessRun> {
 }
 
 /// As [`soundness_sweep`], under an explicit [`Budget`]. Unlike gadget
-/// cells (see [`run_matrix_budgeted`]), these are benchmark-scale runs
+/// cells (see [`run_matrix_budgeted_with`]), these are benchmark-scale runs
 /// where functional warmup is both safe and useful: the sweep validates
 /// whatever reveal bits the *detailed* region sets, so `fast_forward`
 /// merely shrinks the checked region — it cannot manufacture a
