@@ -110,8 +110,12 @@ fn parse_scheme(name: &str) -> Option<SecureConfig> {
     SecureConfig::parse(name)
 }
 
+fn find_suite(name: &str) -> Result<(Suite, Vec<Benchmark>), String> {
+    parse_suite(name).ok_or_else(|| unknown_suite(name))
+}
+
 fn find_bench(suite_name: &str, bench: &str) -> Result<(Suite, Benchmark), String> {
-    let (suite, list) = parse_suite(suite_name).ok_or_else(|| unknown_suite(suite_name))?;
+    let (suite, list) = find_suite(suite_name)?;
     let names: Vec<&'static str> = list.iter().map(|b| b.name).collect();
     let b = list
         .into_iter()
@@ -358,10 +362,28 @@ fn ckpt_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<CkptContext>, String
     }
 }
 
-/// Parses the flags `recon run` and `recon suite` share: the
-/// checkpoint context and the run budget (`--fast-forward`,
-/// `--watchdog-cycles`, `--audit`).
-fn run_flags(pairs: &[(&str, &str)]) -> Result<(Option<CkptContext>, Budget), String> {
+/// The flags `recon run` and `recon suite` accept.
+const RUN_FLAGS: [&str; 5] = [
+    "--checkpoint",
+    "--checkpoint-every",
+    "--fast-forward",
+    "--watchdog-cycles",
+    "--audit",
+];
+
+/// Parses the flags `recon run` and `recon suite` (`command`) share:
+/// the checkpoint context and the run budget (`--fast-forward`,
+/// `--watchdog-cycles`, `--audit`). Any other flag is an error.
+fn run_flags(
+    command: &str,
+    pairs: &[(&str, &str)],
+) -> Result<(Option<CkptContext>, Budget), String> {
+    if let Some((flag, _)) = pairs.iter().find(|(f, _)| !RUN_FLAGS.contains(f)) {
+        return Err(format!(
+            "unknown {command} flag '{flag}'{}",
+            hint(flag, RUN_FLAGS)
+        ));
+    }
     Ok((
         ckpt_from_pairs(pairs)?,
         Budget {
@@ -484,7 +506,7 @@ fn cmd_run(suite_name: &str, bench: &str, scheme: &str, rest: &[&str]) -> ExitCo
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let (ctx, budget) = match run_flags(&pairs) {
+    let (ctx, budget) = match run_flags("run", &pairs) {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
@@ -598,16 +620,15 @@ fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
 }
 
 fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
-    let Some((suite, benchmarks)) = parse_suite(suite_name) else {
-        return fail(&format!(
-            "unknown suite '{suite_name}' (spec2017|spec2006|parsec)"
-        ));
+    let (suite, benchmarks) = match find_suite(suite_name) {
+        Ok(x) => x,
+        Err(e) => return fail(&e),
     };
     let pairs = match parse_flag_pairs(rest) {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let (ctx, budget) = match run_flags(&pairs) {
+    let (ctx, budget) = match run_flags("suite", &pairs) {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
@@ -1766,6 +1787,28 @@ mod tests {
             DEFAULT_CKPT_EVERY,
             budget,
         )
+    }
+
+    #[test]
+    fn run_and_suite_reject_unknown_flags() {
+        assert_eq!(
+            run_flags("run", &[("--fast-foward", "1000")]).unwrap_err(),
+            "unknown run flag '--fast-foward' — did you mean '--fast-forward'?"
+        );
+        assert_eq!(
+            run_flags("suite", &[("--audit", "64"), ("--bogus", "1")]).unwrap_err(),
+            "unknown suite flag '--bogus'"
+        );
+        let (_, budget) = run_flags("run", &[("--fast-forward", "1000")]).unwrap();
+        assert_eq!(budget.fast_forward, Some(1000));
+    }
+
+    #[test]
+    fn unknown_suites_list_every_suite_with_a_hint() {
+        assert_eq!(
+            find_suite("corpsu").unwrap_err(),
+            "unknown suite 'corpsu' (spec2017|spec2006|parsec|corpus) — did you mean 'corpus'?"
+        );
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! The cluster gateway: one HTTP front door over N `recon serve`
 //! worker nodes.
 //!
+//! Connections belong to the shared [`recon_serve::http::Front`], the
+//! same one a node runs behind; the gateway keeps only its routing
+//! table, its handlers (which return a [`Reply`]), and the health
+//! checker. Submissions are parsed by the node's own `/jobs` and
+//! `/jobs/batch` parsers, so both answer malformed input alike.
+//!
 //! The gateway owns a [`HashRing`] keyed by the canonical job digest.
 //! A `POST /jobs` submission is validated *at the edge* (same error
 //! shape as a node), hashed, and proxied to the digest's primary node
@@ -27,20 +33,19 @@
 //! [`crate::storm`]), the replica is always the warmest place a job
 //! can land after its primary disappears.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use recon_serve::client::{self, submit_with_retry, Connection, Retried, RetryPolicy};
-use recon_serve::http::{read_request, render_response, Request};
-use recon_serve::job::JobSpec;
-use recon_serve::json::{escape, parse, Json};
+use recon_serve::http::{Front, Reply, Request, Service};
+use recon_serve::json::escape;
 use recon_serve::metrics::Counter;
-use recon_serve::queue::{lock_ignore_poison, BoundedQueue};
-use recon_serve::server::MAX_BATCH;
+use recon_serve::queue::lock_ignore_poison;
+use recon_serve::server::{batch_reply, parse_batch, parse_job, BatchResult};
 
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
@@ -145,7 +150,7 @@ impl NodeState {
     }
 }
 
-/// State shared by the accept loop, handlers, and the health checker.
+/// State shared by the HTTP front's handlers and the health checker.
 #[derive(Debug)]
 pub struct GwShared {
     /// The consistent-hash ring (member names == node names below).
@@ -172,11 +177,9 @@ impl GwShared {
 /// A running gateway.
 #[derive(Debug)]
 pub struct Gateway {
-    addr: SocketAddr,
+    front: Front,
     shared: Arc<GwShared>,
-    accept: Option<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    health: JoinHandle<()>,
 }
 
 impl Gateway {
@@ -226,33 +229,13 @@ impl Gateway {
         });
 
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-
-        let conns = Arc::new(BoundedQueue::new(config.handler_cap.max(1)));
-        let handlers = (0..config.handler_cap.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let conns = Arc::clone(&conns);
-                let timeouts = (config.read_timeout, config.write_timeout);
-                std::thread::Builder::new()
-                    .name(format!("recon-gw-conn-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = conns.pop() {
-                            let _ = handle_connection(stream, &shared, timeouts);
-                        }
-                    })
-                    .expect("spawn gateway handler")
-            })
-            .collect();
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("recon-gw-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn gateway accept loop")
-        };
-
+        let front = Front::start(
+            "recon-gw",
+            listener,
+            Arc::clone(&shared),
+            config.handler_cap,
+            (config.read_timeout, config.write_timeout),
+        )?;
         let health = {
             let shared = Arc::clone(&shared);
             let interval = config.health_interval.max(Duration::from_millis(10));
@@ -261,20 +244,17 @@ impl Gateway {
                 .spawn(move || health_loop(&shared, interval))
                 .expect("spawn health checker")
         };
-
         Ok(Gateway {
-            addr,
+            front,
             shared,
-            accept: Some(accept),
-            handlers,
-            health: Some(health),
+            health,
         })
     }
 
     /// The actual bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Shared state, for in-process inspection in tests.
@@ -285,40 +265,10 @@ impl Gateway {
 
     /// Blocks until `POST /shutdown` stops the gateway, then joins all
     /// threads.
-    pub fn wait(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.handlers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
+    pub fn wait(self) {
+        self.front.join();
+        let _ = self.health.join();
     }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<GwShared>,
-    conns: &Arc<BoundedQueue<TcpStream>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if let Err((mut stream, _)) = conns.try_push_or_return(stream) {
-            let _ = stream.write_all(&render_response(
-                503,
-                &[("Retry-After", "1".to_string())],
-                "application/json",
-                b"{\"error\":\"overloaded\",\"message\":\"gateway backlog full; retry later\"}",
-                true,
-            ));
-        }
-    }
-    conns.close();
 }
 
 /// Probes every node's `/healthz` and updates its `up` flag. Routing
@@ -338,121 +288,38 @@ fn health_loop(shared: &Arc<GwShared>, interval: Duration) {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    shared: &Arc<GwShared>,
-    (read_timeout, write_timeout): (Duration, Duration),
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
-    stream.set_write_timeout(Some(write_timeout.max(Duration::from_millis(1))))?;
-    stream.set_nodelay(true)?;
-    let self_addr = stream.local_addr().ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(_) => {
-                let _ = send(
-                    &mut writer,
-                    400,
-                    &[],
-                    "{\"error\":\"malformed_request\",\"message\":\"unparseable HTTP request\"}"
-                        .as_bytes(),
-                    true,
-                );
-                return Ok(());
+/// The `no_node` error message.
+const NO_NODE: &str = "every ring candidate is unreachable";
+
+impl Service for GwShared {
+    fn route(&self, req: &Request) -> Option<Reply> {
+        Some(match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Reply::json(200, "{\"status\":\"ok\"}"),
+            ("GET", "/metrics") => {
+                Reply::new(200, "text/plain; version=0.0.4", render_metrics(self))
             }
-        };
-        let close = req.wants_close() || shared.shutting_down.load(Ordering::SeqCst);
-        let closed = route(&req, &mut writer, shared, self_addr, close)?;
-        if close || closed {
-            return Ok(());
-        }
+            ("GET", "/cluster") => Reply::json(200, render_cluster(self)),
+            ("POST", "/jobs") => handle_job(req, self),
+            ("POST", "/jobs/batch") => handle_batch(req, self),
+            ("POST", "/shutdown") => {
+                self.shutting_down.store(true, Ordering::SeqCst);
+                Reply::json(200, "{\"status\":\"shutting_down\"}").closing()
+            }
+            _ => return None,
+        })
+    }
+
+    fn stopping(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
+
+    fn overloaded(&self) -> Reply {
+        Reply::error(503, "overloaded", "gateway backlog full; retry later")
+            .header("Retry-After", "1")
     }
 }
 
-/// Writes a response; returns whether the connection closes.
-fn send(
-    writer: &mut impl Write,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-    close: bool,
-) -> io::Result<bool> {
-    writer.write_all(&render_response(
-        status,
-        extra_headers,
-        "application/json",
-        body,
-        close,
-    ))?;
-    writer.flush()?;
-    Ok(close)
-}
-
-fn route(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<GwShared>,
-    self_addr: Option<SocketAddr>,
-    close: bool,
-) -> io::Result<bool> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => send(writer, 200, &[], b"{\"status\":\"ok\"}", close),
-        ("GET", "/metrics") => {
-            let body = render_metrics(shared);
-            writer.write_all(&render_response(
-                200,
-                &[],
-                "text/plain; version=0.0.4",
-                body.as_bytes(),
-                close,
-            ))?;
-            writer.flush()?;
-            Ok(close)
-        }
-        ("GET", "/cluster") => {
-            let body = render_cluster(shared);
-            send(writer, 200, &[], body.as_bytes(), close)
-        }
-        ("POST", "/jobs") => handle_job(req, writer, shared, close),
-        ("POST", "/jobs/batch") => handle_batch(req, writer, shared, close),
-        ("POST", "/shutdown") => {
-            send(writer, 200, &[], b"{\"status\":\"shutting_down\"}", true)?;
-            shared.shutting_down.store(true, Ordering::SeqCst);
-            if let Some(addr) = self_addr {
-                let _ = TcpStream::connect(addr);
-            }
-            Ok(true)
-        }
-        ("GET" | "POST", _) => send(
-            writer,
-            404,
-            &[],
-            format!(
-                "{{\"error\":\"not_found\",\"message\":\"{}\"}}",
-                escape(&req.path)
-            )
-            .as_bytes(),
-            close,
-        ),
-        _ => send(
-            writer,
-            405,
-            &[],
-            format!(
-                "{{\"error\":\"method_not_allowed\",\"message\":\"{}\"}}",
-                escape(&req.method)
-            )
-            .as_bytes(),
-            close,
-        ),
-    }
-}
-
-fn render_metrics(shared: &Arc<GwShared>) -> String {
+fn render_metrics(shared: &GwShared) -> String {
     use std::fmt::Write as _;
     let m = &shared.metrics;
     let mut out = String::with_capacity(1024);
@@ -522,7 +389,7 @@ fn render_metrics(shared: &Arc<GwShared>) -> String {
     out
 }
 
-fn render_cluster(shared: &Arc<GwShared>) -> String {
+fn render_cluster(shared: &GwShared) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(256);
     let _ = write!(
@@ -550,7 +417,7 @@ fn render_cluster(shared: &Arc<GwShared>) -> String {
 /// One proxied submission: the digest's failover sequence is walked
 /// until a node *answers* (any HTTP status — backpressure is an answer)
 /// or every candidate proves unreachable.
-fn proxy_job(shared: &Arc<GwShared>, digest: u64, json: &str) -> Option<(usize, Retried)> {
+fn proxy_job(shared: &GwShared, digest: u64, json: &str) -> Option<(usize, Retried)> {
     let order = shared.ring.route(digest);
     let total = order.len();
     for (i, name) in order.iter().enumerate() {
@@ -585,7 +452,7 @@ fn proxy_job(shared: &Arc<GwShared>, digest: u64, json: &str) -> Option<(usize, 
 }
 
 fn node_submit(
-    shared: &Arc<GwShared>,
+    shared: &GwShared,
     node: &NodeState,
     digest: u64,
     json: &str,
@@ -608,7 +475,7 @@ fn node_submit(
 /// Best-effort replication of a `200` payload to the digest's ring
 /// replica. Failures are counted, never surfaced: the authoritative
 /// result has already been computed and will be returned regardless.
-fn replicate(shared: &Arc<GwShared>, digest: u64, served_idx: usize, payload: &str) {
+fn replicate(shared: &GwShared, digest: u64, served_idx: usize, payload: &str) {
     if !shared.replicate {
         return;
     }
@@ -629,196 +496,87 @@ fn replicate(shared: &Arc<GwShared>, digest: u64, served_idx: usize, payload: &s
     }
 }
 
-/// The headers a node response carries that the client should see,
-/// plus the gateway's own `X-Recon-Node` (which node answered — the
-/// observable a migration test needs to prove a cross-node resume).
-fn forward_headers(retried: &Retried, node_name: &str) -> Vec<(&'static str, String)> {
-    let mut headers: Vec<(&'static str, String)> = Vec::with_capacity(3);
-    if let Some(v) = retried.response.header("x-recon-cache") {
-        headers.push(("X-Recon-Cache", v.to_string()));
+/// A node's answer as the client sees it: status, body, the headers it
+/// should see, plus the gateway's own `X-Recon-Node` (which node
+/// answered — the observable a migration test needs to prove a
+/// cross-node resume).
+fn forward(retried: Retried, node_name: &str) -> Reply {
+    let response = retried.response;
+    let mut reply = Reply::json(response.status, response.body.as_bytes());
+    for (from, to) in [
+        ("x-recon-cache", "X-Recon-Cache"),
+        ("x-recon-checkpoint", "X-Recon-Checkpoint"),
+        ("retry-after", "Retry-After"),
+    ] {
+        if let Some(v) = response.header(from) {
+            reply = reply.header(to, v);
+        }
     }
-    if let Some(v) = retried.response.header("x-recon-checkpoint") {
-        headers.push(("X-Recon-Checkpoint", v.to_string()));
-    }
-    if let Some(v) = retried.response.header("retry-after") {
-        headers.push(("Retry-After", v.to_string()));
-    }
-    headers.push(("X-Recon-Node", node_name.to_string()));
-    headers
+    reply.header("X-Recon-Node", node_name)
 }
 
-fn handle_job(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<GwShared>,
-    close: bool,
-) -> io::Result<bool> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            format!(
-                "{{\"error\":\"invalid_job\",\"message\":\"{}\"}}",
-                escape(msg)
-            )
-            .as_bytes(),
-            close,
-        )
-    };
-    let Some(body) = req.body_str() else {
-        return bad(writer, "body is not UTF-8");
-    };
-    let parsed = match parse(body) {
-        Ok(v) => v,
-        Err(e) => return bad(writer, &e),
-    };
-    let spec = match JobSpec::from_json(&parsed) {
-        Ok(s) => s,
-        Err(e) => return bad(writer, &e),
+fn handle_job(req: &Request, shared: &GwShared) -> Reply {
+    let spec = match parse_job(req) {
+        Ok(spec) => spec,
+        Err(bad) => return bad,
     };
     let digest = spec.digest();
     shared.metrics.jobs.inc();
 
-    match proxy_job(shared, digest, body) {
+    // `parse_job` accepted the body, so it is UTF-8.
+    match proxy_job(shared, digest, req.body_str().unwrap_or_default()) {
         Some((idx, retried)) => {
             if retried.response.status == 200 {
                 replicate(shared, digest, idx, &retried.response.body);
             }
-            let name = shared.nodes[idx].name.clone();
-            let headers = forward_headers(&retried, &name);
-            send(
-                writer,
-                retried.response.status,
-                &headers,
-                retried.response.body.as_bytes(),
-                close,
-            )
+            forward(retried, &shared.nodes[idx].name)
         }
-        None => send(
-            writer,
-            503,
-            &[("Retry-After", "1".to_string())],
-            b"{\"error\":\"no_node\",\"message\":\"every ring candidate is unreachable\"}",
-            close,
-        ),
+        None => Reply::error(503, "no_node", NO_NODE).header("Retry-After", "1"),
     }
 }
 
-fn handle_batch(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<GwShared>,
-    close: bool,
-) -> io::Result<bool> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            format!(
-                "{{\"error\":\"invalid_batch\",\"message\":\"{}\"}}",
-                escape(msg)
-            )
-            .as_bytes(),
-            close,
-        )
+fn handle_batch(req: &Request, shared: &GwShared) -> Reply {
+    let specs = match parse_batch(req) {
+        Ok(specs) => specs,
+        Err(bad) => return bad,
     };
-    let Some(body) = req.body_str() else {
-        return bad(writer, "body is not UTF-8");
-    };
-    let parsed = match parse(body) {
-        Ok(v) => v,
-        Err(e) => return bad(writer, &e),
-    };
-    let Some(jobs) = parsed.get("jobs").and_then(Json::as_array) else {
-        return bad(writer, "batch must be {\"jobs\":[<spec>, ...]}");
-    };
-    if jobs.is_empty() {
-        return bad(writer, "batch is empty");
-    }
-    if jobs.len() > MAX_BATCH {
-        return bad(
-            writer,
-            &format!("batch of {} exceeds the cap of {MAX_BATCH}", jobs.len()),
-        );
-    }
     shared.metrics.batches.inc();
-    shared.metrics.jobs.add(jobs.len() as u64);
+    shared.metrics.jobs.add(specs.len() as u64);
 
-    // Validate at the edge, then fan the valid specs out concurrently —
+    // Validated at the edge; fan the valid specs out concurrently —
     // each rides its own digest's failover sequence independently.
-    enum Slot {
-        Invalid(String),
-        Valid(String, u64),
-    }
-    let slots: Vec<Slot> = jobs
-        .iter()
-        .map(|v| match JobSpec::from_json(v) {
-            Err(e) => Slot::Invalid(e),
-            Ok(spec) => Slot::Valid(spec.to_json(), spec.digest()),
-        })
-        .collect();
-    let mut results: Vec<Option<(usize, Retried)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .iter()
-            .map(|slot| match slot {
-                Slot::Invalid(_) => None,
-                Slot::Valid(json, digest) => {
-                    let shared = Arc::clone(shared);
-                    let (json, digest) = (json.clone(), *digest);
-                    Some(scope.spawn(move || proxy_job(&shared, digest, &json)))
-                }
+    let routed: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = specs
+            .into_iter()
+            .map(|spec| {
+                spec.map(|spec| {
+                    let (json, digest) = (spec.to_json(), spec.digest());
+                    (
+                        digest,
+                        scope.spawn(move || proxy_job(shared, digest, &json)),
+                    )
+                })
             })
             .collect();
-        results = handles
+        handles
             .into_iter()
-            .map(|h| h.and_then(|h| h.join().unwrap_or(None)))
-            .collect();
+            .map(|h| h.map(|(digest, h)| (digest, h.join().unwrap_or(None))))
+            .collect()
     });
 
-    let mut out = String::with_capacity(256 * slots.len());
-    out.push_str("{\"results\":[");
-    for (i, (slot, result)) in slots.iter().zip(results).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        use std::fmt::Write as _;
-        match (slot, result) {
-            (Slot::Invalid(e), _) => {
-                let _ = write!(
-                    out,
-                    "{{\"status\":400,\"body\":{{\"error\":\"invalid_job\",\"message\":\"{}\"}}}}",
-                    escape(e)
-                );
+    batch_reply(routed.into_iter().map(|routed| match routed {
+        Err(e) => BatchResult::error(400, "invalid_job", &e),
+        Ok((_, None)) => BatchResult::error(503, "no_node", NO_NODE),
+        Ok((digest, Some((idx, retried)))) => {
+            if retried.response.status == 200 {
+                replicate(shared, digest, idx, &retried.response.body);
             }
-            (Slot::Valid(..), Some((idx, retried))) => {
-                let digest = match slot {
-                    Slot::Valid(_, d) => *d,
-                    Slot::Invalid(_) => unreachable!(),
-                };
-                if retried.response.status == 200 {
-                    replicate(shared, digest, idx, &retried.response.body);
-                }
-                let _ = write!(out, "{{\"status\":{},", retried.response.status);
-                if let Some(c) = retried.response.header("x-recon-cache") {
-                    let _ = write!(out, "\"cache\":\"{c}\",");
-                }
-                let _ = write!(
-                    out,
-                    "\"node\":\"{}\",\"body\":{}}}",
-                    escape(&shared.nodes[idx].name),
-                    retried.response.body
-                );
-            }
-            (Slot::Valid(..), None) => {
-                out.push_str(
-                    "{\"status\":503,\"body\":{\"error\":\"no_node\",\"message\":\"every ring candidate is unreachable\"}}",
-                );
+            BatchResult {
+                status: retried.response.status,
+                cache: retried.response.header("x-recon-cache").map(String::from),
+                node: Some(shared.nodes[idx].name.clone()),
+                body: retried.response.body,
             }
         }
-    }
-    out.push_str("]}");
-    send(writer, 200, &[], out.as_bytes(), close)
+    }))
 }

@@ -1,13 +1,30 @@
-//! A minimal HTTP/1.1 framing layer over `std::net` streams.
+//! The one HTTP front of `recon serve` and `recon gateway`, over a
+//! minimal HTTP/1.1 framing layer on `std::net` streams.
 //!
-//! Just enough of the protocol for the serving endpoints and the
-//! loopback clients: request-line + headers + `Content-Length` bodies,
-//! HTTP/1.1 keep-alive (connections persist until either side sends
-//! `Connection: close` or an idle timeout fires), and nothing else —
-//! no chunked encoding, no TLS. Request bodies are capped so a hostile
-//! client cannot make the server buffer without bound.
+//! The framing is just enough of the protocol for the serving endpoints
+//! and the loopback clients: request-line + headers + `Content-Length`
+//! bodies, HTTP/1.1 keep-alive (connections persist until either side
+//! sends `Connection: close` or an idle timeout fires), and nothing
+//! else — no chunked encoding, no TLS. Request bodies are capped so a
+//! hostile client cannot make the server buffer without bound.
+//!
+//! [`Front`] owns every connection decision for both services: the
+//! listener, a capped pool of handler threads fed through a bounded
+//! backlog (a connection beyond both gets the service's `503` at the
+//! accept loop), the keep-alive loop with its per-connection timeouts
+//! and its `400` on malformed framing, the `404`/`405` fallback, every
+//! response write, and the self-connect that wakes the accept loop
+//! when the service stops. A service only routes: [`Service::route`]
+//! maps a request to a [`Reply`] value, and the front writes it.
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use std::io::{self, BufRead, Write};
+use crate::json::escape;
+use crate::queue::{BoundedQueue, PushError};
 
 /// Maximum accepted request/response body, in bytes.
 ///
@@ -169,10 +186,6 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Renders a complete response (status line, headers, body) to bytes.
 /// `close` selects `Connection: close` vs `Connection: keep-alive`.
-///
-/// Rendering to a buffer instead of the stream gives the chaos layer a
-/// seam: response-corruption faults mutate these bytes before they hit
-/// the socket, so the fault is injected at exactly one defined point.
 #[must_use]
 pub fn render_response(
     status: u16,
@@ -197,34 +210,275 @@ pub fn render_response(
     out
 }
 
-/// Writes a complete response (status, extra headers, body) and
-/// flushes. Always closes the exchange (`Connection: close`); the
-/// keep-alive server path renders with [`render_response`] instead.
-///
-/// # Errors
-///
-/// Propagates stream I/O errors.
-pub fn write_response(
-    writer: &mut (impl Write + ?Sized),
+/// The JSON error body every service answers with:
+/// `{"error":"<kind>","message":"<message>"}`.
+#[must_use]
+pub(crate) fn error_body(kind: &str, message: &str) -> String {
+    format!(
+        "{{\"error\":\"{kind}\",\"message\":\"{}\"}}",
+        escape(message)
+    )
+}
+
+/// What a handler answers. The front renders it, decides keep-alive,
+/// and writes it.
+#[derive(Debug)]
+pub struct Reply {
     status: u16,
-    extra_headers: &[(&str, String)],
-    content_type: &str,
-    body: &[u8],
+    headers: Vec<(&'static str, String)>,
+    content_type: &'static str,
+    body: Vec<u8>,
+    close: bool,
+    wire: Wire,
+}
+
+/// How much of a reply reaches the socket.
+#[derive(Clone, Copy, Debug)]
+enum Wire {
+    /// The whole rendered response.
+    Whole,
+    /// The first `keep(len)` bytes of the rendered response, then a
+    /// close.
+    Prefix(fn(usize) -> usize),
+    /// The body verbatim, without framing, then a close.
+    Raw,
+}
+
+impl Reply {
+    /// A response with the given content type.
+    #[must_use]
+    pub fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Reply {
+        Reply {
+            status,
+            headers: Vec::new(),
+            content_type,
+            body: body.into(),
+            close: false,
+            wire: Wire::Whole,
+        }
+    }
+
+    /// An `application/json` response.
+    #[must_use]
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Reply {
+        Reply::new(status, "application/json", body)
+    }
+
+    /// A `{"error":…,"message":…}` response.
+    #[must_use]
+    pub fn error(status: u16, kind: &str, message: &str) -> Reply {
+        Reply::json(status, error_body(kind, message))
+    }
+
+    /// `bytes` written verbatim, then a close: no framing at all (an
+    /// empty `bytes` drops the connection without a byte). The chaos
+    /// plane's dropped and garbage responses.
+    #[must_use]
+    pub(crate) fn raw(bytes: Vec<u8>) -> Reply {
+        Reply {
+            wire: Wire::Raw,
+            ..Reply::new(0, "", bytes)
+        }
+    }
+
+    /// Adds a header after the standard ones.
+    #[must_use]
+    pub fn header(mut self, name: &'static str, value: impl Into<String>) -> Reply {
+        self.headers.push((name, value.into()));
+        self
+    }
+
+    /// Closes the connection after this reply.
+    #[must_use]
+    pub fn closing(mut self) -> Reply {
+        self.close = true;
+        self
+    }
+
+    /// Writes only the first `keep(len)` bytes of the rendered response,
+    /// then closes: the chaos plane's cut-off responses.
+    #[must_use]
+    pub(crate) fn torn(mut self, keep: fn(usize) -> usize) -> Reply {
+        self.wire = Wire::Prefix(keep);
+        self
+    }
+
+    /// Writes the reply and flushes; returns whether the connection
+    /// closes. `close` is the front's own decision, which the reply can
+    /// only strengthen.
+    fn write(self, writer: &mut impl Write, close: bool) -> io::Result<bool> {
+        let close = close || self.close;
+        let framed = || {
+            render_response(
+                self.status,
+                &self.headers,
+                self.content_type,
+                &self.body,
+                close,
+            )
+        };
+        let (bytes, close) = match self.wire {
+            Wire::Whole => (framed(), close),
+            Wire::Prefix(keep) => {
+                let mut bytes = framed();
+                bytes.truncate(keep(bytes.len()));
+                (bytes, true)
+            }
+            Wire::Raw => (self.body, true),
+        };
+        writer.write_all(&bytes)?;
+        writer.flush()?;
+        Ok(close)
+    }
+}
+
+/// One HTTP service behind a [`Front`]: its routing table and the two
+/// answers the front needs from it.
+pub trait Service: Send + Sync + 'static {
+    /// Answers one request, or `None` when no route matches (the front
+    /// answers `404`, or `405` for a method other than `GET`/`POST`).
+    fn route(&self, req: &Request) -> Option<Reply>;
+
+    /// Whether the service is stopping. A stopping service's
+    /// connections close after the exchange in progress, and the accept
+    /// loop returns once woken.
+    fn stopping(&self) -> bool;
+
+    /// The answer to a connection refused because the handler pool and
+    /// its backlog are full.
+    fn overloaded(&self) -> Reply;
+}
+
+/// A running HTTP front: the accept loop and the handler pool.
+#[derive(Debug)]
+pub struct Front {
+    addr: SocketAddr,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Front {
+    /// Serves `service` on `listener` with `handlers` connection
+    /// threads (and a backlog as large), each connection under the
+    /// given read and write timeouts. Threads are named `{name}-accept`
+    /// and `{name}-conn-{i}`.
+    ///
+    /// # Errors
+    ///
+    /// The listener's address cannot be read.
+    pub fn start<S: Service>(
+        name: &str,
+        listener: TcpListener,
+        service: Arc<S>,
+        handlers: usize,
+        timeouts: (Duration, Duration),
+    ) -> io::Result<Front> {
+        let addr = listener.local_addr()?;
+        let conns = Arc::new(BoundedQueue::new(handlers.max(1)));
+        let woken = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (service, conns) = (Arc::clone(&service), Arc::clone(&conns));
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(&listener, &*service, &conns))
+                .expect("spawn accept loop")
+        };
+        let mut threads = vec![accept];
+        threads.extend((0..handlers.max(1)).map(|i| {
+            let (service, conns, woken) =
+                (Arc::clone(&service), Arc::clone(&conns), Arc::clone(&woken));
+            std::thread::Builder::new()
+                .name(format!("{name}-conn-{i}"))
+                .spawn(move || {
+                    while let Some(stream) = conns.pop() {
+                        let _ = serve_connection(stream, &*service, timeouts);
+                        // Once the service stops, poke the accept loop
+                        // (blocked in `accept`) so it sees the flag.
+                        if service.stopping() && !woken.swap(true, Ordering::SeqCst) {
+                            let _ = TcpStream::connect(addr);
+                        }
+                    }
+                })
+                .expect("spawn handler")
+        }));
+        Ok(Front { addr, threads })
+    }
+
+    /// The bound address.
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks until the service stops and every connection has closed.
+    pub fn join(self) {
+        for h in self.threads {
+            let _ = h.join();
+        }
+    }
+}
+
+fn accept_loop(listener: &TcpListener, service: &impl Service, conns: &BoundedQueue<TcpStream>) {
+    for stream in listener.incoming() {
+        if service.stopping() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        match conns.try_push_or_return(stream) {
+            Ok(()) => {}
+            // The handler pool and its backlog are saturated: refuse
+            // fast instead of growing without bound.
+            Err((mut stream, PushError::Full)) => {
+                let _ = service.overloaded().write(&mut stream, true);
+            }
+            Err((_, PushError::Closed)) => break,
+        }
+    }
+    conns.close();
+}
+
+fn serve_connection(
+    stream: TcpStream,
+    service: &impl Service,
+    (read_timeout, write_timeout): (Duration, Duration),
 ) -> io::Result<()> {
-    writer.write_all(&render_response(
-        status,
-        extra_headers,
-        content_type,
-        body,
-        true,
-    ))?;
-    writer.flush()
+    stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
+    stream.set_write_timeout(Some(write_timeout.max(Duration::from_millis(1))))?;
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+
+    // Keep-alive loop: one iteration per exchange. `Ok(None)` from the
+    // reader is a clean end (peer closed, or sat idle past the read
+    // timeout); a framing error gets a best-effort 400 and a close —
+    // the front never hangs on, or propagates, malformed bytes.
+    loop {
+        let req = match read_request(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) => return Ok(()),
+            Err(_) => {
+                let bad = Reply::error(400, "malformed_request", "unparseable HTTP request");
+                let _ = bad.write(&mut writer, true);
+                return Ok(());
+            }
+        };
+        // Decided before routing, so a request read before the service
+        // began to stop is still answered keep-alive.
+        let close = req.wants_close() || service.stopping();
+        let reply = service
+            .route(&req)
+            .unwrap_or_else(|| match req.method.as_str() {
+                "GET" | "POST" => Reply::error(404, "not_found", &req.path),
+                _ => Reply::error(405, "method_not_allowed", &req.method),
+            });
+        if reply.write(&mut writer, close)? {
+            return Ok(());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     #[test]
     fn parses_a_post_with_body() {
@@ -256,15 +510,13 @@ mod tests {
 
     #[test]
     fn response_framing() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = render_response(
             429,
             &[("Retry-After", "1".to_string())],
             "application/json",
             b"{}",
-        )
-        .unwrap();
+            true,
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),

@@ -6,7 +6,8 @@
 //!
 //! The service speaks HTTP/1.1 (keep-alive, per-connection timeouts)
 //! over `std::net::TcpListener` — no dependencies, same hermetic build
-//! as the rest of the workspace — and exposes every one-shot CLI
+//! as the rest of the workspace — through one front ([`http::Front`],
+//! which the cluster gateway runs behind too), and exposes every one-shot CLI
 //! workload (`run`, `matrix`, `analyze`, `verify` cells) as a job:
 //!
 //! * `POST /jobs` (and `POST /jobs/batch`) — submit jobs. Admission is

@@ -1,12 +1,11 @@
-//! The serving loop: listener, a capped handler pool, and a supervised
-//! worker pool.
+//! The serving node: its routing table, its handlers, and a supervised
+//! worker pool, behind the shared HTTP front.
 //!
-//! One thread accepts connections and feeds them to a **fixed pool of
-//! handler threads** through a bounded connection queue — when the pool
-//! and its backlog are saturated, new connections get a quick `503` and
-//! a close instead of an unbounded thread spawn. Connections are
-//! HTTP/1.1 keep-alive with per-connection read/write timeouts: an idle
-//! peer is closed cleanly, a peer that stalls mid-request is dropped.
+//! Connections belong to [`crate::http::Front`]: the capped handler
+//! pool, the `503` when it and its backlog are saturated, HTTP/1.1
+//! keep-alive with per-connection timeouts, and every response write.
+//! The node's handlers return a [`Reply`] value and never touch a
+//! socket.
 //!
 //! Handlers never execute simulations: a `POST /jobs` submission is
 //! validated, checked against the result cache **and the in-flight
@@ -23,12 +22,14 @@
 //! guaranteed), and the restart is counted in `/metrics`.
 //!
 //! With `--chaos`, a [`FaultPlan`] is consulted at the seams marked
-//! `chaos seam` below. With `--cache-dir`, the result cache is
-//! crash-safe (see [`crate::persist`]).
+//! `chaos seam` below; a faulted response is still a [`Reply`] (cut
+//! short, or raw bytes, then a close). With `--cache-dir`, the result
+//! cache is crash-safe (see [`crate::persist`]).
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,7 +42,7 @@ use recon_sim::ckpt;
 
 use crate::cache::{ResultCache, DEFAULT_CAPACITY};
 use crate::chaos::{garbage_bytes, FaultPlan, FaultSite, ResponseFault};
-use crate::http::{read_request, render_response, Request};
+use crate::http::{error_body, Front, Reply, Request, Service};
 use crate::job::{self, CkptPlan, JobError, JobOutput, JobSpec};
 use crate::json::{escape, parse, Json};
 use crate::metrics::Metrics;
@@ -176,10 +177,8 @@ impl std::fmt::Debug for QueuedJob {
 /// A running `recon serve` instance.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
+    front: Front,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
     supervisors: Vec<JoinHandle<()>>,
 }
 
@@ -204,7 +203,6 @@ impl Server {
         let recovery = cache.recovery();
 
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_cap),
             metrics: Metrics::default(),
@@ -242,36 +240,16 @@ impl Server {
             })
             .collect();
 
-        let conns = Arc::new(BoundedQueue::new(config.handler_cap.max(1)));
-        let handlers = (0..config.handler_cap.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let conns = Arc::clone(&conns);
-                let timeouts = (config.read_timeout, config.write_timeout);
-                std::thread::Builder::new()
-                    .name(format!("recon-conn-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = conns.pop() {
-                            let _ = handle_connection(stream, &shared, Some(addr), timeouts);
-                        }
-                    })
-                    .expect("spawn handler")
-            })
-            .collect();
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("recon-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn accept loop")
-        };
-
+        let front = Front::start(
+            "recon",
+            listener,
+            Arc::clone(&shared),
+            config.handler_cap,
+            (config.read_timeout, config.write_timeout),
+        )?;
         Ok(Server {
-            addr,
+            front,
             shared,
-            accept: Some(accept),
-            handlers,
             supervisors,
         })
     }
@@ -279,7 +257,7 @@ impl Server {
     /// The actual bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Shared state, for in-process inspection in tests.
@@ -289,15 +267,10 @@ impl Server {
     }
 
     /// Blocks until a `POST /shutdown` stops the service, then joins
-    /// the accept loop, the handler pool, and every worker supervisor.
-    pub fn wait(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.handlers.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.supervisors.drain(..) {
+    /// the HTTP front and every worker supervisor.
+    pub fn wait(self) {
+        self.front.join();
+        for h in self.supervisors {
             let _ = h.join();
         }
     }
@@ -374,32 +347,6 @@ fn recover_orphans(shared: &Arc<Shared>, dir: &Path) {
             Err(_) => break,
         }
     }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Arc<BoundedQueue<TcpStream>>) {
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        match conns.try_push_or_return(stream) {
-            Ok(()) => {}
-            Err((mut stream, PushError::Full)) => {
-                // The handler pool and its backlog are saturated:
-                // refuse fast instead of growing without bound.
-                shared.metrics.conns_rejected.inc();
-                let _ = stream.write_all(&render_response(
-                    503,
-                    &[("Retry-After", "1".to_string())],
-                    "application/json",
-                    error_body("overloaded", "connection backlog full; retry later").as_bytes(),
-                    true,
-                ));
-            }
-            Err((_, PushError::Closed)) => break,
-        }
-    }
-    conns.close();
 }
 
 fn supervise_worker(index: usize, shared: &Arc<Shared>) {
@@ -529,9 +476,6 @@ fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
     notify(shared, job, &result);
 }
 
-/// Removes the job's in-flight entry and fans the result out to the
-/// submitter and every joiner. A failed send means that client gave up
-/// (disconnected) — not an error.
 /// Truncates the newest on-disk checkpoint of `digest` to half its
 /// bytes (the chaos plane's torn-checkpoint injection).
 fn tear_newest_checkpoint(dir: &Path, digest: u64) {
@@ -543,7 +487,10 @@ fn tear_newest_checkpoint(dir: &Path, digest: u64) {
     }
 }
 
-fn notify(shared: &Arc<Shared>, job: &QueuedJob, result: &JobResult) {
+/// Removes the job's in-flight entry and fans the result out to the
+/// submitter and every joiner. A failed send means that client gave up
+/// (disconnected) — not an error.
+fn notify(shared: &Shared, job: &QueuedJob, result: &JobResult) {
     let waiters = lock_ignore_poison(&shared.inflight)
         .remove(&job.digest)
         .unwrap_or_default();
@@ -554,147 +501,135 @@ fn notify(shared: &Arc<Shared>, job: &QueuedJob, result: &JobResult) {
     }
 }
 
-fn error_body(kind: &str, message: &str) -> String {
-    format!(
-        "{{\"error\":\"{kind}\",\"message\":\"{}\"}}",
-        escape(message)
-    )
+/// The body of a JSON request, or the `400 <kind>` reply.
+fn json_body(req: &Request, kind: &str) -> Result<Json, Reply> {
+    let body = req
+        .body_str()
+        .ok_or_else(|| Reply::error(400, kind, "body is not UTF-8"))?;
+    parse(body).map_err(|e| Reply::error(400, kind, &e))
 }
 
-/// Whether the connection stays open after a response.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ConnOutcome {
-    Keep,
-    Close,
+/// Parses a `POST /jobs` submission into its spec, or the
+/// `400 invalid_job` reply. The node and the gateway both validate
+/// through here.
+///
+/// # Errors
+///
+/// The reply for a body that is not UTF-8, not JSON, or not a valid
+/// spec.
+pub fn parse_job(req: &Request) -> Result<JobSpec, Reply> {
+    JobSpec::from_json(&json_body(req, "invalid_job")?)
+        .map_err(|e| Reply::error(400, "invalid_job", &e))
 }
 
-/// Writes a rendered response and flushes.
-fn send(
-    writer: &mut impl Write,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    writer.write_all(&render_response(
-        status,
-        extra_headers,
-        content_type,
-        body,
-        close,
-    ))?;
-    writer.flush()?;
-    Ok(if close {
-        ConnOutcome::Close
-    } else {
-        ConnOutcome::Keep
-    })
+/// Parses a `POST /jobs/batch` envelope — `{"jobs":[<spec>, ...]}`,
+/// non-empty, at most [`MAX_BATCH`] specs — into one validation result
+/// per spec, or the `400 invalid_batch` reply. The node and the gateway
+/// both validate through here.
+///
+/// # Errors
+///
+/// The reply for a malformed envelope.
+pub fn parse_batch(req: &Request) -> Result<Vec<Result<JobSpec, String>>, Reply> {
+    let bad = |msg: &str| Reply::error(400, "invalid_batch", msg);
+    let parsed = json_body(req, "invalid_batch")?;
+    let jobs = parsed
+        .get("jobs")
+        .and_then(Json::as_array)
+        .ok_or_else(|| bad("batch must be {\"jobs\":[<spec>, ...]}"))?;
+    if jobs.is_empty() {
+        return Err(bad("batch is empty"));
+    }
+    if jobs.len() > MAX_BATCH {
+        return Err(bad(&format!(
+            "batch of {} exceeds the cap of {MAX_BATCH}",
+            jobs.len()
+        )));
+    }
+    Ok(jobs.iter().map(JobSpec::from_json).collect())
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    self_addr: Option<SocketAddr>,
-    (read_timeout, write_timeout): (Duration, Duration),
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
-    stream.set_write_timeout(Some(write_timeout.max(Duration::from_millis(1))))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+/// One entry of a `POST /jobs/batch` answer.
+#[derive(Debug)]
+pub struct BatchResult {
+    /// The status this spec alone would have answered.
+    pub status: u16,
+    /// The `X-Recon-Cache` state of a `200`.
+    pub cache: Option<String>,
+    /// The node that answered (gateway batches only).
+    pub node: Option<String>,
+    /// The JSON body, embedded raw.
+    pub body: String,
+}
 
-    // Keep-alive loop: one iteration per exchange. `Ok(None)` from the
-    // reader is a clean end (peer closed, or sat idle past the read
-    // timeout); a framing error gets a best-effort 400 and a close —
-    // the server never hangs on, or propagates, malformed bytes.
-    loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(_) => {
-                let body = error_body("malformed_request", "unparseable HTTP request");
-                let _ = send(
-                    &mut writer,
-                    400,
-                    &[],
-                    "application/json",
-                    body.as_bytes(),
-                    true,
-                );
-                return Ok(());
-            }
-        };
-        let close = req.wants_close() || shared.shutting_down.load(Ordering::SeqCst);
-        let outcome = route(&req, &mut writer, shared, self_addr, close)?;
-        if close || outcome == ConnOutcome::Close {
-            return Ok(());
+impl BatchResult {
+    /// An entry with an `{"error":…,"message":…}` body.
+    #[must_use]
+    pub fn error(status: u16, kind: &str, message: &str) -> BatchResult {
+        BatchResult {
+            status,
+            cache: None,
+            node: None,
+            body: error_body(kind, message),
         }
     }
 }
 
-fn route(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    self_addr: Option<SocketAddr>,
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => send(
-            writer,
-            200,
-            &[],
-            "application/json",
-            b"{\"status\":\"ok\"}",
-            close,
-        ),
-        ("GET", "/metrics") => {
-            let mut body = shared.metrics.render(
-                shared.queue.len(),
-                shared.queue.capacity(),
-                shared.node_id.as_deref(),
-            );
-            body.push_str(&shared.chaos.render_metrics());
-            send(
-                writer,
-                200,
-                &[],
-                "text/plain; version=0.0.4",
-                body.as_bytes(),
-                close,
-            )
+/// The `200` answer to a batch: `{"results":[...]}` with one entry per
+/// spec, in submission order.
+pub fn batch_reply(results: impl ExactSizeIterator<Item = BatchResult>) -> Reply {
+    let mut out = String::with_capacity(256 * results.len());
+    out.push_str("{\"results\":[");
+    for (i, r) in results.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        ("GET", "/workloads") => send(
-            writer,
-            200,
-            &[],
-            "application/json",
-            crate::job::workloads_payload().as_bytes(),
-            close,
-        ),
-        ("POST", "/jobs") => handle_job(req, writer, shared, close),
-        ("POST", "/jobs/batch") => handle_batch(req, writer, shared, close),
-        ("POST", "/migrate") => handle_migrate(req, writer, shared, close),
-        ("POST", "/cache") => handle_cache_put(req, writer, shared, close),
-        ("POST", "/drain") => handle_drain(req, writer, shared, self_addr),
-        ("POST", "/shutdown") => handle_shutdown(req, writer, shared, self_addr),
-        ("GET" | "POST", _) => send(
-            writer,
-            404,
-            &[],
-            "application/json",
-            error_body("not_found", &req.path).as_bytes(),
-            close,
-        ),
-        _ => send(
-            writer,
-            405,
-            &[],
-            "application/json",
-            error_body("method_not_allowed", &req.method).as_bytes(),
-            close,
-        ),
+        let _ = write!(out, "{{\"status\":{},", r.status);
+        if let Some(c) = r.cache {
+            let _ = write!(out, "\"cache\":\"{c}\",");
+        }
+        if let Some(n) = r.node {
+            let _ = write!(out, "\"node\":\"{}\",", escape(&n));
+        }
+        // Payloads are themselves JSON objects, embedded raw.
+        let _ = write!(out, "\"body\":{}}}", r.body);
+    }
+    out.push_str("]}");
+    Reply::json(200, out)
+}
+
+impl Service for Shared {
+    fn route(&self, req: &Request) -> Option<Reply> {
+        Some(match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Reply::json(200, "{\"status\":\"ok\"}"),
+            ("GET", "/metrics") => {
+                let mut body = self.metrics.render(
+                    self.queue.len(),
+                    self.queue.capacity(),
+                    self.node_id.as_deref(),
+                );
+                body.push_str(&self.chaos.render_metrics());
+                Reply::new(200, "text/plain; version=0.0.4", body)
+            }
+            ("GET", "/workloads") => Reply::json(200, job::workloads_payload()),
+            ("POST", "/jobs") => handle_job(req, self),
+            ("POST", "/jobs/batch") => handle_batch(req, self),
+            ("POST", "/migrate") => handle_migrate(req, self),
+            ("POST", "/cache") => handle_cache_put(req, self),
+            ("POST", "/drain") => handle_drain(req, self),
+            ("POST", "/shutdown") => handle_shutdown(req, self),
+            _ => return None,
+        })
+    }
+
+    fn stopping(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
+
+    fn overloaded(&self) -> Reply {
+        self.metrics.conns_rejected.inc();
+        Reply::error(503, "overloaded", "connection backlog full; retry later")
+            .header("Retry-After", "1")
     }
 }
 
@@ -716,7 +651,8 @@ enum Submit {
 /// and enqueue are checked under one lock so a digest is never executed
 /// twice concurrently, and a completed execution is always visible
 /// (cache insert happens before the in-flight entry is removed).
-fn submit(shared: &Arc<Shared>, spec: JobSpec, digest: u64) -> Submit {
+fn submit(shared: &Shared, spec: JobSpec) -> Submit {
+    let digest = spec.digest();
     let mut inflight = lock_ignore_poison(&shared.inflight);
     if let Some(hit) = shared.cache.get(digest) {
         shared.metrics.cache_hits.inc();
@@ -750,23 +686,37 @@ fn submit(shared: &Arc<Shared>, spec: JobSpec, digest: u64) -> Submit {
     }
 }
 
-/// Maps a job result to `(status, cache-header, checkpoint-header,
-/// body)`. The checkpoint ref travels as a header (`X-Recon-Checkpoint`)
-/// rather than in the body, so deadline payloads stay byte-stable
-/// across retries that resume from different checkpoints.
-fn job_response(
-    reply: JobResult,
-    cache_state: &str,
-) -> (u16, Option<String>, Option<String>, String) {
-    match reply {
-        Ok(out) => (200, Some(cache_state.to_string()), None, out.payload),
+/// How a submission is answered: `(status, cache state, checkpoint
+/// ref, body)`, waiting for an enqueued or joined execution. The
+/// checkpoint ref travels as a header (`X-Recon-Checkpoint`) rather
+/// than in the body, so deadline payloads stay byte-stable across
+/// retries that resume from different checkpoints.
+fn answer(submitted: Submit) -> (u16, Option<&'static str>, Option<String>, String) {
+    let result = match submitted {
+        Submit::CacheHit(hit) => return (200, Some("hit"), None, hit.as_str().to_string()),
+        Submit::Full => {
+            let body = error_body("queue_full", "bounded queue at capacity; retry later");
+            return (429, None, None, body);
+        }
+        Submit::Closed => {
+            let body = error_body("shutting_down", "server is draining; not accepting jobs");
+            return (503, None, None, body);
+        }
+        // The worker always replies (panics are caught, orphans are
+        // recovered); RecvError can only mean the pool is gone
+        // mid-shutdown.
+        Submit::Enqueued(rx) | Submit::Joined(rx) => rx.recv().unwrap_or(Err(JobError::Cancelled)),
+    };
+    match result {
+        Ok(out) => (200, Some("miss"), None, out.payload),
         Err(JobError::DeadlineExceeded {
             payload,
             checkpoint,
             ..
         }) => (408, None, checkpoint, payload),
-        Err(JobError::Stalled { payload }) => (500, None, None, payload),
-        Err(JobError::AuditViolated { payload }) => (500, None, None, payload),
+        Err(JobError::Stalled { payload } | JobError::AuditViolated { payload }) => {
+            (500, None, None, payload)
+        }
         Err(JobError::Cancelled) => (
             503,
             None,
@@ -778,148 +728,44 @@ fn job_response(
     }
 }
 
-fn handle_job(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            "application/json",
-            error_body("invalid_job", msg).as_bytes(),
-            close,
-        )
-    };
-    let Some(body) = req.body_str() else {
-        return bad(writer, "body is not UTF-8");
-    };
-    let parsed = match parse(body) {
-        Ok(v) => v,
-        Err(e) => return bad(writer, &e),
-    };
-    let spec = match JobSpec::from_json(&parsed) {
-        Ok(s) => s,
-        Err(e) => return bad(writer, &e),
+fn handle_job(req: &Request, shared: &Shared) -> Reply {
+    let spec = match parse_job(req) {
+        Ok(spec) => spec,
+        Err(bad) => return bad,
     };
     let digest = spec.digest();
 
     // chaos seam: connection dropped after the request was read, before
     // any response byte — the submission vanishes mid-flight.
     if shared.chaos.decide(FaultSite::DropRequest, digest) {
-        return Ok(ConnOutcome::Close);
+        return Reply::raw(Vec::new());
     }
     // chaos seam: synthetic queue-saturation burst.
-    if shared.chaos.decide(FaultSite::QueueBurst, digest) {
-        return send_job_response(
-            writer,
-            shared,
-            digest,
-            429,
-            &[("Retry-After", "1".to_string())],
-            error_body("queue_full", "bounded queue at capacity; retry later").as_bytes(),
-            close,
-        );
-    }
-
-    let (status, cache_header, ckpt_header, payload): (
-        u16,
-        Option<String>,
-        Option<String>,
-        String,
-    ) = match submit(shared, spec, digest) {
-        Submit::CacheHit(hit) => (200, Some("hit".to_string()), None, hit.as_str().to_string()),
-        Submit::Full => {
-            return send_job_response(
-                writer,
-                shared,
-                digest,
-                429,
-                &[("Retry-After", "1".to_string())],
-                error_body("queue_full", "bounded queue at capacity; retry later").as_bytes(),
-                close,
-            );
-        }
-        Submit::Closed => {
-            return send_job_response(
-                writer,
-                shared,
-                digest,
-                503,
-                &[],
-                error_body("shutting_down", "server is draining; not accepting jobs").as_bytes(),
-                close,
-            );
-        }
-        Submit::Enqueued(rx) | Submit::Joined(rx) => {
-            // The worker always replies (panics are caught, orphans
-            // are recovered); RecvError can only mean the pool is
-            // gone mid-shutdown.
-            let reply = rx.recv().unwrap_or(Err(JobError::Cancelled));
-            job_response(reply, "miss")
-        }
+    let submitted = if shared.chaos.decide(FaultSite::QueueBurst, digest) {
+        Submit::Full
+    } else {
+        submit(shared, spec)
     };
-    let mut headers: Vec<(&str, String)> = cache_header
-        .into_iter()
-        .map(|v| ("X-Recon-Cache", v))
-        .collect();
-    if let Some(c) = ckpt_header {
-        headers.push(("X-Recon-Checkpoint", c));
+    let (status, cache, checkpoint, body) = answer(submitted);
+    let mut reply = Reply::json(status, body);
+    if let Some(c) = cache {
+        reply = reply.header("X-Recon-Cache", c);
     }
-    send_job_response(
-        writer,
-        shared,
-        digest,
-        status,
-        &headers,
-        payload.as_bytes(),
-        close,
-    )
-}
-
-/// Writes a `/jobs` response through the chaos plane's response seams:
-/// the rendered bytes may be cut mid-write, truncated to a header
-/// fragment, or replaced with garbage — all keyed by the job digest, so
-/// the same retry sequence sees the same faults on every run.
-fn send_job_response(
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    digest: u64,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-    close: bool,
-) -> io::Result<ConnOutcome> {
+    if let Some(c) = checkpoint {
+        reply = reply.header("X-Recon-Checkpoint", c);
+    }
+    if status == 429 {
+        reply = reply.header("Retry-After", "1");
+    }
+    // chaos seam: the response may be cut mid-write, truncated to a
+    // header fragment, or replaced with garbage — all keyed by the job
+    // digest, so the same retry sequence sees the same faults on every
+    // run.
     match shared.chaos.response_fault(digest) {
-        ResponseFault::None => send(
-            writer,
-            status,
-            extra_headers,
-            "application/json",
-            body,
-            close,
-        ),
-        ResponseFault::DropMidWrite => {
-            let rendered = render_response(status, extra_headers, "application/json", body, close);
-            writer.write_all(&rendered[..rendered.len() / 2])?;
-            writer.flush()?;
-            Ok(ConnOutcome::Close)
-        }
-        ResponseFault::TruncatedHttp => {
-            let rendered = render_response(status, extra_headers, "application/json", body, close);
-            let cut = rendered.len().min(20);
-            writer.write_all(&rendered[..cut])?;
-            writer.flush()?;
-            Ok(ConnOutcome::Close)
-        }
-        ResponseFault::Garbage => {
-            writer.write_all(&garbage_bytes(digest))?;
-            writer.flush()?;
-            Ok(ConnOutcome::Close)
-        }
+        ResponseFault::None => reply,
+        ResponseFault::DropMidWrite => reply.torn(|len| len / 2),
+        ResponseFault::TruncatedHttp => reply.torn(|len| len.min(20)),
+        ResponseFault::Garbage => Reply::raw(garbage_bytes(digest)),
     }
 }
 
@@ -928,105 +774,32 @@ fn send_job_response(
 /// with per-spec statuses in submission order. The batch endpoint is
 /// not a chaos seam — per-job faults are injected on `/jobs`, where the
 /// retry contract is per-digest.
-fn handle_batch(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            "application/json",
-            error_body("invalid_batch", msg).as_bytes(),
-            close,
-        )
+fn handle_batch(req: &Request, shared: &Shared) -> Reply {
+    let specs = match parse_batch(req) {
+        Ok(specs) => specs,
+        Err(bad) => return bad,
     };
-    let Some(body) = req.body_str() else {
-        return bad(writer, "body is not UTF-8");
-    };
-    let parsed = match parse(body) {
-        Ok(v) => v,
-        Err(e) => return bad(writer, &e),
-    };
-    let Some(jobs) = parsed.get("jobs").and_then(Json::as_array) else {
-        return bad(writer, "batch must be {\"jobs\":[<spec>, ...]}");
-    };
-    if jobs.is_empty() {
-        return bad(writer, "batch is empty");
-    }
-    if jobs.len() > MAX_BATCH {
-        return bad(
-            writer,
-            &format!("batch of {} exceeds the cap of {MAX_BATCH}", jobs.len()),
-        );
-    }
-
     // Admit everything first (sharing the queue's capacity), then wait:
     // independent jobs execute concurrently across the worker pool
     // instead of serializing one recv at a time.
-    enum Pending {
-        Done(u16, Option<String>, String),
-        Waiting(mpsc::Receiver<JobResult>),
-    }
-    let mut pending = Vec::with_capacity(jobs.len());
-    for v in jobs {
-        match JobSpec::from_json(v) {
-            Err(e) => pending.push(Pending::Done(400, None, error_body("invalid_job", &e))),
-            Ok(spec) => {
-                let digest = spec.digest();
-                match submit(shared, spec, digest) {
-                    Submit::CacheHit(hit) => pending.push(Pending::Done(
-                        200,
-                        Some("hit".to_string()),
-                        hit.as_str().to_string(),
-                    )),
-                    Submit::Full => pending.push(Pending::Done(
-                        429,
-                        None,
-                        error_body("queue_full", "bounded queue at capacity; retry later"),
-                    )),
-                    Submit::Closed => pending.push(Pending::Done(
-                        503,
-                        None,
-                        error_body("shutting_down", "server is draining; not accepting jobs"),
-                    )),
-                    Submit::Enqueued(rx) | Submit::Joined(rx) => {
-                        pending.push(Pending::Waiting(rx));
-                    }
-                }
+    let admitted: Vec<_> = specs
+        .into_iter()
+        .map(|spec| spec.map(|spec| submit(shared, spec)))
+        .collect();
+    batch_reply(admitted.into_iter().map(|admitted| match admitted {
+        Err(e) => BatchResult::error(400, "invalid_job", &e),
+        Ok(submitted) => {
+            // The checkpoint ref is a header on `/jobs`; batch
+            // responses are multiplexed bodies, so it is dropped.
+            let (status, cache, _checkpoint, body) = answer(submitted);
+            BatchResult {
+                status,
+                cache: cache.map(String::from),
+                node: None,
+                body,
             }
         }
-    }
-
-    let mut out = String::with_capacity(256 * pending.len());
-    out.push_str("{\"results\":[");
-    for (i, p) in pending.into_iter().enumerate() {
-        let (status, cache_state, payload) = match p {
-            Pending::Done(s, c, b) => (s, c, b),
-            Pending::Waiting(rx) => {
-                let reply = rx.recv().unwrap_or(Err(JobError::Cancelled));
-                // The checkpoint ref is a header on `/jobs`; batch
-                // responses are multiplexed bodies, so it is dropped.
-                let (s, c, _ckpt, b) = job_response(reply, "miss");
-                (s, c, b)
-            }
-        };
-        if i > 0 {
-            out.push(',');
-        }
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"status\":{status},");
-        if let Some(c) = cache_state {
-            let _ = write!(out, "\"cache\":\"{c}\",");
-        }
-        // Payloads are themselves JSON objects, embedded raw.
-        let _ = write!(out, "\"body\":{payload}}}");
-    }
-    out.push_str("]}");
-    send(writer, 200, &[], "application/json", out.as_bytes(), close)
+    }))
 }
 
 /// `POST /migrate`: accepts raw RCK1 checkpoint bytes from a draining
@@ -1039,53 +812,32 @@ fn handle_batch(
 /// recovery): even when the queue is full, the on-disk checkpoint means
 /// any later submission of the digest resumes mid-run instead of
 /// starting from cycle zero.
-fn handle_migrate(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            "application/json",
-            error_body("invalid_migration", msg).as_bytes(),
-            close,
-        )
-    };
+fn handle_migrate(req: &Request, shared: &Shared) -> Reply {
+    let bad = |msg: &str| Reply::error(400, "invalid_migration", msg);
     let Some(dir) = shared.ckpt.as_ref().and_then(|p| p.dir.clone()) else {
-        return bad(writer, "node has no checkpoint directory (--cache-dir)");
+        return bad("node has no checkpoint directory (--cache-dir)");
     };
     let ck = match ckpt::Checkpoint::decode(&req.body) {
         Ok(ck) => ck,
-        Err(e) => return bad(writer, &format!("checkpoint rejected: {e:?}")),
+        Err(e) => return bad(&format!("checkpoint rejected: {e:?}")),
     };
     if ck.meta("kind") != Some("serve-job") {
-        return bad(writer, "checkpoint does not embed a serve-job spec");
+        return bad("checkpoint does not embed a serve-job spec");
     }
     let Some(spec) = ck
         .meta("spec")
         .and_then(|s| parse(s).ok())
         .and_then(|v| JobSpec::from_json(&v).ok())
     else {
-        return bad(writer, "embedded spec does not parse or validate");
+        return bad("embedded spec does not parse or validate");
     };
     if spec.digest() != ck.config_digest {
-        return bad(writer, "embedded spec digest does not match checkpoint");
+        return bad("embedded spec digest does not match checkpoint");
     }
     let digest = ck.config_digest;
     let cycle = ck.cycle;
     if let Err(e) = ckpt::write(&dir, &ck) {
-        return send(
-            writer,
-            500,
-            &[],
-            "application/json",
-            error_body("migration_failed", &format!("checkpoint write: {e}")).as_bytes(),
-            close,
-        );
+        return Reply::error(500, "migration_failed", &format!("checkpoint write: {e}"));
     }
     shared.metrics.migrations_in.inc();
 
@@ -1113,59 +865,49 @@ fn handle_migrate(
             }
         }
     }
-    let body = format!(
-        "{{\"status\":\"accepted\",\"digest\":\"{digest:016x}\",\"cycle\":{cycle},\"enqueued\":{enqueued}}}"
-    );
-    send(writer, 200, &[], "application/json", body.as_bytes(), close)
+    Reply::json(
+        200,
+        format!(
+            "{{\"status\":\"accepted\",\"digest\":\"{digest:016x}\",\"cycle\":{cycle},\"enqueued\":{enqueued}}}"
+        ),
+    )
 }
 
 /// `POST /cache`: accepts a replicated result from the gateway —
 /// `{"digest":"<16 hex>","payload":"<result JSON as a string>"}` — so
 /// the ring successor can answer this digest from cache if the primary
 /// dies. First-write-wins like every other cache insert.
-fn handle_cache_put(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    close: bool,
-) -> io::Result<ConnOutcome> {
-    let bad = |writer: &mut _, msg: &str| {
-        send(
-            writer,
-            400,
-            &[],
-            "application/json",
-            error_body("invalid_replication", msg).as_bytes(),
-            close,
-        )
-    };
-    let Some(body) = req.body_str() else {
-        return bad(writer, "body is not UTF-8");
-    };
-    let parsed = match parse(body) {
+fn handle_cache_put(req: &Request, shared: &Shared) -> Reply {
+    let bad = |msg: &str| Reply::error(400, "invalid_replication", msg);
+    let parsed = match json_body(req, "invalid_replication") {
         Ok(v) => v,
-        Err(e) => return bad(writer, &e),
+        Err(bad) => return bad,
     };
     let Some(digest) = parsed
         .get("digest")
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
     else {
-        return bad(writer, "digest must be a hex string");
+        return bad("digest must be a hex string");
     };
     let Some(payload) = parsed.get("payload").and_then(Json::as_str) else {
-        return bad(writer, "payload must be a string");
+        return bad("payload must be a string");
     };
     shared.cache.insert(digest, Arc::new(payload.to_string()));
     shared.metrics.replications_in.inc();
-    send(
-        writer,
+    Reply::json(
         200,
-        &[],
-        "application/json",
-        format!("{{\"status\":\"stored\",\"digest\":\"{digest:016x}\"}}").as_bytes(),
-        close,
+        format!("{{\"status\":\"stored\",\"digest\":\"{digest:016x}\"}}"),
     )
+}
+
+/// The body of a control request (`/drain`, `/shutdown`): `None` when
+/// it is empty or not UTF-8, else its JSON or the `400 <kind>` reply.
+fn control_body(req: &Request, kind: &str) -> Result<Option<Json>, Reply> {
+    req.body_str()
+        .filter(|b| !b.trim().is_empty())
+        .map(|b| parse(b).map_err(|e| Reply::error(400, kind, &e).closing()))
+        .transpose()
 }
 
 /// `POST /drain`: planned evacuation. The node stops admitting work,
@@ -1176,42 +918,27 @@ fn handle_cache_put(
 /// peer's `/migrate` endpoint. The response reports how many jobs
 /// migrated, *after* the shipping completed, so the caller knows the
 /// hand-off is durable before this node exits.
-fn handle_drain(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    self_addr: Option<SocketAddr>,
-) -> io::Result<ConnOutcome> {
+fn handle_drain(req: &Request, shared: &Shared) -> Reply {
     use std::net::ToSocketAddrs as _;
-    let to: Option<SocketAddr> = match req.body_str().filter(|b| !b.trim().is_empty()) {
+    let body = match control_body(req, "invalid_drain") {
+        Ok(body) => body,
+        Err(bad) => return bad,
+    };
+    let to = match body
+        .as_ref()
+        .and_then(|v| v.get("to"))
+        .and_then(Json::as_str)
+    {
         None => None,
-        Some(body) => match parse(body) {
-            Ok(v) => match v.get("to").and_then(Json::as_str) {
-                None => None,
-                Some(addr) => match addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-                    Some(a) => Some(a),
-                    None => {
-                        return send(
-                            writer,
-                            400,
-                            &[],
-                            "application/json",
-                            error_body("invalid_drain", &format!("unresolvable target '{addr}'"))
-                                .as_bytes(),
-                            true,
-                        );
-                    }
-                },
-            },
-            Err(e) => {
-                return send(
-                    writer,
+        Some(addr) => match addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
+            Some(a) => Some(a),
+            None => {
+                return Reply::error(
                     400,
-                    &[],
-                    "application/json",
-                    error_body("invalid_drain", &e).as_bytes(),
-                    true,
-                );
+                    "invalid_drain",
+                    &format!("unresolvable target '{addr}'"),
+                )
+                .closing();
             }
         },
     };
@@ -1270,64 +997,45 @@ fn handle_drain(
             }
         }
     }
-
-    let body = format!("{{\"status\":\"drained\",\"migrated\":{migrated},\"failed\":{failed}}}");
-    send(writer, 200, &[], "application/json", body.as_bytes(), true)?;
-    // Poke the accept loop so it observes the flag and returns.
-    if let Some(addr) = self_addr {
-        let _ = TcpStream::connect(addr);
-    }
-    Ok(ConnOutcome::Close)
+    Reply::json(
+        200,
+        format!("{{\"status\":\"drained\",\"migrated\":{migrated},\"failed\":{failed}}}"),
+    )
+    .closing()
 }
 
-fn handle_shutdown(
-    req: &Request,
-    writer: &mut impl Write,
-    shared: &Arc<Shared>,
-    self_addr: Option<SocketAddr>,
-) -> io::Result<ConnOutcome> {
-    let mode = match req.body_str().filter(|b| !b.trim().is_empty()) {
-        None => ShutdownMode::Graceful,
-        Some(body) => match parse(body) {
-            Ok(v) => match v.get("mode").and_then(Json::as_str) {
-                None | Some("graceful") => ShutdownMode::Graceful,
-                Some("abort") => ShutdownMode::Abort,
-                Some(other) => {
-                    return send(
-                        writer,
-                        400,
-                        &[],
-                        "application/json",
-                        error_body("invalid_shutdown", &format!("unknown mode '{other}'"))
-                            .as_bytes(),
-                        true,
-                    );
-                }
-            },
-            Err(e) => {
-                return send(
-                    writer,
-                    400,
-                    &[],
-                    "application/json",
-                    error_body("invalid_shutdown", &e).as_bytes(),
-                    true,
-                );
+/// `POST /shutdown`: stops admissions and closes the queue so the
+/// workers drain the backlog and exit (`{"mode":"abort"}` also cancels
+/// queued and running jobs). The reply reports the backlog as found.
+fn handle_shutdown(req: &Request, shared: &Shared) -> Reply {
+    let mode = match control_body(req, "invalid_shutdown") {
+        Err(bad) => return bad,
+        Ok(body) => match body
+            .as_ref()
+            .and_then(|v| v.get("mode"))
+            .and_then(Json::as_str)
+        {
+            None | Some("graceful") => ShutdownMode::Graceful,
+            Some("abort") => ShutdownMode::Abort,
+            Some(other) => {
+                return Reply::error(400, "invalid_shutdown", &format!("unknown mode '{other}'"))
+                    .closing();
             }
         },
     };
-
-    // Answer first so the client is not racing the teardown.
-    let body = format!(
-        "{{\"status\":\"shutting_down\",\"mode\":\"{}\",\"queued\":{}}}",
-        if mode == ShutdownMode::Abort {
-            "abort"
-        } else {
-            "graceful"
-        },
-        shared.queue.len()
-    );
-    send(writer, 200, &[], "application/json", body.as_bytes(), true)?;
+    let reply = Reply::json(
+        200,
+        format!(
+            "{{\"status\":\"shutting_down\",\"mode\":\"{}\",\"queued\":{}}}",
+            if mode == ShutdownMode::Abort {
+                "abort"
+            } else {
+                "graceful"
+            },
+            shared.queue.len()
+        ),
+    )
+    .closing();
 
     shared.shutting_down.store(true, Ordering::SeqCst);
     if mode == ShutdownMode::Abort {
@@ -1339,9 +1047,5 @@ fn handle_shutdown(
     }
     // Close the queue: workers drain the (graceful) backlog, then exit.
     shared.queue.close();
-    // Poke the accept loop so it observes the flag and returns.
-    if let Some(addr) = self_addr {
-        let _ = TcpStream::connect(addr);
-    }
-    Ok(ConnOutcome::Close)
+    reply
 }
