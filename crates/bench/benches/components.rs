@@ -1,10 +1,11 @@
 //! Dependency-free microbenchmarks of the reproduction's substrates:
-//! LPT throughput, reveal-mask operations, cache-array and
-//! coherent-system accesses, branch prediction, the DIFT analyzer,
-//! end-to-end simulated cycles, and the two hot-path comparisons that
+//! LPT throughput, reveal-mask operations, cache-array accesses, branch
+//! prediction, the DIFT analyzer, and the two hot-path comparisons that
 //! motivated the memory rewrite — the paged functional store against
 //! the word-granular SipHash map it replaced, and an FxHash-keyed
-//! directory map against the SipHash default.
+//! directory map against the SipHash default. Simulated MIPS and
+//! coherent-hierarchy access times are measured, with their spread, by
+//! `examples/benchmark` (`sim_mips`, `mem.read_*_ns`).
 //!
 //! Run with `cargo bench --bench components`. Each benchmark is timed
 //! with `std::time::Instant` over a calibrated iteration count; results
@@ -14,16 +15,13 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use recon::{LoadPairTable, ReconConfig, RevealMask};
+use recon::{LoadPairTable, RevealMask};
 use recon_cpu::bpred::BranchPredictor;
 use recon_isa::hash::FxHashMap;
 use recon_isa::rng::{Rng, SplitMix64};
 use recon_isa::{DataMem, SparseMem};
-use recon_mem::{CacheArray, CacheGeometry, MemConfig, MemorySystem, Mesi};
-use recon_secure::SecureConfig;
-use recon_sim::Experiment;
+use recon_mem::{CacheArray, CacheGeometry, Mesi};
 use recon_workloads::gen::gadget::{generate, GadgetParams};
-use recon_workloads::Workload;
 
 /// Times `f` over enough iterations for a stable reading and returns
 /// nanoseconds per iteration. `f` must fold its work into `black_box`.
@@ -76,16 +74,6 @@ fn bench_cache_array() {
     });
 }
 
-fn bench_memory_system() {
-    let mut mem = MemorySystem::new(2, MemConfig::scaled(), ReconConfig::default());
-    let mut addr = 0u64;
-    time_ns("mem/read_two_cores_sharing", || {
-        addr = addr.wrapping_add(64) & 0xFFFF;
-        mem.read(0, addr);
-        black_box(mem.read(1, addr));
-    });
-}
-
 fn bench_bpred() {
     let mut bp = BranchPredictor::new(12);
     let mut pc = 0usize;
@@ -106,20 +94,6 @@ fn bench_dift() {
     });
     time_ns("dift/analyze_gadget_program", || {
         black_box(recon_dift::analyze_program(&program, 1_000_000).unwrap());
-    });
-}
-
-fn bench_simulator() {
-    let program = generate(GadgetParams {
-        slots: 64,
-        cond_lines: 16,
-        passes: 1,
-        ..Default::default()
-    });
-    let w = Workload::single(program);
-    let exp = Experiment::default();
-    time_ns("sim/gadget_pass_stt_recon", || {
-        black_box(exp.run(&w, SecureConfig::stt_recon()).cycles);
     });
 }
 
@@ -210,10 +184,8 @@ fn main() {
     bench_lpt();
     bench_mask();
     bench_cache_array();
-    bench_memory_system();
     bench_bpred();
     bench_dift();
-    bench_simulator();
 
     println!();
     let (old_ns, new_ns) = bench_paged_vs_word_map();

@@ -19,7 +19,7 @@
 //! | `fig10`    | Figure 10 — ReCon at L1 / L1+L2 / all levels |
 //! | `fig11`    | Figure 11 — LPT size sensitivity |
 //! | `overhead` | §6.7 — storage-overhead accounting |
-//! | `components` | dependency-free microbenches of the substrates |
+//! | `components` | substrate microbenches (LPT, mask, cache, bpred, DIFT, `memcmp`, `dircmp`); simulated MIPS is `examples/benchmark`'s |
 //!
 //! Set `RECON_SCALE=paper` for longer (×4) workloads, and `RECON_JOBS`
 //! to pin the worker count the harnesses use (default: all cores).

@@ -1526,128 +1526,6 @@ fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `bench-speed`'s flags (`--quick` is valueless; the rest are
-/// pairs) and runs the MIPS scoreboard: functional vs detailed
-/// throughput per scheme, the fast-forward end-to-end speedup, and the
-/// per-optimization microbenchmarks, written to `BENCH_speed.json`.
-fn cmd_bench_speed(args: &[&str]) -> ExitCode {
-    let mut quick = false;
-    let mut out = "BENCH_speed.json".to_string();
-    let mut bench = "mcf".to_string();
-    let mut min_functional: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--quick" => quick = true,
-            "--out" | "--bench" | "--min-functional-speedup" => {
-                let Some(&value) = it.next() else {
-                    return fail(&format!("{flag} wants a value"));
-                };
-                match flag {
-                    "--out" => out = value.to_string(),
-                    "--bench" => bench = value.to_string(),
-                    _ => match value.parse::<f64>() {
-                        Ok(x) if x > 0.0 => min_functional = Some(x),
-                        _ => {
-                            return fail(&format!(
-                                "--min-functional-speedup wants a positive number, got '{value}'"
-                            ))
-                        }
-                    },
-                }
-            }
-            _ => return fail(&format!("unknown bench-speed flag '{flag}'")),
-        }
-    }
-    let report = recon_sim::SpeedReport::measure(Suite::Spec2017, &bench, quick);
-    println!(
-        "bench-speed: {} ({} scale){}",
-        report.bench,
-        report.scale,
-        if quick { ", quick repeats" } else { "" }
-    );
-    println!(
-        "  functional: {} instructions in {:.3}s = {:.2} MIPS",
-        report.functional_instructions,
-        report.functional_seconds,
-        report.functional_mips()
-    );
-    println!(
-        "  fast-forward warmup: {} instructions (detailed tail: {})",
-        report.fast_forward,
-        report.functional_instructions - report.fast_forward
-    );
-    let mut t = Table::new(&[
-        "scheme",
-        "detailed MIPS",
-        "detailed s",
-        "warm s",
-        "speedup",
-        "identical",
-    ]);
-    for s in &report.schemes {
-        t.row(&[
-            s.scheme.label(),
-            format!("{:.2}", s.detailed_mips()),
-            format!("{:.3}", s.detailed_seconds),
-            format!("{:.3}", s.warm_seconds),
-            format!("{:.2}x", s.speedup),
-            if s.identical {
-                "ok".into()
-            } else {
-                "FAIL".into()
-            },
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "audit sweep (every {} cycles, STT+ReCon): {} sweeps cost {:.4}s on a {:.3}s run = {:.2}% host overhead [{}]",
-        report.audit.audit_every,
-        report.audit.sweeps,
-        report.audit.sweep_seconds,
-        report.audit.run_seconds,
-        report.audit.overhead_fraction() * 100.0,
-        if report.audit.identical { "identical" } else { "DIVERGED" },
-    );
-    println!("optimization isolation (baseline vs fast path):");
-    for m in &report.micro {
-        println!(
-            "  {:<6} {:.2} -> {:.2} Mops/s ({:.2}x)  [{} vs {}]",
-            m.name,
-            m.baseline_mops,
-            m.optimized_mops,
-            m.speedup(),
-            m.baseline,
-            m.optimized,
-        );
-    }
-    println!(
-        "functional over fastest detailed: {:.2}x | end-to-end warm speedup (worst scheme): {:.2}x",
-        report.functional_over_detailed(),
-        report.end_to_end_speedup(),
-    );
-    match report.write_json(&out) {
-        Ok(()) => println!("scoreboard written to {out}"),
-        Err(e) => eprintln!("warning: could not write {out}: {e}"),
-    }
-    if !report.all_identical() {
-        return fail("a warm run's detailed region diverged from its snapshot/restore replica");
-    }
-    if !report.audit.identical {
-        return fail("the audit sweep perturbed the simulated run — it must be pure observation");
-    }
-    if let Some(min) = min_functional {
-        let got = report.functional_over_detailed();
-        if got < min {
-            return fail(&format!(
-                "functional mode is only {got:.2}x the fastest detailed scheme (required {min}x)"
-            ));
-        }
-        println!("functional >= {min}x detailed: ok");
-    }
-    ExitCode::SUCCESS
-}
-
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::FAILURE
@@ -1709,29 +1587,28 @@ fn usage() -> ExitCode {
     eprintln!("  chaos --nodes N [--seed S] [--clients C] [--requests R] [--min-speedup X]");
     eprintln!("                                     cluster storm: SIGKILL + restart, drain");
     eprintln!("                                     migration -> BENCH_cluster.json");
-    eprintln!("  bench-speed [--quick] [--bench B] [--out P] [--min-functional-speedup X]");
-    eprintln!("                                     MIPS scoreboard -> BENCH_speed.json");
     eprintln!("suites: spec2017 spec2006 parsec corpus");
     eprintln!("schemes: unsafe nda nda+recon stt stt+recon");
     eprintln!("--jobs defaults to RECON_JOBS or all cores");
     ExitCode::FAILURE
 }
 
-/// Strips a trailing `--jobs N` from the argument list, returning the
-/// remaining arguments and the worker count (default: `RECON_JOBS` or
-/// the host parallelism).
-fn split_jobs<'a>(args: &'a [&'a str]) -> Result<(&'a [&'a str], usize), String> {
-    if args.len() >= 2 && args[args.len() - 2] == "--jobs" {
-        let n = args[args.len() - 1];
-        let jobs: usize = n
-            .parse()
-            .ok()
-            .filter(|&j| j >= 1)
-            .ok_or_else(|| format!("--jobs wants a positive integer, got '{n}'"))?;
-        Ok((&args[..args.len() - 2], jobs))
-    } else {
-        jobs_from_env().map(|jobs| (args, jobs))
-    }
+/// Takes `--jobs N` out of the argument list, wherever it appears,
+/// returning the remaining arguments and the worker count (default:
+/// `RECON_JOBS` or the host parallelism).
+fn split_jobs<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, usize), String> {
+    let Some(at) = args.iter().position(|&a| a == "--jobs") else {
+        return jobs_from_env().map(|jobs| (args.to_vec(), jobs));
+    };
+    let n = args.get(at + 1).copied().unwrap_or("");
+    let jobs: usize = n
+        .parse()
+        .ok()
+        .filter(|&j| j >= 1)
+        .ok_or_else(|| format!("--jobs wants a positive integer, got '{n}'"))?;
+    let mut rest = args[..at].to_vec();
+    rest.extend_from_slice(&args[(at + 2).min(args.len())..]);
+    Ok((rest, jobs))
 }
 
 fn main() -> ExitCode {
@@ -1741,7 +1618,7 @@ fn main() -> ExitCode {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
-    match strs {
+    match strs.as_slice() {
         ["list"] => cmd_list(),
         ["workloads", rest @ ..] => cmd_workloads(rest),
         ["asm", file, rest @ ..] => cmd_asm(file, rest),
@@ -1758,7 +1635,6 @@ fn main() -> ExitCode {
         ["serve", rest @ ..] => cmd_serve(rest, jobs),
         ["gateway", rest @ ..] => cmd_gateway(rest),
         ["bench-serve", rest @ ..] => cmd_bench_serve(rest, jobs),
-        ["bench-speed", rest @ ..] => cmd_bench_speed(rest),
         ["chaos", rest @ ..] => cmd_chaos(rest, jobs),
         _ => usage(),
     }
@@ -1801,6 +1677,26 @@ mod tests {
         );
         let (_, budget) = run_flags("run", &[("--fast-forward", "1000")]).unwrap();
         assert_eq!(budget.fast_forward, Some(1000));
+    }
+
+    #[test]
+    fn jobs_is_taken_at_any_position() {
+        let rest = ["suite", "corpus", "--audit", "64"];
+        for args in [
+            ["--jobs", "2", "suite", "corpus", "--audit", "64"],
+            ["suite", "corpus", "--jobs", "2", "--audit", "64"],
+            ["suite", "corpus", "--audit", "64", "--jobs", "2"],
+        ] {
+            assert_eq!(split_jobs(&args).unwrap(), (rest.to_vec(), 2), "{args:?}");
+        }
+        assert_eq!(
+            split_jobs(&["suite", "corpus", "--jobs", "0", "--audit", "64"]).unwrap_err(),
+            "--jobs wants a positive integer, got '0'"
+        );
+        assert_eq!(
+            split_jobs(&["suite", "corpus", "--jobs"]).unwrap_err(),
+            "--jobs wants a positive integer, got ''"
+        );
     }
 
     #[test]

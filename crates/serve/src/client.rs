@@ -651,9 +651,11 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             // First connection: read the request, then slam the door.
+            // Both handles go: the reader's clone alone keeps it open.
             let (stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let _ = crate::http::read_request(&mut reader);
+            drop(reader);
             drop(stream);
             // Second connection: answer properly.
             let (stream, _) = listener.accept().unwrap();

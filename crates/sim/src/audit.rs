@@ -46,8 +46,9 @@ use crate::system::System;
 
 /// Default audit cadence in cycles: frequent enough to bound detection
 /// latency to a small fraction of any run, rare enough that the sweep
-/// cost stays within ~2% of total cycles (`recon bench-speed` reports
-/// the measured figure).
+/// cost stays within ~2% of host run time (`examples/benchmark` reports
+/// the measured figure as `sim.audit_share` on a traced
+/// `parsec4-monitored` run, which audits at this cadence).
 pub const DEFAULT_AUDIT_EVERY_CYCLES: u64 = 1 << 14;
 
 /// What one audit sweep found when it stopped a run: the violated

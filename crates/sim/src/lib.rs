@@ -30,7 +30,6 @@ pub mod experiment;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod speed;
 pub mod stall;
 pub mod system;
 
@@ -43,6 +42,5 @@ pub use experiment::{
     geomean, mean, overhead_from_norm_ipc, overhead_reduction, Experiment, SchemeMatrix,
 };
 pub use runner::{jobs_from_env, parallel_map, run_batch, run_batch_with, BatchResults, JobTiming};
-pub use speed::{AuditSpeed, MicroBench, SchemeSpeed, SpeedReport};
 pub use stall::StallReport;
 pub use system::{System, SystemResult};

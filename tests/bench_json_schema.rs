@@ -1,14 +1,15 @@
 //! Schema stability for the JSON reports the repo writes:
 //! `BENCH_runner.json` (`BatchResults::write_json`), `BENCH_serve.json`
-//! (`BenchServeReport`), `BENCH_chaos.json` (`ChaosStormReport`), and
-//! `BENCH_speed.json` (`SpeedReport`). All
+//! (`BenchServeReport`) and `BENCH_chaos.json` (`ChaosStormReport`).
+//! Simulation speed is recorded by `examples/benchmark`, whose own
+//! tests pin its metric names and units. All reports here
 //! are parsed back with the serving layer's own JSON reader, so the
 //! documents stay valid JSON with a fixed field set — and the runner's
 //! timings stay deterministic across worker counts.
 
 use recon_secure::SecureConfig;
 use recon_serve::{json, BenchServeReport, ChaosStormReport};
-use recon_sim::{run_batch, Experiment, SpeedReport};
+use recon_sim::{run_batch, Experiment};
 use recon_workloads::{find, Scale, Suite};
 
 fn tmp_path(name: &str) -> String {
@@ -185,129 +186,4 @@ fn chaos_storm_report_golden() {
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(text, golden);
-}
-
-#[test]
-fn speed_report_json_schema_and_determinism() {
-    let report = SpeedReport::measure(Suite::Spec2017, "mcf", true);
-
-    let path = tmp_path("speed.json");
-    report.write_json(&path).expect("write BENCH_speed.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let doc = json::parse(&text).expect("BENCH_speed.json is valid JSON");
-    // The golden schema: exactly these top-level keys, in order.
-    assert_eq!(
-        doc.keys(),
-        vec![
-            "scale",
-            "suite",
-            "bench",
-            "functional_instructions",
-            "functional_seconds",
-            "functional_mips",
-            "fast_forward",
-            "functional_over_detailed",
-            "end_to_end_speedup",
-            "detailed_region_identical",
-            "schemes",
-            "audit",
-            "micro"
-        ]
-    );
-    assert_eq!(doc.get("bench").and_then(json::Json::as_str), Some("mcf"));
-    assert_eq!(
-        doc.get("detailed_region_identical")
-            .map(|v| matches!(v, json::Json::Bool(true))),
-        Some(true),
-        "every scheme's detailed region must be byte-identical"
-    );
-
-    // One row per scheme, in matrix order, with the fixed row schema.
-    let json::Json::Arr(rows) = doc.get("schemes").expect("schemes present") else {
-        panic!("schemes is an array");
-    };
-    let labels: Vec<&str> = rows
-        .iter()
-        .map(|r| r.get("scheme").and_then(json::Json::as_str).unwrap())
-        .collect();
-    assert_eq!(labels, ["unsafe", "NDA", "NDA+ReCon", "STT", "STT+ReCon"]);
-    for r in rows {
-        assert_eq!(
-            r.keys(),
-            vec![
-                "scheme",
-                "instructions",
-                "detailed_seconds",
-                "detailed_mips",
-                "warm_seconds",
-                "speedup",
-                "identical"
-            ]
-        );
-    }
-
-    // The audited-run row: identical simulated result, bounded host
-    // overhead (the sweep is pure observation).
-    let audit = doc.get("audit").expect("audit present");
-    assert_eq!(
-        audit.keys(),
-        vec![
-            "audit_every",
-            "sweeps",
-            "sweep_seconds",
-            "run_seconds",
-            "overhead_fraction",
-            "identical"
-        ]
-    );
-    assert!(
-        audit
-            .get("audit_every")
-            .and_then(json::Json::as_u64)
-            .unwrap()
-            > 0
-    );
-    assert_eq!(
-        audit
-            .get("identical")
-            .map(|v| matches!(v, json::Json::Bool(true))),
-        Some(true),
-        "the audit sweep must not perturb the simulated run"
-    );
-
-    // The three isolation microbenchmarks, each with a positive
-    // throughput on both sides.
-    let json::Json::Arr(micro) = doc.get("micro").expect("micro present") else {
-        panic!("micro is an array");
-    };
-    let names: Vec<&str> = micro
-        .iter()
-        .map(|m| m.get("name").and_then(json::Json::as_str).unwrap())
-        .collect();
-    assert_eq!(names, ["decode", "mask", "mem"]);
-    for m in micro {
-        assert!(m.get("baseline_mops").and_then(json::Json::as_f64).unwrap() > 0.0);
-        assert!(
-            m.get("optimized_mops")
-                .and_then(json::Json::as_f64)
-                .unwrap()
-                > 0.0
-        );
-    }
-
-    // Everything except host timings is deterministic across runs.
-    let again = SpeedReport::measure(Suite::Spec2017, "mcf", true);
-    assert_eq!(
-        again.functional_instructions,
-        report.functional_instructions
-    );
-    assert_eq!(again.fast_forward, report.fast_forward);
-    assert_eq!(again.schemes.len(), report.schemes.len());
-    for (a, b) in again.schemes.iter().zip(&report.schemes) {
-        assert_eq!(a.scheme, b.scheme);
-        assert_eq!(a.instructions, b.instructions);
-        assert!(a.identical && b.identical);
-    }
 }
