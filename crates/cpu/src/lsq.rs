@@ -135,14 +135,16 @@ impl StoreQueue {
     }
 
     /// Forwarding probe: scans stores older than `load_seq`,
-    /// youngest-first, for a same-word match.
+    /// youngest-first, for a same-word match. The younger stores are
+    /// skipped by binary search, not walked.
     ///
     /// `conservative` selects §4.5.1 behaviour: any unresolved older
     /// store address forces [`Forward::MustWait`]. Non-conservative
     /// (predictor) mode skips unresolved stores optimistically.
     #[must_use]
     pub fn forward(&self, load_seq: Seq, addr: u64, conservative: bool) -> Forward {
-        for e in self.entries.iter().rev().skip_while(|e| e.seq >= load_seq) {
+        let older = self.entries.partition_point(|e| e.seq < load_seq);
+        for e in self.entries.range(..older).rev() {
             match e.addr {
                 None => {
                     if conservative {
@@ -286,10 +288,18 @@ impl StoreBuffer {
 }
 
 /// The load queue: in-flight loads, for occupancy and violation checks.
+///
+/// A ring of `capacity` slots in program order. [`LoadQueue::push`]
+/// returns the slot a load occupies until it commits or is squashed, so
+/// [`LoadQueue::complete`] needs no search.
 #[derive(Clone, Debug, Default)]
 pub struct LoadQueue {
-    entries: VecDeque<LqEntry>,
+    /// Slots in ring order; grows to `capacity` as slots are first used.
+    entries: Vec<LqEntry>,
     capacity: usize,
+    /// Slot of the oldest load.
+    head: usize,
+    len: usize,
 }
 
 /// A load-queue entry.
@@ -310,48 +320,69 @@ impl LoadQueue {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         LoadQueue {
-            entries: VecDeque::new(),
+            entries: Vec::new(),
             capacity,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// The slot `i` places after the head.
+    fn slot(&self, i: usize) -> usize {
+        let s = self.head + i;
+        if s >= self.capacity {
+            s - self.capacity
+        } else {
+            s
         }
     }
 
     /// Whether a load can be dispatched.
     #[must_use]
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Dispatches a load.
+    /// Dispatches a load, returning the slot it occupies.
     ///
     /// # Panics
     ///
     /// Panics when full; check [`LoadQueue::has_space`].
-    pub fn push(&mut self, seq: Seq) {
+    pub fn push(&mut self, seq: Seq) -> u32 {
         assert!(self.has_space(), "LQ full");
-        self.entries.push_back(LqEntry {
+        let slot = self.slot(self.len);
+        let e = LqEntry {
             seq,
             addr: None,
             forwarded_from: None,
             done: false,
-        });
+        };
+        if slot < self.entries.len() {
+            self.entries[slot] = e;
+        } else {
+            // Slots are first used in ring order from slot 0.
+            self.entries.push(e);
+        }
+        self.len += 1;
+        slot as u32
     }
 
-    /// Marks a load executed at `addr`, with its forwarding source.
-    pub fn complete(&mut self, seq: Seq, addr: u64, forwarded_from: Option<Seq>) {
-        let at = self.entries.binary_search_by_key(&seq, |e| e.seq);
-        if let Some(e) = at.ok().and_then(|i| self.entries.get_mut(i)) {
+    /// Marks load `seq`, in `slot`, executed at `addr`, with its
+    /// forwarding source.
+    pub fn complete(&mut self, slot: u32, seq: Seq, addr: u64, forwarded_from: Option<Seq>) {
+        if let Some(e) = self.entries.get_mut(slot as usize).filter(|e| e.seq == seq) {
             e.addr = Some(addr);
             e.forwarded_from = forwarded_from;
             e.done = true;
@@ -360,21 +391,22 @@ impl LoadQueue {
 
     /// Removes the oldest load (commit).
     pub fn commit(&mut self, seq: Seq) {
-        if matches!(self.entries.front(), Some(e) if e.seq == seq) {
-            self.entries.pop_front();
+        if self.len > 0 && self.entries[self.head].seq == seq {
+            self.head = self.slot(1);
+            self.len -= 1;
         }
     }
 
     /// Drops all loads younger than `seq` (squash).
     pub fn squash_after(&mut self, seq: Seq) {
-        while matches!(self.entries.back(), Some(e) if e.seq > seq) {
-            self.entries.pop_back();
+        while self.len > 0 && self.entries[self.slot(self.len - 1)].seq > seq {
+            self.len -= 1;
         }
     }
 
     /// Iterates entries oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &LqEntry> {
-        self.entries.iter()
+        (0..self.len).map(|i| &self.entries[self.slot(i)])
     }
 
     /// Memory-order violation check when store `store_seq` resolves its
@@ -382,8 +414,7 @@ impl LoadQueue {
     /// the same word without forwarding from this store (§4.5.2).
     #[must_use]
     pub fn violation(&self, store_seq: Seq, store_addr: u64) -> Option<Seq> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|e| e.seq > store_seq && e.done)
             .filter(|e| e.addr == Some(store_addr))
             .filter(|e| e.forwarded_from != Some(store_seq))
@@ -497,12 +528,12 @@ mod tests {
     #[test]
     fn lq_violation_detection() {
         let mut lq = LoadQueue::new(8);
-        lq.push(10);
-        lq.push(12);
-        lq.complete(10, 0x100, None); // executed from memory
-        lq.complete(12, 0x100, Some(5)); // forwarded from store 5
-                                         // Store 5 resolves to 0x100: load 10 read memory and missed the
-                                         // forwarding -> violation; load 12 forwarded correctly.
+        let a = lq.push(10);
+        let b = lq.push(12);
+        lq.complete(a, 10, 0x100, None); // executed from memory
+        lq.complete(b, 12, 0x100, Some(5)); // forwarded from store 5
+                                            // Store 5 resolves to 0x100: load 10 read memory and missed the
+                                            // forwarding -> violation; load 12 forwarded correctly.
         assert_eq!(lq.violation(5, 0x100), Some(10));
         // A store to a different word bothers no one.
         assert_eq!(lq.violation(5, 0x108), None);
@@ -514,8 +545,8 @@ mod tests {
     #[test]
     fn lq_violation_ignores_older_loads() {
         let mut lq = LoadQueue::new(8);
-        lq.push(3);
-        lq.complete(3, 0x100, None);
+        let a = lq.push(3);
+        lq.complete(a, 3, 0x100, None);
         assert_eq!(lq.violation(5, 0x100), None);
     }
 
@@ -529,6 +560,25 @@ mod tests {
         assert_eq!(lq.len(), 2);
         lq.squash_after(2);
         assert_eq!(lq.len(), 1);
+    }
+
+    #[test]
+    fn lq_slots_wrap_around() {
+        let mut lq = LoadQueue::new(3);
+        let mut slots = Vec::new();
+        for seq in 0..7 {
+            if lq.len() == 2 {
+                lq.commit(seq - 2);
+            }
+            slots.push(lq.push(seq));
+        }
+        assert_eq!(slots, vec![0, 1, 2, 0, 1, 2, 0]);
+        lq.complete(0, 6, 0x40, None);
+        lq.complete(2, 6, 0x80, None); // another load's slot: ignored
+        let seqs: Vec<_> = lq.iter().map(|e| (e.seq, e.addr)).collect();
+        assert_eq!(seqs, vec![(5, None), (6, Some(0x40))]);
+        lq.squash_after(5);
+        assert_eq!(lq.push(9), 0, "a squashed slot is reused");
     }
 
     #[test]

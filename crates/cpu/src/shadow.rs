@@ -43,6 +43,11 @@ impl ShadowTracker {
 
     /// A shadow-casting instruction (branch or store) dispatched.
     pub fn cast(&mut self, seq: Seq) {
+        if self.unresolved.back().is_none_or(|&s| s < seq) {
+            // The youngest in flight: dispatch is in order.
+            self.unresolved.push_back(seq);
+            return;
+        }
         let at = self.unresolved.partition_point(|&s| s < seq);
         if self.unresolved.get(at) != Some(&seq) {
             self.unresolved.insert(at, seq);
@@ -52,7 +57,9 @@ impl ShadowTracker {
     /// The shadow-caster resolved (branch executed / store address
     /// computed).
     pub fn resolve(&mut self, seq: Seq) {
-        if let Ok(at) = self.unresolved.binary_search(&seq) {
+        if self.unresolved.front() == Some(&seq) {
+            self.unresolved.pop_front();
+        } else if let Ok(at) = self.unresolved.binary_search(&seq) {
             self.unresolved.remove(at);
         }
     }

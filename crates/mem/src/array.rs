@@ -5,11 +5,12 @@
 //! timing-directed model where architectural data lives in a flat
 //! functional memory (see `recon-sim`), as in many timing simulators.
 //!
-//! Reveal masks live in a dense [`MaskArray`] indexed by `(set, way)`
-//! rather than inside the per-way metadata, so array-wide mask
-//! operations (occupancy-style reveal counts, any-revealed probes) run
-//! over packed `u64` words instead of walking every way a byte at a
-//! time.
+//! Every per-way field lives in a flat array indexed by slot
+//! `set * ways + way`. A way's tag, MESI state and valid bit share one
+//! `u64` key, so a lookup compares one word per way. Reveal masks live
+//! in a dense [`MaskArray`] by slot, so array-wide mask operations
+//! (occupancy-style reveal counts, any-revealed probes) run over packed
+//! `u64` words instead of walking every way a byte at a time.
 
 use recon::{MaskArray, RevealMask};
 use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
@@ -17,14 +18,33 @@ use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
 use crate::geometry::CacheGeometry;
 use crate::mesi::Mesi;
 
-/// One way of one set (coherence metadata only — the reveal mask is in
-/// the array's packed [`MaskArray`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    state: Mesi,
-    last_use: u64,
+/// Key bit: the way holds a line.
+const VALID: u64 = 1;
+/// Key bits holding the MESI state ([`mesi_to_u8`]).
+const STATE: u64 = 0b110;
+/// The tag sits above the state and valid bits.
+const TAG_SHIFT: u32 = 3;
+
+/// The key of a way holding `tag` in `state`, valid or not.
+fn key(tag: u64, state: Mesi, valid: bool) -> u64 {
+    (tag << TAG_SHIFT) | (u64::from(mesi_to_u8(state)) << 1) | u64::from(valid)
+}
+
+fn key_tag(key: u64) -> u64 {
+    key >> TAG_SHIFT
+}
+
+fn key_state(key: u64) -> Mesi {
+    match (key & STATE) >> 1 {
+        0 => Mesi::Invalid,
+        1 => Mesi::Shared,
+        2 => Mesi::Exclusive,
+        _ => Mesi::Modified,
+    }
+}
+
+fn key_valid(key: u64) -> bool {
+    key & VALID != 0
 }
 
 /// A line evicted by [`CacheArray::fill`].
@@ -52,7 +72,11 @@ pub struct Evicted {
 #[derive(Clone, Debug)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    sets: Vec<Vec<Way>>,
+    /// Per slot: tag, MESI state and valid bit (see [`key`]). An invalid
+    /// way keeps its stale tag and state, which snapshots record.
+    keys: Vec<u64>,
+    /// Per slot: the tick of the last fill or touch.
+    last_use: Vec<u64>,
     masks: MaskArray,
     tick: u64,
 }
@@ -61,12 +85,12 @@ impl CacheArray {
     /// Creates an empty array with the given geometry.
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
-        let sets = vec![vec![Way::default(); geom.ways()]; geom.num_sets()];
-        let masks = MaskArray::new(geom.num_sets() * geom.ways());
+        let slots = geom.num_lines();
         CacheArray {
             geom,
-            sets,
-            masks,
+            keys: vec![0; slots],
+            last_use: vec![0; slots],
+            masks: MaskArray::new(slots),
             tick: 0,
         }
     }
@@ -77,47 +101,56 @@ impl CacheArray {
         self.geom
     }
 
-    /// Flat index of `(set, way)` into the packed mask array.
+    /// The slot of the valid way holding the line of `addr`.
     #[inline]
-    fn mask_slot(&self, set: usize, way: usize) -> usize {
-        set * self.geom.ways() + way
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (set, tag) = self.geom.slice(addr);
+        let base = set * self.geom.ways();
+        let want = (tag << TAG_SHIFT) | VALID;
+        self.keys[base..base + self.geom.ways()]
+            .iter()
+            .position(|&k| k & !STATE == want)
+            .map(|way| base + way)
     }
 
-    fn find(&self, addr: u64) -> Option<(usize, usize)> {
-        let (set, tag) = self.geom.slice(addr);
-        self.sets[set]
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|way| (set, way))
+    /// The line address of the way in `slot`.
+    fn line_addr(&self, slot: usize) -> u64 {
+        let set = slot / self.geom.ways();
+        self.geom.unslice(set, key_tag(self.keys[slot]))
+    }
+
+    fn set_slot_state(&mut self, slot: usize, state: Mesi) {
+        let k = self.keys[slot];
+        self.keys[slot] = key(key_tag(k), state, key_valid(k));
     }
 
     /// The MESI state of the line containing `addr`, if present.
     #[must_use]
     pub fn state_of(&self, addr: u64) -> Option<Mesi> {
-        self.find(addr).map(|(s, w)| self.sets[s][w].state)
+        self.find(addr).map(|slot| key_state(self.keys[slot]))
     }
 
     /// The reveal mask of the line containing `addr`, if present.
     #[must_use]
     pub fn mask_of(&self, addr: u64) -> Option<RevealMask> {
-        self.find(addr)
-            .map(|(s, w)| self.masks.get(self.mask_slot(s, w)))
+        self.find(addr).map(|slot| self.masks.get(slot))
     }
 
     /// Looks up the line and refreshes its LRU position. Returns
     /// `(state, mask)` on hit.
+    #[inline]
     pub fn touch(&mut self, addr: u64) -> Option<(Mesi, RevealMask)> {
-        let (s, w) = self.find(addr)?;
+        let slot = self.find(addr)?;
         self.tick += 1;
-        self.sets[s][w].last_use = self.tick;
-        Some((self.sets[s][w].state, self.masks.get(self.mask_slot(s, w))))
+        self.last_use[slot] = self.tick;
+        Some((key_state(self.keys[slot]), self.masks.get(slot)))
     }
 
     /// Changes the state of a present line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: u64, state: Mesi) -> bool {
         match self.find(addr) {
-            Some((s, w)) => {
-                self.sets[s][w].state = state;
+            Some(slot) => {
+                self.set_slot_state(slot, state);
                 true
             }
             None => false,
@@ -127,8 +160,8 @@ impl CacheArray {
     /// Replaces the mask of a present line. Returns `false` if absent.
     pub fn set_mask(&mut self, addr: u64, mask: RevealMask) -> bool {
         match self.find(addr) {
-            Some((s, w)) => {
-                self.masks.set(self.mask_slot(s, w), mask);
+            Some(slot) => {
+                self.masks.set(slot, mask);
                 true
             }
             None => false,
@@ -139,8 +172,7 @@ impl CacheArray {
     /// absent.
     pub fn update_mask(&mut self, addr: u64, f: impl FnOnce(&mut RevealMask)) -> bool {
         match self.find(addr) {
-            Some((s, w)) => {
-                let slot = self.mask_slot(s, w);
+            Some(slot) => {
                 let mut mask = self.masks.get(slot);
                 f(&mut mask);
                 self.masks.set(slot, mask);
@@ -154,8 +186,8 @@ impl CacheArray {
     /// (the §5.3 merge rule). Returns `false` if absent.
     pub fn or_mask(&mut self, addr: u64, mask: RevealMask) -> bool {
         match self.find(addr) {
-            Some((s, w)) => {
-                self.masks.or_line(self.mask_slot(s, w), mask);
+            Some(slot) => {
+                self.masks.or_line(slot, mask);
                 true
             }
             None => false,
@@ -166,65 +198,60 @@ impl CacheArray {
     ///
     /// The caller handles the returned victim (writeback / directory
     /// notification / mask merge). Filling an already-present line just
-    /// updates its state and mask.
+    /// updates its state and mask. One walk of the set finds the line,
+    /// the first invalid way and the LRU way together.
     pub fn fill(&mut self, addr: u64, state: Mesi, mask: RevealMask) -> Option<Evicted> {
         debug_assert!(state.readable(), "filling an Invalid line is meaningless");
         self.tick += 1;
         let tick = self.tick;
-        if let Some((s, w)) = self.find(addr) {
-            let slot = self.mask_slot(s, w);
-            let way = &mut self.sets[s][w];
-            way.state = state;
-            way.last_use = tick;
-            self.masks.set(slot, mask);
-            return None;
-        }
         let (set, tag) = self.geom.slice(addr);
-        let slot = if let Some(i) = self.sets[set].iter().position(|w| !w.valid) {
-            i
-        } else {
-            // LRU victim.
-            self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i)
-                .expect("associativity is positive")
-        };
-        let mask_slot = self.mask_slot(set, slot);
-        let victim = &self.sets[set][slot];
-        let evicted = victim.valid.then(|| Evicted {
-            addr: self.geom.unslice(set, victim.tag),
-            state: victim.state,
-            mask: self.masks.get(mask_slot),
+        let base = set * self.geom.ways();
+        let want = (tag << TAG_SHIFT) | VALID;
+        let mut free = None;
+        let mut lru = (u64::MAX, base);
+        for slot in base..base + self.geom.ways() {
+            let k = self.keys[slot];
+            if k & !STATE == want {
+                self.set_slot_state(slot, state);
+                self.last_use[slot] = tick;
+                self.masks.set(slot, mask);
+                return None;
+            }
+            if !key_valid(k) {
+                free = free.or(Some(slot));
+            } else if self.last_use[slot] < lru.0 {
+                // The first of equally old ways.
+                lru = (self.last_use[slot], slot);
+            }
+        }
+        let slot = free.unwrap_or(lru.1);
+        let victim = self.keys[slot];
+        let evicted = key_valid(victim).then(|| Evicted {
+            addr: self.geom.unslice(set, key_tag(victim)),
+            state: key_state(victim),
+            mask: self.masks.get(slot),
         });
-        self.sets[set][slot] = Way {
-            valid: true,
-            tag,
-            state,
-            last_use: tick,
-        };
-        self.masks.set(mask_slot, mask);
+        self.keys[slot] = key(tag, state, true);
+        self.last_use[slot] = tick;
+        self.masks.set(slot, mask);
         evicted
     }
 
     /// Removes a line, returning its `(state, mask)` if it was present.
     pub fn invalidate(&mut self, addr: u64) -> Option<(Mesi, RevealMask)> {
-        let (s, w) = self.find(addr)?;
-        let slot = self.mask_slot(s, w);
+        let slot = self.find(addr)?;
         let mask = self.masks.get(slot);
         // Conceal the slot so array-wide packed scans only see valid
         // lines' reveal bits.
         self.masks.set(slot, RevealMask::all_concealed());
-        let way = &mut self.sets[s][w];
-        way.valid = false;
-        Some((way.state, mask))
+        self.keys[slot] &= !VALID;
+        Some((key_state(self.keys[slot]), mask))
     }
 
     /// Number of valid lines (for tests and occupancy stats).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.valid).count()
+        self.keys.iter().filter(|&&k| key_valid(k)).count()
     }
 
     /// Total revealed words across all resident lines, computed by
@@ -239,18 +266,11 @@ impl CacheArray {
 
     /// Iterates over `(line_addr, state, mask)` of every valid line.
     pub fn iter_lines(&self) -> impl Iterator<Item = (u64, Mesi, RevealMask)> + '_ {
-        self.sets.iter().enumerate().flat_map(move |(set, ways)| {
-            ways.iter()
-                .enumerate()
-                .filter(|(_, w)| w.valid)
-                .map(move |(way, w)| {
-                    (
-                        self.geom.unslice(set, w.tag),
-                        w.state,
-                        self.masks.get(self.mask_slot(set, way)),
-                    )
-                })
-        })
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, &k)| key_valid(k))
+            .map(move |(slot, &k)| (self.line_addr(slot), key_state(k), self.masks.get(slot)))
     }
 
     /// Invariant sweep over this array's internal bookkeeping:
@@ -266,10 +286,11 @@ impl CacheArray {
     ///
     /// Violations are appended to `out` labeled with `site`.
     pub fn audit(&self, site: &str, out: &mut Vec<recon::AuditViolation>) {
-        for (set, ways) in self.sets.iter().enumerate() {
-            for (way, meta) in ways.iter().enumerate() {
-                let mask = self.masks.get(self.mask_slot(set, way));
-                if !meta.valid && mask.bits() != 0 {
+        let ways = self.geom.ways();
+        for (set, keys) in self.keys.chunks(ways).enumerate() {
+            for (way, &k) in keys.iter().enumerate() {
+                let mask = self.masks.get(set * ways + way);
+                if !key_valid(k) && mask.bits() != 0 {
                     out.push(recon::AuditViolation::new(
                         "mask-on-invalid-way",
                         site,
@@ -279,29 +300,29 @@ impl CacheArray {
                         ),
                     ));
                 }
-                if meta.valid && !meta.state.readable() {
+                if key_valid(k) && !key_state(k).readable() {
                     out.push(recon::AuditViolation::new(
                         "valid-way-unreadable",
                         site,
                         format!(
                             "set {set} way {way} (line {:#x}): valid bit set but state Invalid",
-                            self.geom.unslice(set, meta.tag)
+                            self.geom.unslice(set, key_tag(k))
                         ),
                     ));
                 }
             }
-            for (i, a) in ways.iter().enumerate() {
-                if !a.valid {
+            for (i, &a) in keys.iter().enumerate() {
+                if !key_valid(a) {
                     continue;
                 }
-                for b in &ways[i + 1..] {
-                    if b.valid && a.tag == b.tag {
+                for &b in &keys[i + 1..] {
+                    if key_valid(b) && key_tag(a) == key_tag(b) {
                         out.push(recon::AuditViolation::new(
                             "duplicate-tag",
                             site,
                             format!(
                                 "set {set}: two valid ways hold line {:#x}",
-                                self.geom.unslice(set, a.tag)
+                                self.geom.unslice(set, key_tag(a))
                             ),
                         ));
                     }
@@ -315,7 +336,7 @@ impl CacheArray {
     /// the valid bit first). Returns a description of the flip.
     pub fn inject_mask_bit(&mut self, rng: &mut recon_isa::rng::SplitMix64) -> Option<String> {
         use recon_isa::rng::Rng as _;
-        let slots = self.sets.len() * self.geom.ways();
+        let slots = self.keys.len();
         if slots == 0 {
             return None;
         }
@@ -329,7 +350,7 @@ impl CacheArray {
         }
         self.masks.set(slot, mask);
         let (set, way) = (slot / self.geom.ways(), slot % self.geom.ways());
-        let valid = self.sets[set][way].valid;
+        let valid = key_valid(self.keys[slot]);
         Some(format!(
             "mask bit {word} of set {set} way {way} flipped (way {})",
             if valid { "valid" } else { "invalid" }
@@ -342,19 +363,11 @@ impl CacheArray {
     /// `None` when the array holds no valid line.
     pub fn inject_state_flip(&mut self, rng: &mut recon_isa::rng::SplitMix64) -> Option<String> {
         use recon_isa::rng::Rng as _;
-        let valid: Vec<(usize, usize)> = self
-            .sets
-            .iter()
-            .enumerate()
-            .flat_map(|(s, ways)| {
-                ways.iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.valid)
-                    .map(move |(w, _)| (s, w))
-            })
+        let valid: Vec<usize> = (0..self.keys.len())
+            .filter(|&slot| key_valid(self.keys[slot]))
             .collect();
-        let &(set, way) = valid.get(rng.next_u64() as usize % valid.len().max(1))?;
-        let old = self.sets[set][way].state;
+        let &slot = valid.get(rng.next_u64() as usize % valid.len().max(1))?;
+        let old = key_state(self.keys[slot]);
         let choices = [Mesi::Invalid, Mesi::Shared, Mesi::Exclusive, Mesi::Modified];
         let new = choices[rng.next_u64() as usize % choices.len()];
         let new = if new == old {
@@ -362,30 +375,29 @@ impl CacheArray {
         } else {
             new
         };
-        self.sets[set][way].state = new;
+        self.set_slot_state(slot, new);
         Some(format!(
             "line {:#x}: MESI {old:?} -> {new:?}",
-            self.geom.unslice(set, self.sets[set][way].tag)
+            self.line_addr(slot)
         ))
     }
 
     /// Serializes every way of every set in array order, including LRU
-    /// timestamps, so replacement decisions replay identically after a
-    /// restore. Geometry is *not* stored — it is re-derived from the
-    /// run configuration and validated by the caller.
+    /// timestamps and the stale tags and states of invalid ways, so
+    /// replacement decisions replay identically after a restore.
+    /// Geometry is *not* stored — it is re-derived from the run
+    /// configuration and validated by the caller.
     pub fn save_snap(&self, w: &mut SnapWriter) {
         w.tag(b"CARR");
         w.u64(self.tick);
-        w.u32(self.sets.len() as u32);
+        w.u32(self.geom.num_sets() as u32);
         w.u32(self.geom.ways() as u32);
-        for (set, ways) in self.sets.iter().enumerate() {
-            for (way, meta) in ways.iter().enumerate() {
-                w.bool(meta.valid);
-                w.u64(meta.tag);
-                w.u8(mesi_to_u8(meta.state));
-                w.u8(self.masks.get(self.mask_slot(set, way)).bits());
-                w.u64(meta.last_use);
-            }
+        for (slot, &k) in self.keys.iter().enumerate() {
+            w.bool(key_valid(k));
+            w.u64(key_tag(k));
+            w.u8(mesi_to_u8(key_state(k)));
+            w.u8(self.masks.get(slot).bits());
+            w.u64(self.last_use[slot]);
         }
     }
 
@@ -395,8 +407,8 @@ impl CacheArray {
     /// # Errors
     ///
     /// Fails if the stored dimensions disagree with `geom` (the run was
-    /// checkpointed under a different cache configuration) or the
-    /// stream is corrupt.
+    /// checkpointed under a different cache configuration), a tag is
+    /// wider than any address yields, or the stream is corrupt.
     pub fn load_snap(geom: CacheGeometry, r: &mut SnapReader<'_>) -> Result<CacheArray, SnapError> {
         r.expect_tag(b"CARR")?;
         let tick = r.u64()?;
@@ -412,36 +424,28 @@ impl CacheArray {
                 offset: r.offset(),
             });
         }
-        let mut sets = Vec::with_capacity(num_sets);
-        let mut masks = MaskArray::new(num_sets * num_ways);
-        for set in 0..num_sets {
-            let mut ways = Vec::with_capacity(num_ways);
-            for way in 0..num_ways {
-                let valid = r.bool()?;
-                let tag = r.u64()?;
-                let state = mesi_from_u8(r.u8()?, r)?;
-                let mask = RevealMask::from_bits(r.u8()?);
-                let last_use = r.u64()?;
-                ways.push(Way {
-                    valid,
-                    tag,
-                    state,
-                    last_use,
+        let mut a = CacheArray::new(geom);
+        a.tick = tick;
+        for slot in 0..num_sets * num_ways {
+            let valid = r.bool()?;
+            let tag = r.u64()?;
+            if tag >> (64 - TAG_SHIFT) != 0 {
+                return Err(SnapError {
+                    what: format!("cache tag {tag:#x} out of range"),
+                    offset: r.offset(),
                 });
-                // Invalid slots stay concealed in the packed array so
-                // revealed_words() counts only resident lines.
-                if valid {
-                    masks.set(set * num_ways + way, mask);
-                }
             }
-            sets.push(ways);
+            let state = mesi_from_u8(r.u8()?, r)?;
+            let mask = RevealMask::from_bits(r.u8()?);
+            a.keys[slot] = key(tag, state, valid);
+            a.last_use[slot] = r.u64()?;
+            // Invalid slots stay concealed in the packed array so
+            // revealed_words() counts only resident lines.
+            if valid {
+                a.masks.set(slot, mask);
+            }
         }
-        Ok(CacheArray {
-            geom,
-            sets,
-            masks,
-            tick,
-        })
+        Ok(a)
     }
 }
 

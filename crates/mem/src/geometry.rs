@@ -73,12 +73,14 @@ impl CacheGeometry {
         self.sets * self.ways
     }
 
-    /// Splits a byte address into `(set index, tag)`.
+    /// Splits a byte address into `(set index, tag)`: the set count is
+    /// a power of two, so a mask and a shift do it.
     #[must_use]
+    #[inline]
     pub fn slice(&self, addr: u64) -> (usize, u64) {
         let line = addr / LINE_BYTES;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+        let set = line as usize & (self.sets - 1);
+        let tag = line >> self.sets.trailing_zeros();
         (set, tag)
     }
 
