@@ -1,8 +1,7 @@
-//! Ungated randomized property tests of the MESI reveal-mask OR-merge
-//! rules on eviction and invalidation (§5.3). Unlike `proptests.rs`
-//! (which needs the crates-io `proptest` crate and is off by default),
-//! these run in every `cargo test`: the interleavings are driven by the
-//! repo's own `SplitMix64`, so failures replay from a printed seed.
+//! Randomized property tests of the MESI reveal-mask OR-merge rules on
+//! eviction and invalidation (§5.3). Like `proptests.rs`, these run in
+//! every `cargo test`: the interleavings are driven by the repo's own
+//! `SplitMix64`, so failures replay from a printed seed.
 
 use recon::ReconConfig;
 use recon_isa::rng::{Rng as _, SplitMix64};

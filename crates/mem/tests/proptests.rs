@@ -1,11 +1,17 @@
-//! Property-based tests of the coherent memory system: reveal/conceal
-//! metadata must follow the §5.3 rules under arbitrary interleavings of
-//! reads, writes, reveals, and RMWs from multiple cores.
-
-use proptest::prelude::*;
+//! Randomized property tests of the coherent memory system: reveal and
+//! conceal metadata must follow the §5.3 rules under arbitrary
+//! interleavings of reads, writes, reveals and RMWs from several cores.
+//!
+//! Each property runs many seeded operation sequences drawn from the
+//! repo's own `SplitMix64`, so the suite runs offline in every
+//! `cargo test` and a failure names the seed and step that replay it.
 
 use recon::ReconConfig;
+use recon_isa::rng::{Rng as _, SplitMix64};
 use recon_mem::{CacheGeometry, MemConfig, MemorySystem, Mesi};
+
+/// Sequences per property.
+const CASES: u64 = 96;
 
 /// A memory-system operation from a random core on a small address pool.
 #[derive(Clone, Copy, Debug)]
@@ -17,14 +23,22 @@ enum Op {
 }
 
 /// Small pool: 8 lines × 8 words keeps collisions frequent.
-fn op() -> impl Strategy<Value = Op> {
-    let addr = (0u64..8, 0u64..8).prop_map(|(l, w)| l * 64 + w * 8);
-    (0usize..3, addr, 0u32..4).prop_map(|(core, addr, kind)| match kind {
+fn op(rng: &mut SplitMix64) -> Op {
+    let core = (rng.next_u64() % 3) as usize;
+    let addr = (rng.next_u64() % 8) * 64 + (rng.next_u64() % 8) * 8;
+    match rng.next_u64() % 4 {
         0 => Op::Read { core, addr },
         1 => Op::Write { core, addr },
         2 => Op::Reveal { core, addr },
         _ => Op::Rmw { core, addr },
-    })
+    }
+}
+
+/// The operation sequence of `seed`: between 1 and `max_len - 1` ops.
+fn ops(seed: u64, max_len: u64) -> Vec<Op> {
+    let mut rng = SplitMix64::new(0x9e37_0000 + seed);
+    let len = 1 + rng.next_u64() % (max_len - 1);
+    (0..len).map(|_| op(&mut rng)).collect()
 }
 
 fn tiny_config() -> MemConfig {
@@ -36,28 +50,24 @@ fn tiny_config() -> MemConfig {
     }
 }
 
-proptest! {
-    /// Soundness of reveal state: a word may only be observed revealed
-    /// if it was revealed at some point after its last write. (Losing
-    /// reveals is always allowed; resurrecting concealed words never.)
-    #[test]
-    fn no_word_is_revealed_without_a_reveal_after_its_last_write(
-        ops in proptest::collection::vec(op(), 1..300),
-    ) {
+/// Soundness of reveal state: a word may only be observed revealed if
+/// it was revealed at some point after its last write. (Losing reveals
+/// is always allowed; resurrecting concealed words never.)
+#[test]
+fn no_word_is_revealed_without_a_reveal_after_its_last_write() {
+    for seed in 0..CASES {
         let mut m = MemorySystem::new(3, tiny_config(), ReconConfig::default());
         // Reference: per word, was there a reveal() since the last
         // write (by anyone)? Writes conceal globally and coherently.
         let mut may_be_revealed = std::collections::HashMap::<u64, bool>::new();
-        for op in ops {
+        for (step, op) in ops(seed, 300).into_iter().enumerate() {
             match op {
                 Op::Read { core, addr } => {
                     let r = m.read(core, addr);
-                    if r.revealed {
-                        prop_assert!(
-                            may_be_revealed.get(&addr).copied().unwrap_or(false),
-                            "{addr:#x} observed revealed with no prior reveal"
-                        );
-                    }
+                    assert!(
+                        !r.revealed || may_be_revealed.get(&addr).copied().unwrap_or(false),
+                        "seed {seed} step {step}: {addr:#x} observed revealed with no prior reveal"
+                    );
                 }
                 Op::Write { core, addr } => {
                     m.write(core, addr);
@@ -70,63 +80,82 @@ proptest! {
                 }
                 Op::Rmw { core, addr } => {
                     let r = m.rmw(core, addr);
-                    if r.revealed {
-                        prop_assert!(
-                            may_be_revealed.get(&addr).copied().unwrap_or(false),
-                            "{addr:#x} rmw-observed revealed with no prior reveal"
-                        );
-                    }
+                    assert!(
+                        !r.revealed || may_be_revealed.get(&addr).copied().unwrap_or(false),
+                        "seed {seed} step {step}: {addr:#x} rmw-observed revealed with no prior reveal"
+                    );
                     may_be_revealed.insert(addr, false);
                 }
             }
         }
     }
+}
 
-    /// Coherence single-writer invariant: after any operation sequence,
-    /// at most one core holds a line writable, and if one does, no other
-    /// core holds it at all.
-    #[test]
-    fn single_writer_invariant(ops in proptest::collection::vec(op(), 1..300)) {
+/// Coherence single-writer invariant: after any operation sequence, at
+/// most one core holds a line writable, and if one does, no other core
+/// holds it at all.
+#[test]
+fn single_writer_invariant() {
+    for seed in 0..CASES {
         let mut m = MemorySystem::new(3, tiny_config(), ReconConfig::default());
-        for op in ops {
+        for (step, op) in ops(seed, 300).into_iter().enumerate() {
             match op {
-                Op::Read { core, addr } => { m.read(core, addr); }
-                Op::Write { core, addr } => { m.write(core, addr); }
-                Op::Reveal { core, addr } => { m.reveal(core, addr); }
-                Op::Rmw { core, addr } => { m.rmw(core, addr); }
+                Op::Read { core, addr } => {
+                    m.read(core, addr);
+                }
+                Op::Write { core, addr } => {
+                    m.write(core, addr);
+                }
+                Op::Reveal { core, addr } => {
+                    m.reveal(core, addr);
+                }
+                Op::Rmw { core, addr } => {
+                    m.rmw(core, addr);
+                }
             }
             for line in 0..8u64 {
                 let addr = line * 64;
-                let states: Vec<Option<Mesi>> =
-                    (0..3).map(|c| m.l1_state(c, addr).max(m.l2_state(c, addr))).collect();
+                let states: Vec<Option<Mesi>> = (0..3)
+                    .map(|c| m.l1_state(c, addr).max(m.l2_state(c, addr)))
+                    .collect();
                 let writers = states.iter().flatten().filter(|s| s.writable()).count();
-                prop_assert!(writers <= 1, "line {line}: multiple writers {states:?}");
+                assert!(
+                    writers <= 1,
+                    "seed {seed} step {step}: line {line}: multiple writers {states:?}"
+                );
                 if writers == 1 {
                     let holders = states.iter().flatten().count();
-                    prop_assert_eq!(
+                    assert_eq!(
                         holders, 1,
-                        "line {}: writer coexists with sharers {:?}", line, states
+                        "seed {seed} step {step}: line {line}: writer coexists with sharers {states:?}"
                     );
                 }
             }
         }
     }
+}
 
-    /// Disabled ReCon never reports a revealed word, whatever happens.
-    #[test]
-    fn disabled_recon_reveals_nothing(ops in proptest::collection::vec(op(), 1..200)) {
+/// Disabled ReCon never reports a revealed word, whatever happens.
+#[test]
+fn disabled_recon_reveals_nothing() {
+    for seed in 0..CASES {
         let mut m = MemorySystem::new(2, tiny_config(), ReconConfig::disabled());
-        for op in ops {
+        for (step, op) in ops(seed, 200).into_iter().enumerate() {
             match op {
                 Op::Read { core, addr } => {
-                    prop_assert!(!m.read(core % 2, addr).revealed);
+                    let r = m.read(core % 2, addr);
+                    assert!(!r.revealed, "seed {seed} step {step}: read {addr:#x}");
                 }
-                Op::Write { core, addr } => { m.write(core % 2, addr); }
+                Op::Write { core, addr } => {
+                    m.write(core % 2, addr);
+                }
                 Op::Reveal { core, addr } => {
-                    prop_assert!(!m.reveal(core % 2, addr));
+                    let ok = m.reveal(core % 2, addr);
+                    assert!(!ok, "seed {seed} step {step}: reveal {addr:#x}");
                 }
                 Op::Rmw { core, addr } => {
-                    prop_assert!(!m.rmw(core % 2, addr).revealed);
+                    let r = m.rmw(core % 2, addr);
+                    assert!(!r.revealed, "seed {seed} step {step}: rmw {addr:#x}");
                 }
             }
         }
