@@ -17,7 +17,7 @@
 //! ```
 
 use crate::inst::{AluKind, BranchKind, Inst};
-use crate::program::{MemImage, Program, ProgramError};
+use crate::program::{Program, ProgramError};
 use crate::reg::ArchReg;
 
 /// A forward-referenceable code label handed out by [`Asm::new_label`].
@@ -77,7 +77,8 @@ pub struct Asm {
     bound: Vec<Option<usize>>,
     /// Parallel to `bound`: an optional human-readable name per label.
     names: Vec<Option<String>>,
-    image: MemImage,
+    /// Image writes in program order; [`Asm::assemble`] sorts them once.
+    image: Vec<(u64, u64)>,
 }
 
 impl Asm {
@@ -148,9 +149,10 @@ impl Asm {
         self.code.is_empty()
     }
 
-    /// Defines an initial-memory word (8-byte aligned address).
+    /// Defines an initial-memory word (8-byte aligned address). A later
+    /// definition of the same address wins.
     pub fn data(&mut self, addr: u64, value: u64) -> &mut Self {
-        self.image.set(addr, value);
+        self.image.push((addr, value));
         self
     }
 
@@ -407,7 +409,7 @@ impl Asm {
         let program = Program {
             code: self.code,
             entry: 0,
-            image: self.image,
+            image: self.image.into_iter().collect(),
         };
         program.validate()?;
         Ok(program)

@@ -92,14 +92,24 @@ impl SparseMem {
         Self::default()
     }
 
-    /// Creates a memory pre-loaded from a program image.
+    /// Creates a memory pre-loaded from a program image. The image is
+    /// address-sorted, so each page is built once from its run of
+    /// words and goes straight into the map; the hot slot starts empty.
     #[must_use]
     pub fn from_image(image: &MemImage) -> Self {
-        let mut m = SparseMem::new();
-        for (addr, value) in image.iter() {
-            m.write(addr, value);
+        let mut pages = FxHashMap::default();
+        for run in image.words().chunk_by(|a, b| page_of(a.0) == page_of(b.0)) {
+            let mut page = Box::new([0u64; PAGE_WORDS]);
+            for &(addr, value) in run {
+                page[word_in_page(addr)] = value;
+            }
+            pages.insert(page_of(run[0].0), page);
         }
-        m
+        SparseMem {
+            pages,
+            hot_page: 0,
+            hot: None,
+        }
     }
 
     /// Number of resident backing pages (4 KiB each).

@@ -1,7 +1,5 @@
 //! Programs: instruction sequences plus an initial memory image.
 
-use std::collections::BTreeMap;
-
 use crate::inst::Inst;
 
 /// Errors produced by [`Program::validate`].
@@ -41,6 +39,14 @@ impl std::error::Error for ProgramError {}
 
 /// An initial memory image: sparse map of aligned 8-byte words.
 ///
+/// Stored as one address-sorted vector with one `(address, value)`
+/// entry per defined word: 16 bytes a word, against about 36 for a
+/// balanced-tree map. Every figure, batch and service lookup rebuilds
+/// tens of these images, so their footprint and construction time are
+/// a large share of a sweep's memory peak and set-up. Sorted words and
+/// not dense pages, because the images are sparse: a multi-thread
+/// stand-in can define one word in eight across a thousand pages.
+///
 /// ```
 /// use recon_isa::MemImage;
 ///
@@ -51,7 +57,9 @@ impl std::error::Error for ProgramError {}
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MemImage {
-    words: BTreeMap<u64, u64>,
+    /// Strictly ascending by address (so the derived equality is
+    /// logical equality).
+    words: Vec<(u64, u64)>,
 }
 
 impl MemImage {
@@ -61,17 +69,49 @@ impl MemImage {
         Self::default()
     }
 
+    /// Builds an image from writes in program order: one stable sort,
+    /// and the last write to an address wins.
+    fn from_writes(mut words: Vec<(u64, u64)>) -> Self {
+        words.sort_by_key(|&(addr, _)| addr);
+        words.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = next.1;
+            }
+            same
+        });
+        words.shrink_to_fit();
+        MemImage { words }
+    }
+
+    /// The defined words, ascending by address.
+    pub(crate) fn words(&self) -> &[(u64, u64)] {
+        &self.words
+    }
+
     /// Sets the word at `addr` (must be 8-byte aligned; validated by
-    /// [`Program::validate`], asserted here in debug builds).
+    /// [`Program::validate`], asserted here in debug builds). Ascending
+    /// addresses append; any other order inserts or replaces in place.
     pub fn set(&mut self, addr: u64, value: u64) {
         debug_assert_eq!(addr % 8, 0, "image word at {addr:#x} must be aligned");
-        self.words.insert(addr, value);
+        match self.words.last() {
+            Some(&(last, _)) if last >= addr => {
+                match self.words.binary_search_by_key(&addr, |&(a, _)| a) {
+                    Ok(i) => self.words[i].1 = value,
+                    Err(i) => self.words.insert(i, (addr, value)),
+                }
+            }
+            _ => self.words.push((addr, value)),
+        }
     }
 
     /// The word at `addr`, if the image defines one.
     #[must_use]
     pub fn get(&self, addr: u64) -> Option<u64> {
-        self.words.get(&addr).copied()
+        self.words
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| self.words[i].1)
     }
 
     /// Number of words defined by the image.
@@ -88,23 +128,23 @@ impl MemImage {
 
     /// Iterates over `(address, value)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.words.iter().copied()
     }
 }
 
 impl Extend<(u64, u64)> for MemImage {
+    /// Later pairs overwrite earlier ones and the image's own words.
     fn extend<T: IntoIterator<Item = (u64, u64)>>(&mut self, iter: T) {
-        for (a, v) in iter {
-            self.set(a, v);
-        }
+        let mut words = std::mem::take(&mut self.words);
+        words.extend(iter);
+        *self = Self::from_writes(words);
     }
 }
 
 impl FromIterator<(u64, u64)> for MemImage {
+    /// The last pair for an address wins.
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(iter: T) -> Self {
-        let mut img = Self::new();
-        img.extend(iter);
-        img
+        Self::from_writes(iter.into_iter().collect())
     }
 }
 
@@ -246,7 +286,7 @@ mod tests {
     #[test]
     fn validate_rejects_misaligned_image() {
         let mut p = halted(vec![]);
-        p.image.words.insert(0x3, 1); // bypass the debug assert in set()
+        p.image.words.insert(0, (0x3, 1)); // bypass the debug assert in set()
         assert_eq!(
             p.validate(),
             Err(ProgramError::MisalignedImage { addr: 0x3 })

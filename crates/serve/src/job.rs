@@ -335,10 +335,11 @@ impl JobSpec {
                 )
             })?;
             let bench = self.bench.as_deref().ok_or("missing 'bench'")?;
-            if !suite_names(suite).contains(&bench) {
+            let names = recon_workloads::names(suite);
+            if !names.contains(&bench) {
                 return Err(format!(
                     "no benchmark '{bench}' in {suite}{}",
-                    hint(bench, suite_names(suite).iter().copied())
+                    hint(bench, names)
                 ));
             }
             if self.gadget.is_some() {
@@ -556,32 +557,6 @@ pub fn experiment_for(suite: Suite) -> Experiment {
     }
 }
 
-/// The benchmark names of one suite, generated once per process.
-///
-/// Validation only needs name *existence*; running the suite generators
-/// (which build every benchmark's synthetic program) per parsed spec
-/// would dominate small-job service time on both the node and the
-/// gateway.
-fn suite_names(suite: Suite) -> &'static [&'static str] {
-    use std::sync::OnceLock;
-    static NAMES: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
-    let all = NAMES.get_or_init(|| {
-        [
-            recon_workloads::spec2017(Scale::Quick),
-            recon_workloads::spec2006(Scale::Quick),
-            recon_workloads::parsec(Scale::Quick),
-            recon_workloads::corpus(Scale::Quick),
-        ]
-        .map(|suite| suite.iter().map(|b| b.name).collect())
-    });
-    match suite {
-        Suite::Spec2017 => &all[0],
-        Suite::Spec2006 => &all[1],
-        Suite::Parsec => &all[2],
-        Suite::Corpus => &all[3],
-    }
-}
-
 /// The `GET /workloads` payload: every suite's benchmarks with thread
 /// counts and static instruction counts, generated once per process
 /// (names and static sizes are scale-invariant).
@@ -628,9 +603,9 @@ pub fn workloads_payload() -> &'static str {
 
 /// Resolves a validated spec's benchmark, memoized per process.
 ///
-/// The suite generators build *every* benchmark's synthetic program
-/// just to select one by name — tens of milliseconds, which dwarfs a
-/// small job's actual simulation. Repeat lookups share one immutable
+/// [`find`] builds only the named benchmark, but that is still
+/// milliseconds of program and image generation, more than a small
+/// job's cache hit should cost. Repeat lookups share one immutable
 /// [`Benchmark`] behind an [`Arc`]. The scale factor is part of the
 /// key, so a mid-process `RECON_SCALE` flip cannot serve stale
 /// workloads.

@@ -28,6 +28,6 @@ pub mod suites;
 pub mod workload;
 
 pub use suites::{
-    all_single_thread, corpus, find, parsec, spec2006, spec2017, Scale, FIG9_BENCHMARKS,
+    all_single_thread, corpus, find, names, parsec, spec2006, spec2017, Scale, FIG9_BENCHMARKS,
 };
 pub use workload::{Benchmark, Suite, ThreadSpec, Workload};

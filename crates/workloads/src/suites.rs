@@ -26,9 +26,7 @@ use crate::gen::list::{self, ListParams};
 use crate::gen::parallel::{self, ParKind, ParallelParams};
 use crate::gen::stencil::{self, StencilParams};
 use crate::gen::stream::{self, StreamParams};
-#[cfg(test)]
-use crate::workload::Workload;
-use crate::workload::{Benchmark, Suite, ThreadSpec};
+use crate::workload::{Benchmark, Suite, ThreadSpec, Workload};
 
 /// Workload sizing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -63,15 +61,18 @@ impl Scale {
     }
 }
 
-fn gadget_bench(
-    name: &'static str,
-    suite: Suite,
+/// One named stand-in: its name and how to build its workload at a
+/// scale (the builder gets the name back, to seed from it).
+type Entry = (&'static str, fn(&str, Scale) -> Workload);
+
+fn gadget(
+    name: &str,
     scale: Scale,
     slots: u64,
     cond_lines: u64,
     passes: u64,
     extra: impl FnOnce(&mut GadgetParams),
-) -> Benchmark {
+) -> Workload {
     let mut p = GadgetParams {
         slots,
         cond_lines,
@@ -80,7 +81,74 @@ fn gadget_bench(
         ..GadgetParams::default()
     };
     extra(&mut p);
-    Benchmark::single(name, suite, gadget::generate(p))
+    Workload::single(gadget::generate(p))
+}
+
+fn stream(elements: u64, passes: u64, writes: bool) -> Workload {
+    Workload::single(stream::generate(StreamParams {
+        elements,
+        passes,
+        writes,
+        ..Default::default()
+    }))
+}
+
+fn stencil(points: u64, sweeps: u64) -> Workload {
+    Workload::single(stencil::generate(StencilParams { points, sweeps }))
+}
+
+fn branchy(values: u64, iterations: u64, seed: &str) -> Workload {
+    Workload::single(branchy::generate(BranchyParams {
+        values,
+        iterations,
+        seed: fxhash(seed),
+    }))
+}
+
+fn btree(height: u32, searches: u64, seed: &str) -> Workload {
+    Workload::single(btree::generate(BtreeParams {
+        height,
+        searches,
+        seed: fxhash(seed),
+    }))
+}
+
+fn hash(buckets: u64, lookups: u64, keys: u64, cond_lines: u64, seed: &str) -> Workload {
+    Workload::single(hash::generate(HashParams {
+        buckets,
+        lookups,
+        keys,
+        cond_lines,
+        seed: fxhash(seed),
+    }))
+}
+
+fn list(visits: u64, seed: &str) -> Workload {
+    Workload::single(list::generate(ListParams {
+        nodes: 2048, // 128 KiB of nodes: beyond L2, fits the LLC
+        chains: 8,
+        visits, // 4 traversals of each 256-node ring at quick scale
+        cond_lines: 16384,
+        payload_slots: 512,
+        seed: fxhash(seed),
+    }))
+}
+
+fn par(
+    name: &str,
+    scale: Scale,
+    kind: ParKind,
+    slots: u64,
+    cond_lines: u64,
+    passes: u64,
+) -> Workload {
+    parallel::generate(ParallelParams {
+        kind,
+        slots,
+        cond_lines,
+        passes: passes * scale.factor(),
+        seed: fxhash(name),
+    })
 }
 
 /// Cheap deterministic per-name seed.
@@ -90,390 +158,221 @@ fn fxhash(name: &str) -> u64 {
     })
 }
 
-/// The SPEC CPU2017 speed stand-ins (Figure 5/6 upper rows).
-#[must_use]
-pub fn spec2017(scale: Scale) -> Vec<Benchmark> {
-    let f = scale.factor();
-    let s = Suite::Spec2017;
-    vec![
-        Benchmark::single(
-            "bwaves",
-            s,
-            stream::generate(StreamParams {
-                elements: 8192,
-                passes: 2 * f,
-                ..Default::default()
-            }),
-        ),
-        gadget_bench("cactuBSSN", s, scale, 1024, 16384, 4, |p| {
+/// The SPEC CPU2017 speed stand-ins, in suite order.
+const SPEC2017: &[Entry] = &[
+    ("bwaves", |_, s| stream(8192, 2 * s.factor(), false)),
+    ("cactuBSSN", |n, s| {
+        gadget(n, s, 1024, 16384, 4, |p| {
             p.indirect_per_16 = 16;
             p.tgt_stride = 64;
-        }),
-        gadget_bench("deepsjeng", s, scale, 2048, 16384, 2, |p| {
+        })
+    }),
+    ("deepsjeng", |n, s| {
+        gadget(n, s, 2048, 16384, 2, |p| {
             p.indirect_per_16 = 16;
             p.taken_per_256 = 224;
             p.tgt_stride = 64;
-        }),
-        Benchmark::single(
-            "exchange2",
-            s,
-            branchy::generate(BranchyParams {
-                values: 512,
-                iterations: 6000 * f,
-                seed: fxhash("exchange2"),
-            }),
-        ),
-        Benchmark::single(
-            "fotonik3d",
-            s,
-            stream::generate(StreamParams {
-                elements: 8192,
-                passes: 2 * f,
-                ..Default::default()
-            }),
-        ),
-        gadget_bench("gcc", s, scale, 1024, 16384, 6, |p| {
+        })
+    }),
+    ("exchange2", |n, s| branchy(512, 6000 * s.factor(), n)),
+    ("fotonik3d", |_, s| stream(8192, 2 * s.factor(), false)),
+    ("gcc", |n, s| {
+        gadget(n, s, 1024, 16384, 6, |p| {
             p.indirect_per_16 = 4;
             p.stores_per_16 = 1;
             p.cyclic = true;
-        }),
-        Benchmark::single(
-            "imagick",
-            s,
-            stream::generate(StreamParams {
-                elements: 4096,
-                passes: 3 * f,
-                writes: true,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "lbm",
-            s,
-            stream::generate(StreamParams {
-                elements: 8192,
-                passes: 2 * f,
-                writes: true,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "leela",
-            s,
-            btree::generate(BtreeParams {
-                height: 7,
-                searches: 1500 * f,
-                seed: fxhash("leela"),
-            }),
-        ),
-        Benchmark::single(
-            "mcf",
-            s,
-            list::generate(ListParams {
-                nodes: 2048, // 128 KiB of nodes: beyond L2, fits the LLC
-                chains: 8,
-                visits: 1024 * f, // 4 traversals of each 256-node ring
-                cond_lines: 16384,
-                payload_slots: 512,
-                seed: fxhash("mcf"),
-            }),
-        ),
-        Benchmark::single(
-            "nab",
-            s,
-            stencil::generate(StencilParams {
-                points: 6144,
-                sweeps: 2 * f,
-            }),
-        ),
-        gadget_bench("omnetpp", s, scale, 1024, 16384, 4, |p| {
+        })
+    }),
+    ("imagick", |_, s| stream(4096, 3 * s.factor(), true)),
+    ("lbm", |_, s| stream(8192, 2 * s.factor(), true)),
+    ("leela", |n, s| btree(7, 1500 * s.factor(), n)),
+    ("mcf", |n, s| list(1024 * s.factor(), n)),
+    ("nab", |_, s| stencil(6144, 2 * s.factor())),
+    ("omnetpp", |n, s| {
+        gadget(n, s, 1024, 16384, 4, |p| {
             p.depth = 2;
             p.indirect_per_16 = 2;
             p.cyclic = true;
-        }),
-        Benchmark::single(
-            "perlbench",
-            s,
-            hash::generate(HashParams {
-                buckets: 1024,
-                lookups: 6144 * f,
-                keys: 2048,
-                cond_lines: 8192,
-                seed: fxhash("perlbench"),
-            }),
-        ),
-        Benchmark::single(
-            "pop2",
-            s,
-            stencil::generate(StencilParams {
-                points: 8192,
-                sweeps: 2 * f,
-            }),
-        ),
-        Benchmark::single(
-            "roms",
-            s,
-            stream::generate(StreamParams {
-                elements: 6144,
-                passes: 2 * f,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "wrf",
-            s,
-            stencil::generate(StencilParams {
-                points: 4096,
-                sweeps: 3 * f,
-            }),
-        ),
-        Benchmark::single(
-            "x264",
-            s,
-            stream::generate(StreamParams {
-                elements: 4096,
-                passes: 3 * f,
-                writes: true,
-                stride_words: 2,
-            }),
-        ),
-        Benchmark::single(
-            "xalancbmk",
-            s,
-            hash::generate(HashParams {
-                buckets: 512,
-                lookups: 6144 * f,
-                keys: 1024,
-                cond_lines: 16384,
-                seed: fxhash("xalancbmk"),
-            }),
-        ),
-        gadget_bench("xz", s, scale, 512, 16384, 8, |p| {
+        })
+    }),
+    ("perlbench", |n, s| {
+        hash(1024, 6144 * s.factor(), 2048, 8192, n)
+    }),
+    ("pop2", |_, s| stencil(8192, 2 * s.factor())),
+    ("roms", |_, s| stream(6144, 2 * s.factor(), false)),
+    ("wrf", |_, s| stencil(4096, 3 * s.factor())),
+    ("x264", |_, s| {
+        Workload::single(stream::generate(StreamParams {
+            elements: 4096,
+            passes: 3 * s.factor(),
+            writes: true,
+            stride_words: 2,
+        }))
+    }),
+    ("xalancbmk", |n, s| {
+        hash(512, 6144 * s.factor(), 1024, 16384, n)
+    }),
+    ("xz", |n, s| {
+        gadget(n, s, 512, 16384, 8, |p| {
             p.stores_per_16 = 2;
             p.indirect_per_16 = 4;
             p.cyclic = true;
-        }),
-        Benchmark::single(
-            "cam4",
+        })
+    }),
+    ("cam4", |_, s| stencil(6144, 2 * s.factor())),
+];
+
+/// The SPEC CPU2006 stand-ins, in suite order. Names shared with
+/// SPEC2017 seed from a `06`-suffixed name, so the two suites differ.
+const SPEC2006: &[Entry] = &[
+    ("astar", |n, s| btree(9, 1200 * s.factor(), n)),
+    ("bzip2", |n, s| branchy(2048, 6000 * s.factor(), n)),
+    ("gcc", |n, s| {
+        gadget(n, s, 1024, 16384, 5, |p| {
+            p.indirect_per_16 = 4;
+            p.stores_per_16 = 1;
+            p.cyclic = true;
+        })
+    }),
+    ("gobmk", |n, s| branchy(1024, 6000 * s.factor(), n)),
+    ("h264ref", |_, s| stream(4096, 3 * s.factor(), true)),
+    ("hmmer", |_, s| stream(6144, 3 * s.factor(), false)),
+    ("lbm", |_, s| stream(8192, 2 * s.factor(), true)),
+    ("libquantum", |_, s| stream(8192, 2 * s.factor(), false)),
+    ("mcf", |_, s| list(1024 * s.factor(), "mcf06")),
+    ("milc", |_, s| stencil(8192, 2 * s.factor())),
+    ("namd", |_, s| stencil(4096, 3 * s.factor())),
+    ("omnetpp", |n, s| {
+        gadget(n, s, 1024, 16384, 4, |p| {
+            p.depth = 2;
+            p.indirect_per_16 = 2;
+            p.cyclic = true;
+        })
+    }),
+    ("perlbench", |_, s| {
+        hash(1024, 6144 * s.factor(), 2048, 8192, "perlbench06")
+    }),
+    ("sjeng", |n, s| branchy(1024, 6000 * s.factor(), n)),
+    ("soplex", |n, s| {
+        gadget(n, s, 1024, 8192, 4, |p| {
+            p.indirect_per_16 = 12;
+            p.tgt_stride = 64;
+        })
+    }),
+    ("sphinx3", |n, s| {
+        hash(512, 4096 * s.factor(), 2048, 4096, n)
+    }),
+    ("xalancbmk", |_, s| {
+        hash(512, 6144 * s.factor(), 1024, 16384, "xalancbmk06")
+    }),
+];
+
+/// The PARSEC stand-ins, all 4-thread, in suite order.
+const PARSEC: &[Entry] = &[
+    ("blackscholes", |n, s| {
+        par(
+            n,
             s,
-            stencil::generate(StencilParams {
-                points: 6144,
-                sweeps: 2 * f,
-            }),
-        ),
-    ]
+            ParKind::DataParallel { rotate: false },
+            1024,
+            16384,
+            4,
+        )
+    }),
+    ("bodytrack", |n, s| {
+        par(n, s, ParKind::DataParallel { rotate: true }, 1024, 16384, 4)
+    }),
+    ("canneal", |n, s| {
+        par(n, s, ParKind::SharedChase, 2048, 16384, 3)
+    }),
+    ("dedup", |n, s| {
+        par(n, s, ParKind::ProducerConsumer, 512, 16384, 4)
+    }),
+    ("ferret", |n, s| {
+        par(n, s, ParKind::ProducerConsumer, 1024, 16384, 3)
+    }),
+    ("fluidanimate", |n, s| {
+        par(n, s, ParKind::DataParallel { rotate: true }, 512, 8192, 5)
+    }),
+    ("streamcluster", |n, s| {
+        par(n, s, ParKind::SharedChase, 1024, 16384, 4)
+    }),
+    ("swaptions", |n, s| {
+        par(n, s, ParKind::DataParallel { rotate: false }, 512, 8192, 5)
+    }),
+];
+
+/// The generated (non-corpus) stand-ins of `suite`.
+fn generated(suite: Suite) -> &'static [Entry] {
+    match suite {
+        Suite::Spec2017 => SPEC2017,
+        Suite::Spec2006 => SPEC2006,
+        Suite::Parsec => PARSEC,
+        Suite::Corpus => &[],
+    }
+}
+
+fn build(suite: Suite, &(name, workload): &Entry, scale: Scale) -> Benchmark {
+    Benchmark {
+        name,
+        suite,
+        workload: workload(name, scale),
+    }
+}
+
+fn build_all(suite: Suite, scale: Scale) -> Vec<Benchmark> {
+    generated(suite)
+        .iter()
+        .map(|e| build(suite, e, scale))
+        .collect()
+}
+
+/// The SPEC CPU2017 speed stand-ins (Figure 5/6 upper rows).
+#[must_use]
+pub fn spec2017(scale: Scale) -> Vec<Benchmark> {
+    build_all(Suite::Spec2017, scale)
 }
 
 /// The SPEC CPU2006 stand-ins (Figure 5/6 lower rows).
 #[must_use]
 pub fn spec2006(scale: Scale) -> Vec<Benchmark> {
-    let f = scale.factor();
-    let s = Suite::Spec2006;
-    vec![
-        Benchmark::single(
-            "astar",
-            s,
-            btree::generate(BtreeParams {
-                height: 9,
-                searches: 1200 * f,
-                seed: fxhash("astar"),
-            }),
-        ),
-        Benchmark::single(
-            "bzip2",
-            s,
-            branchy::generate(BranchyParams {
-                values: 2048,
-                iterations: 6000 * f,
-                seed: fxhash("bzip2"),
-            }),
-        ),
-        gadget_bench("gcc", s, scale, 1024, 16384, 5, |p| {
-            p.indirect_per_16 = 4;
-            p.stores_per_16 = 1;
-            p.cyclic = true;
-        }),
-        Benchmark::single(
-            "gobmk",
-            s,
-            branchy::generate(BranchyParams {
-                values: 1024,
-                iterations: 6000 * f,
-                seed: fxhash("gobmk"),
-            }),
-        ),
-        Benchmark::single(
-            "h264ref",
-            s,
-            stream::generate(StreamParams {
-                elements: 4096,
-                passes: 3 * f,
-                writes: true,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "hmmer",
-            s,
-            stream::generate(StreamParams {
-                elements: 6144,
-                passes: 3 * f,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "lbm",
-            s,
-            stream::generate(StreamParams {
-                elements: 8192,
-                passes: 2 * f,
-                writes: true,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "libquantum",
-            s,
-            stream::generate(StreamParams {
-                elements: 8192,
-                passes: 2 * f,
-                ..Default::default()
-            }),
-        ),
-        Benchmark::single(
-            "mcf",
-            s,
-            list::generate(ListParams {
-                nodes: 2048,
-                chains: 8,
-                visits: 1024 * f,
-                cond_lines: 16384,
-                payload_slots: 512,
-                seed: fxhash("mcf06"),
-            }),
-        ),
-        Benchmark::single(
-            "milc",
-            s,
-            stencil::generate(StencilParams {
-                points: 8192,
-                sweeps: 2 * f,
-            }),
-        ),
-        Benchmark::single(
-            "namd",
-            s,
-            stencil::generate(StencilParams {
-                points: 4096,
-                sweeps: 3 * f,
-            }),
-        ),
-        gadget_bench("omnetpp", s, scale, 1024, 16384, 4, |p| {
-            p.depth = 2;
-            p.indirect_per_16 = 2;
-            p.cyclic = true;
-        }),
-        Benchmark::single(
-            "perlbench",
-            s,
-            hash::generate(HashParams {
-                buckets: 1024,
-                lookups: 6144 * f,
-                keys: 2048,
-                cond_lines: 8192,
-                seed: fxhash("perlbench06"),
-            }),
-        ),
-        Benchmark::single(
-            "sjeng",
-            s,
-            branchy::generate(BranchyParams {
-                values: 1024,
-                iterations: 6000 * f,
-                seed: fxhash("sjeng"),
-            }),
-        ),
-        gadget_bench("soplex", s, scale, 1024, 8192, 4, |p| {
-            p.indirect_per_16 = 12;
-            p.tgt_stride = 64;
-        }),
-        Benchmark::single(
-            "sphinx3",
-            s,
-            hash::generate(HashParams {
-                buckets: 512,
-                lookups: 4096 * f,
-                keys: 2048,
-                cond_lines: 4096,
-                seed: fxhash("sphinx3"),
-            }),
-        ),
-        Benchmark::single(
-            "xalancbmk",
-            s,
-            hash::generate(HashParams {
-                buckets: 512,
-                lookups: 6144 * f,
-                keys: 1024,
-                cond_lines: 16384,
-                seed: fxhash("xalancbmk06"),
-            }),
-        ),
-    ]
+    build_all(Suite::Spec2006, scale)
 }
 
 /// The PARSEC stand-ins (Figure 8), all 4-thread.
 #[must_use]
 pub fn parsec(scale: Scale) -> Vec<Benchmark> {
-    let f = scale.factor();
-    let mk = |name: &'static str, kind: ParKind, slots: u64, cond_lines: u64, passes: u64| {
-        let workload = parallel::generate(ParallelParams {
-            kind,
-            slots,
-            cond_lines,
-            passes: passes * f,
-            seed: fxhash(name),
-        });
-        Benchmark {
-            name,
-            suite: Suite::Parsec,
-            workload,
-        }
-    };
-    vec![
-        mk(
-            "blackscholes",
-            ParKind::DataParallel { rotate: false },
-            1024,
-            16384,
-            4,
-        ),
-        mk(
-            "bodytrack",
-            ParKind::DataParallel { rotate: true },
-            1024,
-            16384,
-            4,
-        ),
-        mk("canneal", ParKind::SharedChase, 2048, 16384, 3),
-        mk("dedup", ParKind::ProducerConsumer, 512, 16384, 4),
-        mk("ferret", ParKind::ProducerConsumer, 1024, 16384, 3),
-        mk(
-            "fluidanimate",
-            ParKind::DataParallel { rotate: true },
-            512,
-            8192,
-            5,
-        ),
-        mk("streamcluster", ParKind::SharedChase, 1024, 16384, 4),
-        mk(
-            "swaptions",
-            ParKind::DataParallel { rotate: false },
-            512,
-            8192,
-            5,
-        ),
-    ]
+    build_all(Suite::Parsec, scale)
+}
+
+/// One corpus program as a benchmark at `scale`.
+fn corpus_bench(e: &recon_asm::corpus::CorpusEntry, scale: Scale) -> Benchmark {
+    let p = e.assemble();
+    let threads = p
+        .entries
+        .iter()
+        .map(|spec| {
+            let mut seeds: Vec<_> = spec
+                .seeds
+                .iter()
+                .copied()
+                .filter(|&(r, _)| r != recon_asm::corpus::PASS_REG)
+                .collect();
+            seeds.push((recon_asm::corpus::PASS_REG, scale.factor()));
+            ThreadSpec {
+                entry: spec.entry,
+                seeds,
+            }
+        })
+        .collect();
+    Benchmark {
+        name: e.name,
+        suite: Suite::Corpus,
+        workload: Workload {
+            program: p.program,
+            threads,
+        },
+    }
 }
 
 /// Real programs assembled from the embedded `recon-asm` corpus.
@@ -490,34 +389,7 @@ pub fn parsec(scale: Scale) -> Vec<Benchmark> {
 pub fn corpus(scale: Scale) -> Vec<Benchmark> {
     recon_asm::corpus::CORPUS
         .iter()
-        .map(|e| {
-            let p = e.assemble();
-            let threads = p
-                .entries
-                .iter()
-                .map(|spec| {
-                    let mut seeds: Vec<_> = spec
-                        .seeds
-                        .iter()
-                        .copied()
-                        .filter(|&(r, _)| r != recon_asm::corpus::PASS_REG)
-                        .collect();
-                    seeds.push((recon_asm::corpus::PASS_REG, scale.factor()));
-                    ThreadSpec {
-                        entry: spec.entry,
-                        seeds,
-                    }
-                })
-                .collect();
-            Benchmark {
-                name: e.name,
-                suite: Suite::Corpus,
-                workload: crate::workload::Workload {
-                    program: p.program,
-                    threads,
-                },
-            }
-        })
+        .map(|e| corpus_bench(e, scale))
         .collect()
 }
 
@@ -529,16 +401,29 @@ pub fn all_single_thread(scale: Scale) -> Vec<Benchmark> {
     v
 }
 
-/// Looks up a benchmark by suite and name.
+/// The benchmark names of `suite`, in suite order, without building
+/// any program.
+#[must_use]
+pub fn names(suite: Suite) -> Vec<&'static str> {
+    match suite {
+        Suite::Corpus => recon_asm::corpus::CORPUS.iter().map(|e| e.name).collect(),
+        _ => generated(suite).iter().map(|&(name, _)| name).collect(),
+    }
+}
+
+/// Looks up a benchmark by suite and name, building only that one.
 #[must_use]
 pub fn find(suite: Suite, name: &str, scale: Scale) -> Option<Benchmark> {
-    let list: Vec<Benchmark> = match suite {
-        Suite::Spec2017 => spec2017(scale),
-        Suite::Spec2006 => spec2006(scale),
-        Suite::Parsec => parsec(scale),
-        Suite::Corpus => corpus(scale),
-    };
-    list.into_iter().find(|b| b.name == name)
+    match suite {
+        Suite::Corpus => recon_asm::corpus::CORPUS
+            .iter()
+            .find(|e| e.name == name)
+            .map(|e| corpus_bench(e, scale)),
+        _ => generated(suite)
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|e| build(suite, e, scale)),
+    }
 }
 
 /// The benchmarks the paper analyzes in Figure 9 (SPEC2017 entries with
@@ -627,6 +512,41 @@ mod tests {
         assert!(find(Suite::Spec2006, "sphinx3", Scale::Quick).is_some());
         assert!(find(Suite::Parsec, "canneal", Scale::Quick).is_some());
         assert!(find(Suite::Spec2017, "nonexistent", Scale::Quick).is_none());
+    }
+
+    #[test]
+    fn by_name_builds_equal_the_suite_entries() {
+        let suites = [
+            (Suite::Spec2017, spec2017(Scale::Quick)),
+            (Suite::Spec2006, spec2006(Scale::Quick)),
+            (Suite::Parsec, parsec(Scale::Quick)),
+            (Suite::Corpus, corpus(Scale::Quick)),
+        ];
+        for (suite, benches) in suites {
+            let listed: Vec<_> = benches.iter().map(|b| b.name).collect();
+            assert_eq!(names(suite), listed, "{suite} names");
+            for b in &benches {
+                let one = find(suite, b.name, Scale::Quick).expect("listed name");
+                assert_eq!((one.name, one.suite), (b.name, suite));
+                assert_eq!(
+                    one.workload.program, b.workload.program,
+                    "{suite} {}",
+                    b.name
+                );
+                let threads = |w: &Workload| -> Vec<_> {
+                    w.threads
+                        .iter()
+                        .map(|t| (t.entry, t.seeds.clone()))
+                        .collect()
+                };
+                assert_eq!(
+                    threads(&one.workload),
+                    threads(&b.workload),
+                    "{suite} {} threads",
+                    b.name
+                );
+            }
+        }
     }
 
     #[test]
