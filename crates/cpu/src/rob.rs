@@ -69,8 +69,9 @@ impl InstClass {
 /// The hot part of one in-flight instruction.
 #[derive(Clone, Copy, Debug)]
 pub struct RobEntry {
-    /// Dynamic sequence number (monotonic, never reused after squash in
-    /// the same window — squashed seqs are simply abandoned).
+    /// Dynamic sequence number, ascending in program order. Squashed
+    /// numbers are reused: [`Rob::squash_youngest`] rewinds the next
+    /// number, so the window's numbers stay contiguous.
     pub seq: Seq,
     /// Pipeline status.
     pub status: Status,

@@ -1,5 +1,8 @@
 //! Data memory abstraction and a paged flat-store implementation.
 
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use crate::hash::FxHashMap;
 use crate::program::MemImage;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -26,24 +29,155 @@ const WORD_MASK: u64 = PAGE_WORDS as u64 - 1;
 /// One zero-initialized page of backing store.
 type Page = [u64; PAGE_WORDS];
 
+/// The pages of one [`MemImage`], shared by every live [`SparseMem`]
+/// built from it and built on first touch.
+///
+/// The image holds this set only through a `Weak`, and each memory
+/// built from the image holds it strongly, so the set and every page in
+/// it are freed with the last such memory. It keeps its own handle on
+/// the image's sorted words, since a memory can outlive its image.
+#[derive(Debug)]
+pub(crate) struct ImagePages {
+    /// The image's words, ascending by address.
+    words: Arc<Vec<(u64, u64)>>,
+    /// Start of each page's run of words in `words`, ascending, plus
+    /// `words.len()` as a sentinel. A run's position is its page's
+    /// number within the set.
+    starts: Vec<usize>,
+    /// Each run's built page, while some memory may still read it
+    /// unchanged.
+    built: Mutex<Vec<Option<Arc<Page>>>>,
+}
+
+impl ImagePages {
+    /// Indexes `words` (ascending by address) by page; builds no page.
+    pub(crate) fn new(words: Arc<Vec<(u64, u64)>>) -> Self {
+        let mut starts = Vec::new();
+        let mut at = 0;
+        for run in words.chunk_by(|a, b| page_of(a.0) == page_of(b.0)) {
+            starts.push(at);
+            at += run.len();
+        }
+        starts.push(at);
+        let built = Mutex::new(vec![None; starts.len() - 1]);
+        ImagePages {
+            words,
+            starts,
+            built,
+        }
+    }
+
+    /// The image's words on page number `run`.
+    fn run(&self, run: u32) -> &[(u64, u64)] {
+        let run = run as usize;
+        &self.words[self.starts[run]..self.starts[run + 1]]
+    }
+
+    /// Page index and page number of every page of the image.
+    fn runs(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let runs = u32::try_from(self.starts.len() - 1).expect("page count fits in u32");
+        (0..runs).map(|run| (page_of(self.run(run)[0].0), run))
+    }
+
+    /// Page `run` as the image defines it.
+    fn build(&self, run: u32) -> Page {
+        let mut page = [0; PAGE_WORDS];
+        for &(addr, value) in self.run(run) {
+            page[word_in_page(addr)] = value;
+        }
+        page
+    }
+
+    /// The image's word at `addr`, on page number `run`.
+    fn word(&self, run: u32, addr: u64) -> u64 {
+        let words = self.run(run);
+        words
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .map_or(0, |i| words[i].1)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Option<Arc<Page>>>> {
+        self.built.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shared page `run`, built now if no memory holds it.
+    fn share(&self, run: u32) -> Arc<Page> {
+        let mut built = self.lock();
+        Arc::clone(built[run as usize].get_or_insert_with(|| Arc::new(self.build(run))))
+    }
+
+    /// Makes shared page `run` the caller's own, to write. When the
+    /// caller is the last memory that shares it, the set lets go of the
+    /// page rather than keep a second copy of it.
+    fn own(&self, run: u32, page: Arc<Page>) -> Box<Page> {
+        {
+            let mut built = self.lock();
+            let slot = &mut built[run as usize];
+            if slot
+                .as_ref()
+                .is_some_and(|held| Arc::ptr_eq(held, &page) && Arc::strong_count(&page) == 2)
+            {
+                *slot = None;
+            }
+        }
+        Box::new(Arc::unwrap_or_clone(page))
+    }
+}
+
+/// One resident page of a [`SparseMem`].
+#[derive(Clone, Debug)]
+enum Frame {
+    /// An image page this memory has not touched yet, by its number in
+    /// the image's page set.
+    Pristine(u32),
+    /// An image page as the page set built it, shared with the image's
+    /// other memories; read-only.
+    Shared(u32, Arc<Page>),
+    /// A page this memory alone holds, written in place.
+    Owned(Box<Page>),
+}
+
+impl Frame {
+    /// The page's words, unless it is still pristine.
+    #[inline]
+    fn words(&self) -> Option<&Page> {
+        match self {
+            Frame::Pristine(_) => None,
+            Frame::Shared(_, page) => Some(&**page),
+            Frame::Owned(page) => Some(&**page),
+        }
+    }
+}
+
 /// Sparse paged memory. Uninitialized words read as zero.
 ///
 /// This sits on the simulator's hottest path — every functional load and
 /// store of every core, every cycle — so it is a flat array walk, not a
 /// per-word hash lookup: addresses map to 4 KiB pages held in an
-/// [`FxHashMap`] (allocated on first write), and
+/// [`FxHashMap`] (allocated on first write, or built from the image on
+/// first touch), and
 /// the word index within the page is a shift-and-mask. Compared to the
 /// previous word-granular SipHash map this is one cheap hash per *page*
 /// reference instead of one expensive hash per *word* reference, plus
 /// cache-friendly locality for neighbouring words.
 ///
-/// On top of the paged map sits a **single-entry last-page cache**: the
-/// most recently accessed page is held out of the map in a dedicated
-/// slot, so the sequential and loop-local access patterns that dominate
-/// every workload skip the hash probe entirely and go straight to an
-/// index into the hot page. A miss swaps the hot page back into the map
-/// and promotes the new one — two map operations, amortized over the
-/// hundreds of subsequent same-page hits.
+/// The most recently accessed page is held out of the map in a hot
+/// slot, so sequential and loop-local accesses skip the hash probe; a
+/// miss swaps it back into the map and promotes the new page.
+///
+/// A memory built [from an image](SparseMem::from_image) shares that
+/// image's pages with every other live memory built from it, and each
+/// page is built from the image's words on its first touch by any of
+/// them. A memory's pages are therefore pristine (image pages it has
+/// not touched), shared (read-only, held by the image's page set) or
+/// owned (written in place). A write to a shared page copies it first,
+/// unless this memory is its last sharer, which takes it from the set.
+/// Only stores to owned pages in the hot slot take the fast path, a
+/// plain store. Systems built from one workload keep one copy of the
+/// pages they only read, and no copy of those no run touches. None of
+/// this is visible: equality, [`peek`](SparseMem::peek),
+/// [`resident_pages`](SparseMem::resident_pages), `clone` and the
+/// snapshot bytes are as if every image page were built up front.
 ///
 /// ```
 /// use recon_isa::{DataMem, SparseMem};
@@ -55,21 +189,28 @@ type Page = [u64; PAGE_WORDS];
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SparseMem {
-    pages: FxHashMap<u64, Box<Page>>,
+    pages: FxHashMap<u64, Frame>,
     /// Page index of the hot slot (meaningful only while `hot` is
-    /// `Some`). Invariant: the hot page is never also in `pages`.
+    /// `Some`). Invariant: the hot page is never also in `pages`, and
+    /// is never pristine.
     hot_page: u64,
-    hot: Option<Box<Page>>,
+    hot: Option<Frame>,
+    /// The page set of the image this memory was built from, which its
+    /// pristine pages are built from.
+    image: Option<Arc<ImagePages>>,
 }
 
 impl PartialEq for SparseMem {
-    /// Logical equality over resident pages: where the hot slot points
-    /// is an access-pattern artifact, not state.
+    /// Logical equality over resident pages: where the hot slot points,
+    /// and which pages are built or shared, are access-pattern
+    /// artifacts, not state.
     fn eq(&self, other: &Self) -> bool {
         self.resident_pages() == other.resident_pages()
-            && self
-                .iter_pages()
-                .all(|(idx, page)| other.page_ref(idx) == Some(page))
+            && self.frames().all(|(idx, mine)| {
+                other
+                    .frame(idx)
+                    .is_some_and(|theirs| self.contents(mine) == other.contents(theirs))
+            })
     }
 }
 
@@ -92,23 +233,23 @@ impl SparseMem {
         Self::default()
     }
 
-    /// Creates a memory pre-loaded from a program image. The image is
-    /// address-sorted, so each page is built once from its run of
-    /// words and goes straight into the map; the hot slot starts empty.
+    /// Creates a memory pre-loaded from a program image. Every image
+    /// page is resident from the start, but none is built: each is
+    /// built on its first touch by any memory of the image, shared
+    /// between them, and copied only to be written.
     #[must_use]
     pub fn from_image(image: &MemImage) -> Self {
-        let mut pages = FxHashMap::default();
-        for run in image.words().chunk_by(|a, b| page_of(a.0) == page_of(b.0)) {
-            let mut page = Box::new([0u64; PAGE_WORDS]);
-            for &(addr, value) in run {
-                page[word_in_page(addr)] = value;
-            }
-            pages.insert(page_of(run[0].0), page);
-        }
+        let Some(set) = image.page_set() else {
+            return SparseMem::new();
+        };
         SparseMem {
-            pages,
+            pages: set
+                .runs()
+                .map(|(idx, run)| (idx, Frame::Pristine(run)))
+                .collect(),
             hot_page: 0,
             hot: None,
+            image: Some(set),
         }
     }
 
@@ -125,54 +266,94 @@ impl SparseMem {
         self.resident_pages() * PAGE_WORDS
     }
 
-    /// The resident page at `idx`, checking the hot slot first.
+    /// The page set pristine pages are built from.
+    fn image(&self) -> &ImagePages {
+        self.image
+            .as_deref()
+            .expect("a memory with pristine pages has an image")
+    }
+
+    /// The resident frame at `idx`, checking the hot slot first.
     #[inline]
-    fn page_ref(&self, idx: u64) -> Option<&Page> {
+    fn frame(&self, idx: u64) -> Option<&Frame> {
         if self.hot_page == idx {
             if let Some(hot) = &self.hot {
                 return Some(hot);
             }
         }
-        self.pages.get(&idx).map(|p| &**p)
+        self.pages.get(&idx)
     }
 
-    /// All resident pages, in map order plus the hot slot.
-    fn iter_pages(&self) -> impl Iterator<Item = (u64, &Page)> {
+    /// All resident frames, in map order plus the hot slot.
+    fn frames(&self) -> impl Iterator<Item = (u64, &Frame)> {
         self.pages
             .iter()
-            .map(|(idx, p)| (*idx, &**p))
-            .chain(self.hot.as_deref().map(|p| (self.hot_page, p)))
+            .map(|(idx, frame)| (*idx, frame))
+            .chain(self.hot.as_ref().map(|frame| (self.hot_page, frame)))
+    }
+
+    /// A frame's words; a pristine page is built into a temporary.
+    fn contents<'a>(&'a self, frame: &'a Frame) -> Cow<'a, Page> {
+        match frame {
+            Frame::Pristine(run) => Cow::Owned(self.image().build(*run)),
+            Frame::Shared(_, page) => Cow::Borrowed(page),
+            Frame::Owned(page) => Cow::Borrowed(page),
+        }
     }
 
     /// Moves `idx` into the hot slot, flushing the previous occupant
-    /// back into the map. Returns `false` when the page is not resident
-    /// (the hot slot is left untouched).
+    /// back into the map; a pristine page is shared from the image's
+    /// page set on the way. Returns `false` when the page is not
+    /// resident (the hot slot is left untouched).
     fn promote(&mut self, idx: u64) -> bool {
-        let Some(page) = self.pages.remove(&idx) else {
+        let Some(mut frame) = self.pages.remove(&idx) else {
             return false;
         };
-        if let Some(old) = self.hot.replace(page) {
+        if let Frame::Pristine(run) = frame {
+            frame = Frame::Shared(run, self.image().share(run));
+        }
+        if let Some(old) = self.hot.replace(frame) {
             self.pages.insert(self.hot_page, old);
         }
         self.hot_page = idx;
         true
     }
 
+    /// The write path past the hot owned page: makes `idx` hot and this
+    /// memory's own (allocating it on first touch), then stores.
+    #[inline(never)]
+    fn write_cold(&mut self, idx: u64, addr: u64, value: u64) {
+        let hot = self.hot_page == idx && self.hot.is_some();
+        if !hot && !self.promote(idx) {
+            // First touch: allocate straight into the hot slot.
+            let fresh = Frame::Owned(Box::new([0u64; PAGE_WORDS]));
+            if let Some(old) = self.hot.replace(fresh) {
+                self.pages.insert(self.hot_page, old);
+            }
+            self.hot_page = idx;
+        }
+        let mut page = match self.hot.take() {
+            Some(Frame::Shared(run, page)) => self.image().own(run, page),
+            Some(Frame::Owned(page)) => page,
+            _ => unreachable!("the hot page is resident and never pristine"),
+        };
+        page[word_in_page(addr)] = value;
+        self.hot = Some(Frame::Owned(page));
+    }
+
     /// Serializes resident pages in ascending page order (canonical
     /// bytes: the same contents always encode identically, regardless
-    /// of hash-map iteration order or which page is hot).
+    /// of hash-map iteration order, which page is hot, or which image
+    /// pages are built yet).
     pub fn save_snap(&self, w: &mut SnapWriter) {
         w.tag(b"SMEM");
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
-        if self.hot.is_some() {
-            indices.push(self.hot_page);
-        }
+        let mut indices: Vec<u64> = self.frames().map(|(idx, _)| idx).collect();
         indices.sort_unstable();
         w.u64(indices.len() as u64);
         for idx in indices {
             w.u64(idx);
-            let page = self.page_ref(idx).expect("resident page");
-            for word in page.iter() {
+            let frame = self.frame(idx).expect("resident page");
+            for word in self.contents(frame).iter() {
                 w.u64(*word);
             }
         }
@@ -193,25 +374,27 @@ impl SparseMem {
             for word in page.iter_mut() {
                 *word = r.u64()?;
             }
-            pages.insert(idx, page);
+            pages.insert(idx, Frame::Owned(page));
         }
         Ok(SparseMem {
             pages,
-            hot_page: 0,
-            hot: None,
+            ..SparseMem::default()
         })
     }
 
     /// Reads without requiring `&mut self` (the trait takes `&mut` so
     /// that timing models can update internal state on reads). Shared
-    /// access cannot rotate the hot slot, so repeated off-hot peeks pay
-    /// the map probe; the `&mut` paths promote.
+    /// access cannot rotate the hot slot or build a page, so repeated
+    /// off-hot peeks pay the map probe, and a peek at a pristine page
+    /// searches the image's words; the `&mut` paths promote.
     #[must_use]
     #[inline]
     pub fn peek(&self, addr: u64) -> u64 {
         debug_assert_eq!(addr % 8, 0, "misaligned read at {addr:#x}");
-        match self.page_ref(page_of(addr)) {
-            Some(page) => page[word_in_page(addr)],
+        match self.frame(page_of(addr)) {
+            Some(Frame::Pristine(run)) => self.image().word(*run, addr),
+            Some(Frame::Shared(_, page)) => page[word_in_page(addr)],
+            Some(Frame::Owned(page)) => page[word_in_page(addr)],
             None => 0,
         }
     }
@@ -223,12 +406,13 @@ impl DataMem for SparseMem {
         debug_assert_eq!(addr % 8, 0, "misaligned read at {addr:#x}");
         let idx = page_of(addr);
         if self.hot_page == idx {
-            if let Some(hot) = &self.hot {
-                return hot[word_in_page(addr)];
+            if let Some(page) = self.hot.as_ref().and_then(Frame::words) {
+                return page[word_in_page(addr)];
             }
         }
         if self.promote(idx) {
-            self.hot.as_ref().expect("just promoted")[word_in_page(addr)]
+            let hot = self.hot.as_ref().and_then(Frame::words);
+            hot.expect("just promoted")[word_in_page(addr)]
         } else {
             0
         }
@@ -239,19 +423,12 @@ impl DataMem for SparseMem {
         debug_assert_eq!(addr % 8, 0, "misaligned write at {addr:#x}");
         let idx = page_of(addr);
         if self.hot_page == idx {
-            if let Some(hot) = &mut self.hot {
-                hot[word_in_page(addr)] = value;
+            if let Some(Frame::Owned(page)) = &mut self.hot {
+                page[word_in_page(addr)] = value;
                 return;
             }
         }
-        if !self.promote(idx) {
-            // First touch: allocate straight into the hot slot.
-            if let Some(old) = self.hot.replace(Box::new([0u64; PAGE_WORDS])) {
-                self.pages.insert(self.hot_page, old);
-            }
-            self.hot_page = idx;
-        }
-        self.hot.as_mut().expect("hot page resident")[word_in_page(addr)] = value;
+        self.write_cold(idx, addr, value);
     }
 }
 
@@ -282,6 +459,61 @@ mod tests {
         let img: MemImage = [(0x10, 7)].into_iter().collect();
         let mut m = SparseMem::from_image(&img);
         assert_eq!(m.read(0x10), 7);
+    }
+
+    /// Whether `mem`'s image page set holds page number `run` built.
+    fn set_holds(mem: &SparseMem, run: u32) -> bool {
+        mem.image().lock()[run as usize].is_some()
+    }
+
+    #[test]
+    fn memories_of_one_image_share_its_pages() {
+        let img: MemImage = [(0x10, 7), (0x2008, 8)].into_iter().collect();
+        let mut a = SparseMem::from_image(&img);
+        let mut b = SparseMem::from_image(&img);
+        assert!(
+            Arc::ptr_eq(a.image.as_ref().unwrap(), b.image.as_ref().unwrap()),
+            "one page set per image"
+        );
+        assert_eq!(a.resident_pages(), 2, "image pages are resident unbuilt");
+        assert!(!set_holds(&a, 0) && !set_holds(&a, 1), "nothing built yet");
+        assert_eq!(b.peek(0x2008), 8, "peek builds nothing");
+        assert!(!set_holds(&a, 1));
+        assert_eq!(a.read(0x10), 7);
+        assert_eq!(b.read(0x10), 7);
+        assert!(set_holds(&a, 0) && !set_holds(&a, 1), "built on touch");
+        // `a` copies the page it writes while `b` still shares it; `b`,
+        // the last sharer, takes the page out of the set.
+        a.write(0x10, 1);
+        assert!(set_holds(&a, 0), "a copied the shared page");
+        b.write(0x18, 2);
+        assert!(!set_holds(&a, 0), "b took the page");
+        assert_eq!((a.peek(0x10), a.peek(0x18)), (1, 0));
+        assert_eq!((b.peek(0x10), b.peek(0x18)), (7, 2));
+        // A later memory rebuilds the page from the image's words.
+        assert_eq!(SparseMem::from_image(&img).read(0x10), 7);
+    }
+
+    #[test]
+    fn page_set_is_freed_with_its_last_memory() {
+        let img: MemImage = [(0x10, 7), (0x2008, 8)].into_iter().collect();
+        let mut a = SparseMem::from_image(&img);
+        let b = SparseMem::from_image(&img);
+        assert_eq!(a.read(0x10), 7);
+        let set = Arc::downgrade(a.image.as_ref().expect("built from an image"));
+        let page = match a.frame(0) {
+            Some(Frame::Shared(_, page)) => Arc::downgrade(page),
+            other => panic!("a read image page is shared, got {other:?}"),
+        };
+        drop(a);
+        assert!(set.upgrade().is_some(), "b still holds the set");
+        assert!(page.upgrade().is_some(), "the set still holds the page");
+        drop(b);
+        assert!(set.upgrade().is_none(), "the set went with the last memory");
+        assert!(page.upgrade().is_none(), "its pages went with it");
+        // The image outlives its set and makes a fresh one on demand.
+        let mut c = SparseMem::from_image(&img);
+        assert_eq!(c.read(0x2008), 8);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Programs: instruction sequences plus an initial memory image.
 
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+
 use crate::inst::Inst;
+use crate::mem::ImagePages;
 
 /// Errors produced by [`Program::validate`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,6 +49,8 @@ impl std::error::Error for ProgramError {}
 /// a large share of a sweep's memory peak and set-up. Sorted words and
 /// not dense pages, because the images are sparse: a multi-thread
 /// stand-in can define one word in eight across a thousand pages.
+/// The live memories built from an image share one set of its pages,
+/// built as they are touched (see [`SparseMem`](crate::SparseMem)).
 ///
 /// ```
 /// use recon_isa::MemImage;
@@ -55,11 +60,42 @@ impl std::error::Error for ProgramError {}
 /// assert_eq!(img.get(0x100), Some(42));
 /// assert_eq!(img.get(0x108), None);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Default)]
 pub struct MemImage {
-    /// Strictly ascending by address (so the derived equality is
-    /// logical equality).
-    words: Vec<(u64, u64)>,
+    /// Strictly ascending by address (so equality of the words is
+    /// logical equality). Behind an `Arc` so that clones and the page
+    /// set below share them.
+    words: Arc<Vec<(u64, u64)>>,
+    /// The page set of the live memories built from this image
+    /// ([`SparseMem::from_image`](crate::SparseMem::from_image)). Weak,
+    /// so that the set and its pages go with the last such memory.
+    pages: Mutex<Weak<ImagePages>>,
+}
+
+impl Clone for MemImage {
+    /// Shares the words, and the page set while it lives.
+    fn clone(&self) -> Self {
+        MemImage {
+            words: Arc::clone(&self.words),
+            pages: Mutex::new(self.lock_pages().clone()),
+        }
+    }
+}
+
+impl PartialEq for MemImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl Eq for MemImage {}
+
+impl core::fmt::Debug for MemImage {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("MemImage")
+            .field("words", &self.words)
+            .finish()
+    }
 }
 
 impl MemImage {
@@ -81,12 +117,35 @@ impl MemImage {
             same
         });
         words.shrink_to_fit();
-        MemImage { words }
+        MemImage {
+            words: Arc::new(words),
+            pages: Mutex::default(),
+        }
     }
 
-    /// The defined words, ascending by address.
-    pub(crate) fn words(&self) -> &[(u64, u64)] {
-        &self.words
+    fn lock_pages(&self) -> MutexGuard<'_, Weak<ImagePages>> {
+        self.pages.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The page set shared by the live memories built from this image,
+    /// made now if none lives; `None` for an empty image.
+    pub(crate) fn page_set(&self) -> Option<Arc<ImagePages>> {
+        if self.words.is_empty() {
+            return None;
+        }
+        let mut pages = self.lock_pages();
+        Some(pages.upgrade().unwrap_or_else(|| {
+            let set = Arc::new(ImagePages::new(Arc::clone(&self.words)));
+            *pages = Arc::downgrade(&set);
+            set
+        }))
+    }
+
+    /// The words, to change: the live page set (if any) keeps the old
+    /// ones, and memories built from now on get a set of their own.
+    fn words_mut(&mut self) -> &mut Vec<(u64, u64)> {
+        *self.pages.get_mut().unwrap_or_else(PoisonError::into_inner) = Weak::new();
+        Arc::make_mut(&mut self.words)
     }
 
     /// Sets the word at `addr` (must be 8-byte aligned; validated by
@@ -94,14 +153,15 @@ impl MemImage {
     /// addresses append; any other order inserts or replaces in place.
     pub fn set(&mut self, addr: u64, value: u64) {
         debug_assert_eq!(addr % 8, 0, "image word at {addr:#x} must be aligned");
-        match self.words.last() {
+        let words = self.words_mut();
+        match words.last() {
             Some(&(last, _)) if last >= addr => {
-                match self.words.binary_search_by_key(&addr, |&(a, _)| a) {
-                    Ok(i) => self.words[i].1 = value,
-                    Err(i) => self.words.insert(i, (addr, value)),
+                match words.binary_search_by_key(&addr, |&(a, _)| a) {
+                    Ok(i) => words[i].1 = value,
+                    Err(i) => words.insert(i, (addr, value)),
                 }
             }
-            _ => self.words.push((addr, value)),
+            _ => words.push((addr, value)),
         }
     }
 
@@ -135,7 +195,7 @@ impl MemImage {
 impl Extend<(u64, u64)> for MemImage {
     /// Later pairs overwrite earlier ones and the image's own words.
     fn extend<T: IntoIterator<Item = (u64, u64)>>(&mut self, iter: T) {
-        let mut words = std::mem::take(&mut self.words);
+        let mut words = Arc::unwrap_or_clone(std::mem::take(&mut self.words));
         words.extend(iter);
         *self = Self::from_writes(words);
     }
@@ -286,7 +346,7 @@ mod tests {
     #[test]
     fn validate_rejects_misaligned_image() {
         let mut p = halted(vec![]);
-        p.image.words.insert(0, (0x3, 1)); // bypass the debug assert in set()
+        p.image.words_mut().insert(0, (0x3, 1)); // bypass the debug assert in set()
         assert_eq!(
             p.validate(),
             Err(ProgramError::MisalignedImage { addr: 0x3 })

@@ -1,14 +1,15 @@
 //! Randomized property tests of program images and functional memory.
-//! `MemImage` keeps one address-sorted word vector, and
-//! `SparseMem::from_image` builds pages from its runs; both are checked
-//! here against a `BTreeMap` model and against word-by-word writes.
+//! `MemImage` keeps one address-sorted word vector, and the memories
+//! `SparseMem::from_image` builds share the image's pages, build each on
+//! first touch and copy it to write; both are checked here against a
+//! `BTreeMap` model and against an eager memory written word by word.
 //! Driven by the repo's own `SplitMix64`, so a failure replays from the
 //! seed it prints.
 
 use std::collections::BTreeMap;
 
 use recon_isa::rng::{Rng as _, SplitMix64};
-use recon_isa::{Asm, DataMem, MemImage, SnapWriter, SparseMem};
+use recon_isa::{Asm, DataMem, MemImage, SnapReader, SnapWriter, SparseMem};
 
 const PAGE_BYTES: u64 = 4096;
 
@@ -159,5 +160,233 @@ fn from_image_equals_word_by_word_writes() {
         for (a, v) in img.iter() {
             assert_eq!(built.peek(a), v, "seed {seed}: peek {a:#x}");
         }
+    }
+}
+
+/// A memory built from an image, with the word model and the eager
+/// reference (a fresh memory given the image word by word) it must
+/// match after every step.
+struct Checked {
+    mem: SparseMem,
+    model: BTreeMap<u64, u64>,
+    eager: SparseMem,
+}
+
+impl Checked {
+    fn new(img: &MemImage) -> Self {
+        let mut eager = SparseMem::new();
+        for (a, v) in img.iter() {
+            eager.write(a, v);
+        }
+        Checked {
+            mem: SparseMem::from_image(img),
+            model: img.iter().collect(),
+            eager,
+        }
+    }
+
+    /// Random reads, each checked against the model.
+    fn reads(&mut self, rng: &mut SplitMix64, what: &str, seed: u64) {
+        for _ in 0..rng.below(200) {
+            let a = self.pick(rng);
+            let expected = self.model.get(&a).copied().unwrap_or(0);
+            assert_eq!(
+                self.mem.read(a),
+                expected,
+                "seed {seed} ({what}): read {a:#x}"
+            );
+        }
+    }
+
+    /// Random writes, applied to the memory, the model and the eager
+    /// reference alike.
+    fn writes(&mut self, rng: &mut SplitMix64) {
+        for _ in 0..rng.below(200) {
+            let (a, v) = (self.pick(rng), rng.next_u64());
+            self.mem.write(a, v);
+            self.eager.write(a, v);
+            self.model.insert(a, v);
+        }
+    }
+
+    /// An address the model defines, or one from the general pools.
+    fn pick(&self, rng: &mut SplitMix64) -> u64 {
+        if !self.model.is_empty() && rng.below(2) == 0 {
+            let nth = rng.below_usize(self.model.len());
+            *self.model.keys().nth(nth).expect("in range")
+        } else {
+            addr(rng)
+        }
+    }
+
+    /// `==` both ways, `resident_pages`, `save_snap` bytes and `peek`
+    /// agree with the eager reference and the model.
+    fn check(&self, what: &str, seed: u64) {
+        let (mem, eager) = (&self.mem, &self.eager);
+        assert!(mem == eager, "seed {seed} ({what}): ==");
+        assert!(eager == mem, "seed {seed} ({what}): == reversed");
+        assert_eq!(
+            mem.resident_pages(),
+            eager.resident_pages(),
+            "seed {seed} ({what}): resident pages"
+        );
+        assert_eq!(
+            snap_bytes(mem),
+            snap_bytes(eager),
+            "seed {seed} ({what}): bytes"
+        );
+        for (&a, &v) in &self.model {
+            assert_eq!(mem.peek(a), v, "seed {seed} ({what}): peek {a:#x}");
+            let next = a.wrapping_add(8);
+            let expected = self.model.get(&next).copied().unwrap_or(0);
+            assert_eq!(
+                mem.peek(next),
+                expected,
+                "seed {seed} ({what}): peek {next:#x}"
+            );
+        }
+    }
+}
+
+fn image(rng: &mut SplitMix64) -> MemImage {
+    writes(rng).into_iter().collect()
+}
+
+#[test]
+fn shared_memory_matches_an_eager_model_before_and_after_access() {
+    for seed in 0..48u64 {
+        let mut rng = SplitMix64::new(0x0c0e_0000 + seed);
+        let img = image(&mut rng);
+        let mut m = Checked::new(&img);
+        m.check("untouched", seed);
+        m.reads(&mut rng, "reads", seed);
+        m.check("after reads", seed);
+        m.writes(&mut rng);
+        m.check("after writes", seed);
+        m.reads(&mut rng, "reads after writes", seed);
+        m.check("after reads and writes", seed);
+    }
+}
+
+#[test]
+fn memories_of_one_image_copy_on_write() {
+    for seed in 0..48u64 {
+        let mut rng = SplitMix64::new(0xc0c0_0000 + seed);
+        let img = image(&mut rng);
+        let mut a = Checked::new(&img);
+        let mut b = Checked::new(&img);
+        let mut untouched = Checked::new(&img);
+        // Interleaved, so that each memory writes pages the other has
+        // read, written or not touched yet.
+        for round in 0..3 {
+            a.reads(&mut rng, "a reads", seed);
+            b.writes(&mut rng);
+            a.writes(&mut rng);
+            b.reads(&mut rng, "b reads", seed);
+            a.check(&format!("a, round {round}"), seed);
+            b.check(&format!("b, round {round}"), seed);
+        }
+        untouched.check("untouched", seed);
+        // A memory built after the others wrote sees the image alone.
+        Checked::new(&img).check("built later", seed);
+        // A memory outlives its image.
+        drop(img);
+        untouched.reads(&mut rng, "after the image dropped", seed);
+        untouched.writes(&mut rng);
+        untouched.check("after the image dropped", seed);
+    }
+}
+
+#[test]
+fn clones_and_restored_snapshots_are_independent_memories() {
+    for seed in 0..48u64 {
+        let mut rng = SplitMix64::new(0xc1_0e00_0000 + seed);
+        let img = image(&mut rng);
+        let mut m = Checked::new(&img);
+        m.reads(&mut rng, "reads", seed);
+        if seed % 2 == 1 {
+            m.writes(&mut rng);
+        }
+        let mut clone = Checked {
+            mem: m.mem.clone(),
+            model: m.model.clone(),
+            eager: m.eager.clone(),
+        };
+        clone.check("clone", seed);
+
+        let bytes = snap_bytes(&m.mem);
+        let mut r = SnapReader::new(&bytes);
+        let restored = SparseMem::load_snap(&mut r).expect("round trip");
+        assert!(r.is_exhausted(), "seed {seed}: trailing bytes");
+        let mut restored = Checked {
+            mem: restored,
+            model: m.model.clone(),
+            eager: m.eager.clone(),
+        };
+        restored.check("restored", seed);
+
+        for c in [&mut m, &mut clone, &mut restored] {
+            c.writes(&mut rng);
+            c.reads(&mut rng, "diverged", seed);
+        }
+        m.check("original, diverged", seed);
+        clone.check("clone, diverged", seed);
+        restored.check("restored, diverged", seed);
+    }
+}
+
+#[test]
+fn memories_of_one_image_written_on_two_threads() {
+    for seed in 0..16u64 {
+        let mut rng = SplitMix64::new(0x7e0d_0000 + seed);
+        let img = image(&mut rng);
+        let thread_seeds = [rng.next_u64(), rng.next_u64()];
+        let done: Vec<Checked> = std::thread::scope(|s| {
+            let img = &img;
+            let runs: Vec<_> = thread_seeds
+                .iter()
+                .map(|&ts| {
+                    s.spawn(move || {
+                        let mut rng = SplitMix64::new(ts);
+                        let mut m = Checked::new(img);
+                        for _ in 0..4 {
+                            m.reads(&mut rng, "thread reads", seed);
+                            m.writes(&mut rng);
+                        }
+                        m
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("thread panicked"))
+                .collect()
+        });
+        for (i, m) in done.iter().enumerate() {
+            m.check(&format!("thread {i}"), seed);
+        }
+        Checked::new(&img).check("after both threads", seed);
+    }
+}
+
+#[test]
+fn memories_of_different_images_compare_by_contents() {
+    for seed in 0..48u64 {
+        let mut rng = SplitMix64::new(0xd1ff_0000 + seed);
+        let w = writes(&mut rng);
+        let img: MemImage = w.iter().copied().collect();
+        // Equal words, built apart: a page set of its own.
+        let twin: MemImage = w.iter().copied().collect();
+        let mine = SparseMem::from_image(&img);
+        assert!(mine == SparseMem::from_image(&twin), "seed {seed}: twin");
+        // Same pages and words, one value changed.
+        let Some((a, v)) = img.iter().nth(rng.below_usize(img.len().max(1))) else {
+            continue;
+        };
+        let mut altered = img.clone();
+        altered.set(a, v ^ 1);
+        let theirs = SparseMem::from_image(&altered);
+        assert!(mine != theirs, "seed {seed}: altered {a:#x}");
+        assert!(theirs != mine, "seed {seed}: altered {a:#x}, reversed");
+        assert_eq!(SparseMem::from_image(&img).peek(a), v, "seed {seed}");
     }
 }
