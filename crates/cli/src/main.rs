@@ -45,6 +45,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
@@ -54,19 +55,10 @@ use recon_sim::report::Table;
 use recon_sim::{
     jobs_from_env, Budget, Experiment, SimError, System, SystemResult, DEFAULT_WATCHDOG_CYCLES,
 };
-use recon_workloads::{
-    corpus, parsec, spec2006, spec2017, Benchmark, Scale, Suite, ThreadSpec, Workload,
-};
+use recon_workloads::{did_you_mean, Benchmark, Scale, Suite, ThreadSpec, Workload};
 
 fn scale() -> Scale {
     Scale::from_env()
-}
-
-fn scale_label() -> &'static str {
-    match scale() {
-        Scale::Quick => "quick",
-        Scale::Paper => "paper",
-    }
 }
 
 /// Default checkpoint cadence in simulated cycles when `--checkpoint`
@@ -76,58 +68,130 @@ const DEFAULT_CKPT_EVERY: u64 = 500_000;
 /// Checkpoints retained per job while it runs.
 const CKPT_KEEP: usize = 3;
 
-/// Suite names the CLI accepts, in display order.
-const SUITE_NAMES: [&str; 4] = ["spec2017", "spec2006", "parsec", "corpus"];
+/// The flags one subcommand accepts: those that take a value and the
+/// bare switches. `command` names the subcommand in the unknown-flag
+/// error.
+struct FlagSpec {
+    command: &'static str,
+    valued: &'static [&'static str],
+    switches: &'static [&'static str],
+}
 
-fn parse_suite(name: &str) -> Option<(Suite, Vec<Benchmark>)> {
-    match name.to_ascii_lowercase().as_str() {
-        "spec2017" => Some((Suite::Spec2017, spec2017(scale()))),
-        "spec2006" => Some((Suite::Spec2006, spec2006(scale()))),
-        "parsec" => Some((Suite::Parsec, parsec(scale()))),
-        "corpus" => Some((Suite::Corpus, corpus(scale()))),
-        _ => None,
+/// One subcommand's flags, checked against its [`FlagSpec`].
+struct Flags<'a> {
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args` into valued flags and switches. An unknown flag (with
+    /// a near-miss hint), a valued flag with no value, and a flag given
+    /// twice are errors.
+    fn parse(spec: &FlagSpec, args: &[&'a str]) -> Result<Self, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(&flag) = it.next() {
+            if flags.has(flag) || flags.get(flag).is_some() {
+                return Err(format!("{flag} is given more than once"));
+            }
+            if spec.switches.contains(&flag) {
+                flags.switches.push(flag);
+            } else if spec.valued.contains(&flag) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("{flag} wants {}", wants(spec.command, flag)))?;
+                flags.values.push((flag, value));
+            } else {
+                let known = spec.valued.iter().chain(spec.switches).copied();
+                return Err(format!(
+                    "unknown {} flag '{flag}'{}",
+                    spec.command,
+                    did_you_mean(flag, known)
+                ));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// `flag`'s value as a `T` that passes `ok`, or `None` when the flag
+    /// is absent; anything else is the error `{flag} wants {what}, got
+    /// '{value}'`.
+    fn parse_as<T: FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(&ok)
+                    .ok_or_else(|| format!("{flag} wants {what}, got '{v}'"))
+            })
+            .transpose()
+    }
+
+    /// `flag`'s value as a positive `u64`.
+    fn positive(&self, flag: &str, what: &str) -> Result<Option<u64>, String> {
+        self.parse_as(flag, what, |&n| n >= 1)
+    }
+
+    /// `flag`'s value as a positive count, or `default` when absent.
+    fn count(&self, flag: &str, default: usize) -> Result<usize, String> {
+        Ok(self
+            .parse_as(flag, "a positive integer", |&n| n >= 1)?
+            .unwrap_or(default))
+    }
+
+    /// `--seed`'s value, or `default` when absent.
+    fn seed(&self, default: u64) -> Result<u64, String> {
+        Ok(self
+            .parse_as("--seed", "an integer", |_| true)?
+            .unwrap_or(default))
     }
 }
 
-/// ` — did you mean '..'?` when `input` is a near-miss of a candidate.
-fn hint(input: &str, candidates: impl IntoIterator<Item = &'static str>) -> String {
-    recon_asm::suggest(&input.to_ascii_lowercase(), candidates)
-        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
+/// What a valued flag wants, for its missing-value error.
+fn wants(command: &str, flag: &str) -> &'static str {
+    match (command, flag) {
+        ("asm", "--run") => "a scheme",
+        ("asm", "--fast-forward") => "an instruction count",
+        _ => "a value",
+    }
 }
 
-fn unknown_suite(name: &str) -> String {
-    format!(
-        "unknown suite '{name}' ({}){}",
-        SUITE_NAMES.join("|"),
-        hint(name, SUITE_NAMES)
-    )
-}
-
-/// Valid scheme spellings, for error messages.
-const SCHEME_NAMES: &str = SecureConfig::PARSE_NAMES;
-
-fn parse_scheme(name: &str) -> Option<SecureConfig> {
+fn parse_scheme(name: &str) -> Result<SecureConfig, String> {
     SecureConfig::parse(name)
+        .ok_or_else(|| format!("unknown scheme '{name}' ({})", SecureConfig::PARSE_NAMES))
 }
 
-fn find_suite(name: &str) -> Result<(Suite, Vec<Benchmark>), String> {
-    parse_suite(name).ok_or_else(|| unknown_suite(name))
-}
-
-fn find_bench(suite_name: &str, bench: &str) -> Result<(Suite, Benchmark), String> {
-    let (suite, list) = find_suite(suite_name)?;
-    let names: Vec<&'static str> = list.iter().map(|b| b.name).collect();
-    let b = list
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(bench))
-        .ok_or_else(|| format!("no benchmark '{bench}' in {suite}{}", hint(bench, names)))?;
-    Ok((suite, b))
+/// Resolves a suite and benchmark name, in any case, and builds only
+/// that benchmark.
+fn benchmark(suite: &str, bench: &str) -> Result<Benchmark, String> {
+    let suite = Suite::parse(suite)?;
+    let name = recon_workloads::resolve(suite, bench)?;
+    Ok(recon_workloads::find(suite, name, scale()).expect("resolved names build"))
 }
 
 fn cmd_list() -> ExitCode {
     let mut t = Table::new(&["suite", "benchmark", "threads", "static instructions"]);
-    for (_, list) in SUITE_NAMES.iter().filter_map(|s| parse_suite(s)) {
-        for b in list {
+    for suite in Suite::ALL {
+        for b in recon_workloads::benchmarks(suite, scale()) {
             t.row(&[
                 b.suite.to_string(),
                 b.name.to_string(),
@@ -140,54 +204,25 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+const ASM_FLAGS: FlagSpec = FlagSpec {
+    command: "asm",
+    valued: &["--run", "--fast-forward"],
+    switches: &["--dump"],
+};
+
 /// `recon asm <file>`: assemble a text program and report what it
 /// contains; `--dump` prints the canonical disassembly, `--run <scheme>`
 /// executes it in the detailed simulator and reads back the corpus
 /// self-check convention's digest/status words.
-fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
-    let mut dump = false;
-    let mut run: Option<SecureConfig> = None;
-    let mut ff: Option<u64> = None;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--dump" => dump = true,
-            "--run" => {
-                let Some(&value) = it.next() else {
-                    return fail("--run wants a scheme");
-                };
-                match parse_scheme(value) {
-                    Some(s) => run = Some(s),
-                    None => return fail(&format!("unknown scheme '{value}' ({SCHEME_NAMES})")),
-                }
-            }
-            "--fast-forward" => {
-                let Some(&value) = it.next() else {
-                    return fail("--fast-forward wants an instruction count");
-                };
-                match value.parse::<u64>() {
-                    Ok(n) if n >= 1 => ff = Some(n),
-                    _ => {
-                        return fail(&format!(
-                            "--fast-forward wants a positive instruction count, got '{value}'"
-                        ))
-                    }
-                }
-            }
-            _ => return fail(&format!("unknown asm flag '{flag}'")),
-        }
-    }
+fn cmd_asm(file: &str, rest: &[&str]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&ASM_FLAGS, rest)?;
+    let run = flags.get("--run").map(parse_scheme).transpose()?;
+    let ff = flags.positive("--fast-forward", "a positive instruction count")?;
     if ff.is_some() && run.is_none() {
-        return fail("--fast-forward needs --run <scheme>");
+        return Err("--fast-forward needs --run <scheme>".into());
     }
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cannot read {file}: {e}")),
-    };
-    let p = match recon_asm::assemble(&src) {
-        Ok(p) => p,
-        Err(e) => return fail(&format!("{file}: {e}")),
-    };
+    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let p = recon_asm::assemble(&src).map_err(|e| format!("{file}: {e}"))?;
     println!(
         "{file}: {} instructions, {} data words, {} label(s), {} entry point(s)",
         p.program.len(),
@@ -204,11 +239,11 @@ fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
         let seeds: Vec<String> = e.seeds.iter().map(|(r, v)| format!("{r}={v:#x}")).collect();
         println!("  entry {name} (inst {}) {}", e.entry, seeds.join(" "));
     }
-    if dump {
+    if flags.has("--dump") {
         print!("{}", recon_asm::disassemble(&p));
     }
     let Some(secure) = run else {
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     };
     let threads: Vec<ThreadSpec> = p
         .entries
@@ -233,10 +268,9 @@ fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
         ..Budget::default()
     };
     let mut sys = System::new(&workload, exp.core, exp.mem, secure, exp.recon);
-    let r = match sys.run_budgeted(exp.max_cycles, &budget) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("run did not complete: {e}")),
-    };
+    let r = sys
+        .run_budgeted(exp.max_cycles, &budget)
+        .map_err(|e| format!("run did not complete: {e}"))?;
     if let Some(ff) = ff {
         println!("(functional fast-forward: {ff} instructions before detailed timing)");
     }
@@ -247,23 +281,22 @@ fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
     let status = sys.data().peek(recon_asm::corpus::STATUS_ADDR);
     if status == 0 && digest == 0 {
         println!("  self-check        (none: program wrote no status word)");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!("  self-check digest {digest:#018x}");
-    if status == recon_asm::corpus::STATUS_PASS {
-        println!("  self-check        pass");
-        ExitCode::SUCCESS
-    } else {
-        fail(&format!("self-check FAILED (status {status:#x})"))
+    if status != recon_asm::corpus::STATUS_PASS {
+        return Err(format!("self-check FAILED (status {status:#x})"));
     }
+    println!("  self-check        pass");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `recon workloads [--list]`: enumerate every suite and workload with
 /// static instruction counts, so nobody has to guess valid names.
-fn cmd_workloads(rest: &[&str]) -> ExitCode {
+fn cmd_workloads(rest: &[&str]) -> Result<ExitCode, String> {
     match rest {
-        [] | ["--list"] => cmd_list(),
-        _ => fail(&format!("unknown workloads flag(s) {rest:?} (try --list)")),
+        [] | ["--list"] => Ok(cmd_list()),
+        _ => Err(format!("unknown workloads flag(s) {rest:?} (try --list)")),
     }
 }
 
@@ -279,120 +312,62 @@ fn print_run_result(name: &str, suite: Suite, secure: SecureConfig, r: &SystemRe
     println!("  trace dropped     {}", r.trace_dropped());
 }
 
-/// Parses `--fast-forward <instructions>` from already-split flag
-/// pairs: the functional warmup length applied before detailed timing.
-fn ff_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--fast-forward") {
-        None => Ok(None),
-        Some((_, v)) => v
-            .parse()
-            .ok()
-            .filter(|&n: &u64| n >= 1)
-            .map(Some)
-            .ok_or_else(|| format!("--fast-forward wants a positive instruction count, got '{v}'")),
-    }
-}
-
-/// Parses `--watchdog-cycles <cycles>` from already-split flag pairs:
-/// the liveness watchdog window. `0` disables the watchdog entirely;
-/// unset keeps the default window (`DEFAULT_WATCHDOG_CYCLES`).
-fn wd_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--watchdog-cycles") {
-        None => Ok(None),
-        Some((_, v)) => {
-            v.parse().ok().map(Some).ok_or_else(|| {
-                format!("--watchdog-cycles wants a cycle count (0 = off), got '{v}'")
-            })
-        }
-    }
-}
-
-/// Prints the full stall or invariant-audit forensics before the
-/// generic failure line, so a deadlocked or corrupted run explains
-/// itself (per-core ROB-head + wait reason, or the violated-invariant
-/// list) instead of dying with a bare error string.
-fn print_stall_forensics(e: &SimError) {
+/// The error line of a run that did not complete, after printing the
+/// full stall or invariant-audit forensics, so a deadlocked or
+/// corrupted run explains itself (per-core ROB-head + wait reason, or
+/// the violated-invariant list) instead of dying with a bare error
+/// string.
+fn run_failed(e: &SimError) -> String {
     match e {
         SimError::Stalled { report, .. } => eprintln!("{report}"),
         SimError::InvariantViolated { report, .. } => eprintln!("{report}"),
         _ => {}
     }
-}
-
-/// Parses `--audit <cycles>` from already-split flag pairs: the
-/// invariant-auditor sweep cadence. Unset leaves the auditor off (runs
-/// are bit-identical either way — the sweep is pure observation).
-fn audit_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--audit") {
-        None => Ok(None),
-        Some((_, v)) => v
-            .parse()
-            .ok()
-            .filter(|&n: &u64| n >= 1)
-            .map(Some)
-            .ok_or_else(|| format!("--audit wants a positive cycle cadence, got '{v}'")),
-    }
-}
-
-/// Parses `--checkpoint <dir>` / `--checkpoint-every <cycles>` from
-/// already-split flag pairs. `--checkpoint-every` without
-/// `--checkpoint` is an error (it would silently do nothing).
-fn ckpt_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<CkptContext>, String> {
-    let dir = pairs
-        .iter()
-        .find(|(f, _)| *f == "--checkpoint")
-        .map(|(_, v)| PathBuf::from(*v));
-    let every =
-        match pairs.iter().find(|(f, _)| *f == "--checkpoint-every") {
-            None => DEFAULT_CKPT_EVERY,
-            Some((_, v)) => v.parse().ok().filter(|&n: &u64| n >= 1).ok_or_else(|| {
-                format!("--checkpoint-every wants a positive cycle count, got '{v}'")
-            })?,
-        };
-    match dir {
-        Some(dir) => Ok(Some(CkptContext {
-            dir,
-            cadence: every,
-            keep: CKPT_KEEP,
-        })),
-        None if pairs.iter().any(|(f, _)| *f == "--checkpoint-every") => {
-            Err("--checkpoint-every needs --checkpoint <dir>".to_string())
-        }
-        None => Ok(None),
-    }
+    format!("run did not complete: {e}")
 }
 
 /// The flags `recon run` and `recon suite` accept.
-const RUN_FLAGS: [&str; 5] = [
-    "--checkpoint",
-    "--checkpoint-every",
-    "--fast-forward",
-    "--watchdog-cycles",
-    "--audit",
-];
+const RUN_FLAGS: FlagSpec = FlagSpec {
+    command: "run",
+    valued: &[
+        "--checkpoint",
+        "--checkpoint-every",
+        "--fast-forward",
+        "--watchdog-cycles",
+        "--audit",
+    ],
+    switches: &[],
+};
 
-/// Parses the flags `recon run` and `recon suite` (`command`) share:
-/// the checkpoint context and the run budget (`--fast-forward`,
-/// `--watchdog-cycles`, `--audit`). Any other flag is an error.
-fn run_flags(
-    command: &str,
-    pairs: &[(&str, &str)],
-) -> Result<(Option<CkptContext>, Budget), String> {
-    if let Some((flag, _)) = pairs.iter().find(|(f, _)| !RUN_FLAGS.contains(f)) {
-        return Err(format!(
-            "unknown {command} flag '{flag}'{}",
-            hint(flag, RUN_FLAGS)
-        ));
-    }
-    Ok((
-        ckpt_from_pairs(pairs)?,
-        Budget {
-            fast_forward: ff_from_pairs(pairs)?,
-            watchdog_cycles: wd_from_pairs(pairs)?,
-            audit_every_cycles: audit_from_pairs(pairs)?,
-            ..Budget::default()
-        },
-    ))
+const SUITE_FLAGS: FlagSpec = FlagSpec {
+    command: "suite",
+    ..RUN_FLAGS
+};
+
+/// Parses the flags `recon run` and `recon suite` share: the checkpoint
+/// context (`--checkpoint D`, `--checkpoint-every CYC`, which needs a
+/// directory) and the run budget (`--fast-forward`, `--watchdog-cycles`
+/// with `0` = off, and the invariant-audit cadence `--audit`).
+fn run_flags(spec: &FlagSpec, args: &[&str]) -> Result<(Option<CkptContext>, Budget), String> {
+    let flags = Flags::parse(spec, args)?;
+    let every = flags.positive("--checkpoint-every", "a positive cycle count")?;
+    let ctx = match (flags.get("--checkpoint"), every) {
+        (Some(dir), _) => Some(CkptContext {
+            dir: PathBuf::from(dir),
+            cadence: every.unwrap_or(DEFAULT_CKPT_EVERY),
+            keep: CKPT_KEEP,
+        }),
+        (None, Some(_)) => return Err("--checkpoint-every needs --checkpoint <dir>".into()),
+        (None, None) => None,
+    };
+    let budget = Budget {
+        fast_forward: flags.positive("--fast-forward", "a positive instruction count")?,
+        watchdog_cycles: flags
+            .parse_as("--watchdog-cycles", "a cycle count (0 = off)", |_| true)?,
+        audit_every_cycles: flags.positive("--audit", "a positive cycle cadence")?,
+        ..Budget::default()
+    };
+    Ok((ctx, budget))
 }
 
 /// Budget knobs a `recon run` checkpoint records in its meta, by key.
@@ -412,10 +387,10 @@ fn run_record(
 ) -> (u64, Vec<(String, String)>) {
     let mut meta: Vec<(String, String)> = [
         ("kind", "run".to_string()),
-        ("suite", suite.to_string().to_ascii_lowercase()),
+        ("suite", suite.name().to_string()),
         ("bench", bench.to_string()),
         ("scheme", secure.to_string()),
-        ("scale", scale_label().to_string()),
+        ("scale", scale().label().to_string()),
         ("cadence", cadence.to_string()),
     ]
     .map(|(k, v)| (k.to_string(), v))
@@ -451,13 +426,12 @@ fn budget_from_meta(ck: &ckpt::Checkpoint) -> Budget {
 /// the persistence layer did alongside the results.
 fn run_checkpointed(
     exp: &Experiment,
-    suite: Suite,
     b: &Benchmark,
     secure: SecureConfig,
     ctx: &CkptContext,
     budget: &Budget,
-) -> ExitCode {
-    let (digest, meta) = run_record(suite, b.name, secure, ctx.cadence, budget);
+) -> Result<ExitCode, String> {
+    let (digest, meta) = run_record(b.suite, b.name, secure, ctx.cadence, budget);
     let (r, info) =
         ckpt::run_with_checkpoints(exp, &b.workload, secure, budget, ctx, &meta, digest);
     if info.dropped_corrupt > 0 {
@@ -473,59 +447,39 @@ fn run_checkpointed(
     } else if let Some(cycle) = info.resumed_from_cycle {
         println!("resumed from checkpoint at cycle {cycle}");
     }
-    match r {
-        Ok(r) => {
-            print_run_result(b.name, suite, secure, &r);
-            if !info.result_cached {
-                println!(
-                    "  checkpoints       {} written, {} GC'd (cadence {})",
-                    info.checkpoints_written, info.gc_deleted, ctx.cadence
-                );
-            }
-            ExitCode::SUCCESS
+    let r = r.map_err(|e| {
+        let msg = run_failed(&e);
+        if let Some(p) = &info.last_checkpoint {
+            println!("resumable checkpoint left at {}", p.display());
         }
-        Err(e) => {
-            print_stall_forensics(&e);
-            if let Some(p) = &info.last_checkpoint {
-                println!("resumable checkpoint left at {}", p.display());
-            }
-            fail(&format!("run did not complete: {e}"))
-        }
+        msg
+    })?;
+    print_run_result(b.name, b.suite, secure, &r);
+    if !info.result_cached {
+        println!(
+            "  checkpoints       {} written, {} GC'd (cadence {})",
+            info.checkpoints_written, info.gc_deleted, ctx.cadence
+        );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(suite_name: &str, bench: &str, scheme: &str, rest: &[&str]) -> ExitCode {
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let Some(secure) = parse_scheme(scheme) else {
-        return fail(&format!("unknown scheme '{scheme}' ({SCHEME_NAMES})"));
-    };
-    let pairs = match parse_flag_pairs(rest) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (ctx, budget) = match run_flags("run", &pairs) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let exp = experiment_for(suite);
+fn cmd_run(suite: &str, bench: &str, scheme_name: &str, rest: &[&str]) -> Result<ExitCode, String> {
+    let b = benchmark(suite, bench)?;
+    let secure = parse_scheme(scheme_name)?;
+    let (ctx, budget) = run_flags(&RUN_FLAGS, rest)?;
+    let exp = experiment_for(b.suite);
     if let Some(ctx) = ctx {
-        return run_checkpointed(&exp, suite, &b, secure, &ctx, &budget);
+        return run_checkpointed(&exp, &b, secure, &ctx, &budget);
     }
-    let r = match exp.try_run(&b.workload, secure, &budget) {
-        Ok(r) => r,
-        Err(e) => {
-            print_stall_forensics(&e);
-            return fail(&format!("run did not complete: {e}"));
-        }
-    };
+    let r = exp
+        .try_run(&b.workload, secure, &budget)
+        .map_err(|e| run_failed(&e))?;
     if let Some(ff) = budget.fast_forward {
         println!("(functional fast-forward: {ff} instructions before detailed timing)");
     }
-    print_run_result(b.name, suite, secure, &r);
-    ExitCode::SUCCESS
+    print_run_result(b.name, b.suite, secure, &r);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resumes a run from a checkpoint file written by
@@ -533,45 +487,36 @@ fn cmd_run(suite_name: &str, bench: &str, scheme: &str, rest: &[&str]) -> ExitCo
 /// meta records, restores the newest valid checkpoint of that job in
 /// the file's directory, and continues to completion (checkpointing
 /// onward at the recorded cadence).
-fn cmd_resume(file: &str) -> ExitCode {
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => return fail(&format!("cannot read {file}: {e}")),
-    };
-    let ck = match ckpt::Checkpoint::decode(&bytes) {
-        Ok(c) => c,
-        Err(e) => return fail(&format!("{file} is not a valid checkpoint: {e}")),
-    };
+fn cmd_resume(file: &str) -> Result<ExitCode, String> {
+    let bytes = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let ck = ckpt::Checkpoint::decode(&bytes)
+        .map_err(|e| format!("{file} is not a valid checkpoint: {e}"))?;
     if ck.meta("kind") != Some("run") {
-        return fail(&format!(
+        return Err(format!(
             "{file} was not written by 'recon run --checkpoint' (kind={}); \
              resume it with the command that produced it",
             ck.meta("kind").unwrap_or("missing")
         ));
     }
-    let (Some(suite_name), Some(bench), Some(scheme), Some(scale_want), Some(cadence)) = (
+    let (Some(suite), Some(bench), Some(scheme), Some(scale_want), Some(cadence)) = (
         ck.meta("suite"),
         ck.meta("bench"),
         ck.meta("scheme"),
         ck.meta("scale"),
         ck.meta("cadence").and_then(|c| c.parse::<u64>().ok()),
     ) else {
-        return fail(&format!("{file} is missing resume metadata"));
+        return Err(format!("{file} is missing resume metadata"));
     };
-    if scale_want != scale_label() {
-        return fail(&format!(
-            "checkpoint was taken at RECON_SCALE={scale_want}, current scale is {}; \
-             re-run with RECON_SCALE={scale_want}",
-            scale_label()
+    let scale_now = scale().label();
+    if scale_want != scale_now {
+        return Err(format!(
+            "checkpoint was taken at RECON_SCALE={scale_want}, current scale is {scale_now}; \
+             re-run with RECON_SCALE={scale_want}"
         ));
     }
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let Some(secure) = parse_scheme(scheme) else {
-        return fail(&format!("checkpoint names unknown scheme '{scheme}'"));
-    };
+    let b = benchmark(suite, bench)?;
+    let secure = SecureConfig::parse(scheme)
+        .ok_or_else(|| format!("checkpoint names unknown scheme '{scheme}'"))?;
     // The budget knobs ride in the meta so the resume recomputes the
     // same key; the warmup itself is never re-applied (the restored
     // system is past cycle 0), while the audit and the watchdog keep
@@ -585,19 +530,14 @@ fn cmd_resume(file: &str) -> ExitCode {
         cadence,
         keep: CKPT_KEEP,
     };
-    run_checkpointed(&experiment_for(suite), suite, &b, secure, &ctx, &budget)
+    run_checkpointed(&experiment_for(b.suite), &b, secure, &ctx, &budget)
 }
 
-fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let exp = experiment_for(suite);
-    let benches = [b];
-    let (mut matrices, _) = exp.run_matrices(&benches, jobs);
+fn cmd_matrix(suite: &str, bench: &str, jobs: usize) -> Result<ExitCode, String> {
+    let b = benchmark(suite, bench)?;
+    let exp = experiment_for(b.suite);
+    let (mut matrices, _) = exp.run_matrices(std::slice::from_ref(&b), jobs);
     let m = matrices.remove(0);
-    let b = &benches[0];
     let mut t = Table::new(&["scheme", "cycles", "IPC", "normalized", "tainted loads"]);
     for (name, r) in [
         ("unsafe", &m.baseline),
@@ -614,31 +554,18 @@ fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
             r.guarded_loads().to_string(),
         ]);
     }
-    println!("{} ({suite}):", b.name);
+    println!("{} ({}):", b.name, b.suite);
     print!("{}", t.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
-    let (suite, benchmarks) = match find_suite(suite_name) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let pairs = match parse_flag_pairs(rest) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (ctx, budget) = match run_flags("suite", &pairs) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
+fn cmd_suite(suite: &str, jobs: usize, rest: &[&str]) -> Result<ExitCode, String> {
+    let suite = Suite::parse(suite)?;
+    let (ctx, budget) = run_flags(&SUITE_FLAGS, rest)?;
+    let benchmarks = recon_workloads::benchmarks(suite, scale());
     // The tag namespaces this suite's jobs in the checkpoint dir; scale
     // is folded in so quick/paper runs never share records.
-    let tag = format!(
-        "suite:{}:{}",
-        suite.to_string().to_ascii_lowercase(),
-        scale_label()
-    );
+    let tag = format!("suite:{}:{}", suite.name(), scale().label());
     let persist = ctx.as_ref().map(|ctx| (ctx, tag.as_str()));
     let (matrices, batch) =
         experiment_for(suite).run_matrices_with(&benchmarks, jobs, &budget, persist);
@@ -732,8 +659,20 @@ fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
         Ok(()) => println!("per-job timings written to BENCH_runner.json"),
         Err(e) => eprintln!("warning: could not write BENCH_runner.json: {e}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
+
+const FUZZ_FLAGS: FlagSpec = FlagSpec {
+    command: "fuzz",
+    valued: &[
+        "--seed",
+        "--count",
+        "--watchdog-cycles",
+        "--out-dir",
+        "--json",
+    ],
+    switches: &["--quick", "--inject-amo-bug"],
+};
 
 /// `recon fuzz`: seeded differential torture campaign. Generates
 /// random-but-valid programs, runs each through the five oracles
@@ -741,55 +680,28 @@ fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
 /// watchdog-clean termination, invariant-audit cleanliness), shrinks
 /// any failure to a minimal `.asm` repro, and exits non-zero if
 /// anything failed.
-fn cmd_fuzz(rest: &[&str], jobs: usize) -> ExitCode {
+fn cmd_fuzz(rest: &[&str], jobs: usize) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&FUZZ_FLAGS, rest)?;
     let mut cfg = recon_fuzz::FuzzConfig {
         jobs,
+        quick: flags.has("--quick"),
+        out_dir: flags.get("--out-dir").map(PathBuf::from),
         ..recon_fuzz::FuzzConfig::default()
     };
-    let mut json_path: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--quick" => {
-                cfg.quick = true;
-                continue;
-            }
-            // Test hook: reintroduce the historical AMO issue gate so
-            // the watchdog/shrinker pipeline can be demonstrated
-            // end-to-end against a known deadlock.
-            "--inject-amo-bug" => {
-                cfg.oracle.core.amo_empty_sq_bug = true;
-                continue;
-            }
-            _ => {}
-        }
-        let Some(&value) = it.next() else {
-            return fail(&format!("{flag} wants a value"));
-        };
-        match flag {
-            "--seed" => match value.parse() {
-                Ok(n) => cfg.seed = n,
-                Err(_) => return fail(&format!("--seed wants an integer, got '{value}'")),
-            },
-            "--count" => match value.parse::<usize>().ok().filter(|&n| n >= 1) {
-                Some(n) => cfg.count = n,
-                None => return fail(&format!("--count wants a positive integer, got '{value}'")),
-            },
-            "--watchdog-cycles" => match value.parse::<u64>().ok().filter(|&n| n >= 1) {
-                // The stall oracle is the point of the exercise, so the
-                // window must stay finite here (no 0 = off).
-                Some(n) => cfg.oracle.watchdog_cycles = n,
-                None => {
-                    return fail(&format!(
-                        "--watchdog-cycles wants a positive cycle count, got '{value}'"
-                    ))
-                }
-            },
-            "--out-dir" => cfg.out_dir = Some(PathBuf::from(value)),
-            "--json" => json_path = Some(PathBuf::from(value)),
-            _ => return fail(&format!("unknown fuzz flag '{flag}'")),
-        }
+    // Test hook: reintroduce the historical AMO issue gate so the
+    // watchdog/shrinker pipeline can be demonstrated end-to-end against
+    // a known deadlock.
+    if flags.has("--inject-amo-bug") {
+        cfg.oracle.core.amo_empty_sq_bug = true;
     }
+    cfg.seed = flags.seed(cfg.seed)?;
+    cfg.count = flags.count("--count", cfg.count)?;
+    // The stall oracle is the point of the exercise, so the window must
+    // stay finite here (no 0 = off).
+    if let Some(n) = flags.positive("--watchdog-cycles", "a positive cycle count")? {
+        cfg.oracle.watchdog_cycles = n;
+    }
+    let json_path = flags.get("--json");
     println!(
         "fuzzing: seed {}, {} program(s), {} oracle(s){}",
         cfg.seed,
@@ -830,18 +742,24 @@ fn cmd_fuzz(rest: &[&str], jobs: usize) -> ExitCode {
         report.programs_per_sec,
         report.failures.len()
     );
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         match std::fs::write(path, report.to_json()) {
-            Ok(()) => println!("report written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+            Ok(()) => println!("report written to {path}"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     }
-    if report.failures.is_empty() {
+    Ok(if report.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
+
+const AUDIT_FLAGS: FlagSpec = FlagSpec {
+    command: "audit",
+    valued: &["--seed", "--faults", "--audit", "--out"],
+    switches: &["--quick", "--demo"],
+};
 
 /// `recon audit`: the silent-corruption defense campaign. Injects
 /// seeded soft errors (SplitMix64 bit-flips) into reveal masks, MESI
@@ -851,50 +769,24 @@ fn cmd_fuzz(rest: &[&str], jobs: usize) -> ExitCode {
 /// auditor, an architectural-digest mismatch, checkpoint rejection,
 /// the watchdog, or a contained crash. A silent corruption or a
 /// false positive on the fault-free control runs fails the command.
-fn cmd_audit(rest: &[&str]) -> ExitCode {
+fn cmd_audit(rest: &[&str]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&AUDIT_FLAGS, rest)?;
     let mut cfg = recon_sim::CampaignConfig::default();
-    let mut out = "BENCH_audit.json".to_string();
-    let mut demo = false;
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--quick" => {
-                cfg.faults = 25;
-                continue;
-            }
-            // One fault per site: the smallest campaign that still
-            // demonstrates an injected fault being caught (CI smoke).
-            "--demo" => {
-                demo = true;
-                cfg.faults = recon_sim::FaultSite::ALL.len();
-                continue;
-            }
-            _ => {}
-        }
-        let Some(&value) = it.next() else {
-            return fail(&format!("{flag} wants a value"));
-        };
-        match flag {
-            "--seed" => match value.parse() {
-                Ok(n) => cfg.seed = n,
-                Err(_) => return fail(&format!("--seed wants an integer, got '{value}'")),
-            },
-            "--faults" => match value.parse::<usize>().ok().filter(|&n| n >= 1) {
-                Some(n) => cfg.faults = n,
-                None => return fail(&format!("--faults wants a positive integer, got '{value}'")),
-            },
-            "--audit" => match value.parse::<u64>().ok().filter(|&n| n >= 1) {
-                Some(n) => cfg.audit_every = n,
-                None => {
-                    return fail(&format!(
-                        "--audit wants a positive cycle cadence, got '{value}'"
-                    ))
-                }
-            },
-            "--out" => out = value.to_string(),
-            _ => return fail(&format!("unknown audit flag '{flag}'")),
-        }
+    let demo = flags.has("--demo");
+    if flags.has("--quick") {
+        cfg.faults = 25;
     }
+    // One fault per site: the smallest campaign that still demonstrates
+    // an injected fault being caught (CI smoke).
+    if demo {
+        cfg.faults = recon_sim::FaultSite::ALL.len();
+    }
+    cfg.seed = flags.seed(cfg.seed)?;
+    cfg.faults = flags.count("--faults", cfg.faults)?;
+    if let Some(n) = flags.positive("--audit", "a positive cycle cadence")? {
+        cfg.audit_every = n;
+    }
+    let out = flags.get("--out").unwrap_or("BENCH_audit.json");
     println!(
         "audit campaign: seed {}, {} fault(s) across {} site(s), sweep every {} cycles",
         cfg.seed,
@@ -934,106 +826,74 @@ fn cmd_audit(rest: &[&str]) -> ExitCode {
         report.false_positives
     );
     if !demo {
-        match std::fs::write(&out, report.to_json()) {
+        match std::fs::write(out, report.to_json()) {
             Ok(()) => println!("report written to {out}"),
             Err(e) => eprintln!("warning: could not write {out}: {e}"),
         }
     }
     if report.false_positives > 0 {
-        return fail(&format!(
+        return Err(format!(
             "{} fault-free run(s) tripped the auditor (false positives)",
             report.false_positives
         ));
     }
     if report.silent() > 0 {
-        return fail(&format!(
+        return Err(format!(
             "{} fault(s) corrupted the architectural result undetected",
             report.silent()
         ));
     }
     if demo && report.detected() == 0 {
-        return fail("demo campaign detected none of its injected faults");
+        return Err("demo campaign detected none of its injected faults".into());
     }
     println!("silent-corruption defense holds: every unmasked fault detected, 0 false positives");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(suite_name: &str, bench: &str) -> ExitCode {
-    let (_, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
+fn cmd_analyze(suite: &str, bench: &str) -> Result<ExitCode, String> {
+    let b = benchmark(suite, bench)?;
     if b.workload.num_threads() != 1 {
-        return fail("leakage analysis runs on single-thread benchmarks");
+        return Err("leakage analysis runs on single-thread benchmarks".into());
     }
-    match recon_dift::analyze_program(&b.workload.program, 200_000_000) {
-        Ok(r) => {
-            println!("{}:", b.name);
-            println!("  instructions analyzed  {}", r.instructions);
-            println!("  touched words          {}", r.touched_words);
-            println!(
-                "  DIFT leakage           {} ({:.1}%)",
-                r.dift_leaked,
-                r.dift_fraction() * 100.0
-            );
-            println!(
-                "  load-pair leakage      {} ({:.1}%)",
-                r.pair_leaked,
-                r.pair_fraction() * 100.0
-            );
-            println!("  pair coverage of DIFT  {:.1}%", r.coverage() * 100.0);
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&format!("analysis failed: {e}")),
-    }
+    let r = recon_dift::analyze_program(&b.workload.program, 200_000_000)
+        .map_err(|e| format!("analysis failed: {e}"))?;
+    println!("{}:", b.name);
+    println!("  instructions analyzed  {}", r.instructions);
+    println!("  touched words          {}", r.touched_words);
+    println!(
+        "  DIFT leakage           {} ({:.1}%)",
+        r.dift_leaked,
+        r.dift_fraction() * 100.0
+    );
+    println!(
+        "  load-pair leakage      {} ({:.1}%)",
+        r.pair_leaked,
+        r.pair_fraction() * 100.0
+    );
+    println!("  pair coverage of DIFT  {:.1}%", r.coverage() * 100.0);
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses `verify`'s flags (`--gadget G`, `--scheme S`, any order) and
-/// runs the two-trace checker; non-zero exit on any violated
-/// expectation so CI can gate on it.
-fn cmd_verify(args: &[&str], jobs: usize) -> ExitCode {
-    let mut gadget: Option<&str> = None;
-    let mut scheme: Option<SecureConfig> = None;
-    let mut ff: Option<u64> = None;
-    let mut embedded = false;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        if flag == "--embedded" {
-            embedded = true;
-            continue;
-        }
-        let Some(&value) = it.next() else {
-            return fail(&format!("{flag} wants a value"));
-        };
-        match flag {
-            "--gadget" => {
-                if recon_verify::gadget::find(value).is_none() {
-                    let names: Vec<_> = recon_verify::gadget::all_with_embedded()
-                        .iter()
-                        .map(|g| g.name)
-                        .collect();
-                    return fail(&format!("unknown gadget '{value}' ({})", names.join("|")));
-                }
-                gadget = Some(value);
-            }
-            "--scheme" => match parse_scheme(value) {
-                Some(s) => scheme = Some(s),
-                None => {
-                    return fail(&format!("unknown scheme '{value}' ({SCHEME_NAMES})"));
-                }
-            },
-            "--fast-forward" => match value.parse::<u64>() {
-                Ok(n) if n >= 1 => ff = Some(n),
-                _ => {
-                    return fail(&format!(
-                        "--fast-forward wants a positive instruction count, got '{value}'"
-                    ))
-                }
-            },
-            _ => return fail(&format!("unknown verify flag '{flag}'")),
-        }
-    }
+const VERIFY_FLAGS: FlagSpec = FlagSpec {
+    command: "verify",
+    valued: &["--gadget", "--scheme", "--fast-forward"],
+    switches: &["--embedded"],
+};
 
+/// Runs the two-trace checker over the selected gadgets and schemes;
+/// non-zero exit on any violated expectation so CI can gate on it.
+fn cmd_verify(args: &[&str], jobs: usize) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&VERIFY_FLAGS, args)?;
+    let gadget = flags.get("--gadget");
+    if let Some(g) = gadget.filter(|g| recon_verify::gadget::find(g).is_none()) {
+        let names: Vec<_> = recon_verify::gadget::all_with_embedded()
+            .iter()
+            .map(|g| g.name)
+            .collect();
+        return Err(format!("unknown gadget '{g}' ({})", names.join("|")));
+    }
+    let scheme = flags.get("--scheme").map(parse_scheme).transpose()?;
+    let ff = flags.positive("--fast-forward", "a positive instruction count")?;
     let budget = Budget {
         fast_forward: ff,
         ..Budget::default()
@@ -1045,7 +905,13 @@ fn cmd_verify(args: &[&str], jobs: usize) -> ExitCode {
              the leaks they exist to catch)"
         );
     }
-    let report = recon_verify::run_matrix_budgeted_with(gadget, scheme, jobs, &budget, embedded);
+    let report = recon_verify::run_matrix_budgeted_with(
+        gadget,
+        scheme,
+        jobs,
+        &budget,
+        flags.has("--embedded"),
+    );
     let mut t = Table::new(&[
         "gadget",
         "scheme",
@@ -1104,15 +970,14 @@ fn cmd_verify(args: &[&str], jobs: usize) -> ExitCode {
     for u in &unexpected {
         eprintln!("UNEXPECTED: {u}");
     }
-    if unexpected.is_empty() && sound_ok {
-        println!(
-            "security claim holds: {} cells as expected",
-            report.cells.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        fail(&format!("{} violated expectations", unexpected.len()))
+    if !unexpected.is_empty() || !sound_ok {
+        return Err(format!("{} violated expectations", unexpected.len()));
     }
+    println!(
+        "security claim holds: {} cells as expected",
+        report.cells.len()
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_overhead() -> ExitCode {
@@ -1129,72 +994,41 @@ fn cmd_overhead() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `--flag value` pairs into lookups for `serve`/`bench-serve`.
-fn parse_flag_pairs<'a>(args: &[&'a str]) -> Result<Vec<(&'a str, &'a str)>, String> {
-    let mut pairs = Vec::new();
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        let Some(&value) = it.next() else {
-            return Err(format!("{flag} wants a value"));
-        };
-        pairs.push((flag, value));
-    }
-    Ok(pairs)
-}
+const SERVE_FLAGS: FlagSpec = FlagSpec {
+    command: "serve",
+    valued: &[
+        "--addr",
+        "--workers",
+        "--queue-cap",
+        "--handler-cap",
+        "--chaos",
+        "--cache-dir",
+        "--checkpoint-every",
+        "--node",
+    ],
+    switches: &[],
+};
 
-fn flag_usize(pairs: &[(&str, &str)], flag: &str, default: usize) -> Result<usize, String> {
-    match pairs.iter().find(|(f, _)| *f == flag) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| format!("{flag} wants a positive integer, got '{v}'")),
-    }
-}
-
-fn cmd_serve(args: &[&str], jobs: usize) -> ExitCode {
-    let pairs = match parse_flag_pairs(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
+fn cmd_serve(args: &[&str], jobs: usize) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&SERVE_FLAGS, args)?;
     let mut config = recon_serve::ServeConfig {
         workers: jobs,
+        chaos: flags.get("--chaos").map(str::to_string),
+        cache_dir: flags.get("--cache-dir").map(PathBuf::from),
+        node_id: flags.get("--node").map(str::to_string),
         ..recon_serve::ServeConfig::default()
     };
-    for (flag, value) in &pairs {
-        match *flag {
-            "--addr" => config.addr = (*value).to_string(),
-            "--workers" => match flag_usize(&pairs, "--workers", config.workers) {
-                Ok(n) => config.workers = n,
-                Err(e) => return fail(&e),
-            },
-            "--queue-cap" => match flag_usize(&pairs, "--queue-cap", config.queue_cap) {
-                Ok(n) => config.queue_cap = n,
-                Err(e) => return fail(&e),
-            },
-            "--handler-cap" => match flag_usize(&pairs, "--handler-cap", config.handler_cap) {
-                Ok(n) => config.handler_cap = n,
-                Err(e) => return fail(&e),
-            },
-            "--chaos" => config.chaos = Some((*value).to_string()),
-            "--node" => config.node_id = Some((*value).to_string()),
-            "--cache-dir" => config.cache_dir = Some(std::path::PathBuf::from(*value)),
-            "--checkpoint-every" => match value.parse::<u64>() {
-                Ok(n) if n >= 1 => config.checkpoint_every_cycles = n,
-                _ => {
-                    return fail(&format!(
-                        "--checkpoint-every wants a positive cycle count, got '{value}'"
-                    ))
-                }
-            },
-            _ => return fail(&format!("unknown serve flag '{flag}'")),
-        }
+    if let Some(addr) = flags.get("--addr") {
+        config.addr = addr.to_string();
     }
-    let server = match recon_serve::Server::start(&config) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("could not bind {}: {e}", config.addr)),
-    };
+    config.workers = flags.count("--workers", config.workers)?;
+    config.queue_cap = flags.count("--queue-cap", config.queue_cap)?;
+    config.handler_cap = flags.count("--handler-cap", config.handler_cap)?;
+    if let Some(n) = flags.positive("--checkpoint-every", "a positive cycle count")? {
+        config.checkpoint_every_cycles = n;
+    }
+    let server = recon_serve::Server::start(&config)
+        .map_err(|e| format!("could not bind {}: {e}", config.addr))?;
     println!(
         "recon-serve listening on http://{} ({} workers, queue capacity {})",
         server.addr(),
@@ -1224,46 +1058,42 @@ fn cmd_serve(args: &[&str], jobs: usize) -> ExitCode {
     println!("  POST /shutdown   graceful drain (or {{\"mode\":\"abort\"}})");
     server.wait();
     println!("recon-serve: drained and stopped");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gateway(args: &[&str]) -> ExitCode {
-    let pairs = match parse_flag_pairs(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
+const GATEWAY_FLAGS: FlagSpec = FlagSpec {
+    command: "gateway",
+    valued: &[
+        "--addr",
+        "--nodes",
+        "--vnodes",
+        "--handler-cap",
+        "--no-replicate",
+    ],
+    switches: &[],
+};
+
+fn cmd_gateway(args: &[&str]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&GATEWAY_FLAGS, args)?;
     let mut config = recon_cluster::GatewayConfig::default();
-    for (flag, value) in &pairs {
-        match *flag {
-            "--addr" => config.addr = (*value).to_string(),
-            "--nodes" => {
-                config.nodes = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--vnodes" => match flag_usize(&pairs, "--vnodes", config.vnodes) {
-                Ok(n) => config.vnodes = n,
-                Err(e) => return fail(&e),
-            },
-            "--handler-cap" => match flag_usize(&pairs, "--handler-cap", config.handler_cap) {
-                Ok(n) => config.handler_cap = n,
-                Err(e) => return fail(&e),
-            },
-            "--no-replicate" => match *value {
-                "true" => config.replicate = false,
-                "false" => {}
-                _ => return fail(&format!("--no-replicate wants true|false, got '{value}'")),
-            },
-            _ => return fail(&format!("unknown gateway flag '{flag}'")),
-        }
+    if let Some(addr) = flags.get("--addr") {
+        config.addr = addr.to_string();
     }
-    let gateway = match recon_cluster::Gateway::start(&config) {
-        Ok(g) => g,
-        Err(e) => return fail(&format!("could not start gateway: {e}")),
-    };
+    if let Some(nodes) = flags.get("--nodes") {
+        config.nodes = nodes
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
+    }
+    config.vnodes = flags.count("--vnodes", config.vnodes)?;
+    config.handler_cap = flags.count("--handler-cap", config.handler_cap)?;
+    if flags.parse_as("--no-replicate", "true|false", |_| true)? == Some(true) {
+        config.replicate = false;
+    }
+    let gateway = recon_cluster::Gateway::start(&config)
+        .map_err(|e| format!("could not start gateway: {e}"))?;
     println!(
         "recon-gateway listening on http://{} over {} node(s), {} vnodes each",
         gateway.addr(),
@@ -1281,55 +1111,44 @@ fn cmd_gateway(args: &[&str]) -> ExitCode {
     println!("  POST /shutdown   stop the gateway (nodes keep running)");
     gateway.wait();
     println!("recon-gateway: stopped");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
+
+const CLUSTER_CHAOS_FLAGS: FlagSpec = FlagSpec {
+    command: "cluster chaos",
+    valued: &[
+        "--seed",
+        "--nodes",
+        "--clients",
+        "--requests",
+        "--throughput-requests",
+        "--out",
+        "--min-speedup",
+    ],
+    switches: &[],
+};
 
 /// `recon chaos --nodes N`: the cluster storm — real node processes,
 /// SIGKILL + restart, drain-driven checkpoint migration, and the
 /// admission-throughput comparison, written to `BENCH_cluster.json`.
-fn cmd_chaos_cluster(pairs: &[(&str, &str)]) -> ExitCode {
-    let node_exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return fail(&format!("cannot locate the recon binary: {e}")),
-    };
-    let mut config = recon_cluster::ClusterStormConfig {
+fn cmd_chaos_cluster(args: &[&str]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&CLUSTER_CHAOS_FLAGS, args)?;
+    let node_exe =
+        std::env::current_exe().map_err(|e| format!("cannot locate the recon binary: {e}"))?;
+    let d = recon_cluster::ClusterStormConfig::default();
+    let config = recon_cluster::ClusterStormConfig {
         node_exe,
-        ..recon_cluster::ClusterStormConfig::default()
+        seed: flags.seed(d.seed)?,
+        nodes: flags.count("--nodes", d.nodes)?,
+        clients: flags.count("--clients", d.clients)?,
+        requests: flags.count("--requests", d.requests)?,
+        throughput_requests: flags.count("--throughput-requests", d.throughput_requests)?,
+        out: flags.get("--out").map(str::to_string).or(d.out),
+        min_speedup: flags.parse_as("--min-speedup", "a positive number", |&x: &f64| x > 0.0)?,
+        ..d
     };
-    for (flag, value) in pairs {
-        let parsed = match *flag {
-            "--seed" => value
-                .parse::<u64>()
-                .map(|n| config.seed = n)
-                .map_err(|_| format!("--seed wants an integer, got '{value}'")),
-            "--nodes" => flag_usize(pairs, flag, config.nodes).map(|n| config.nodes = n),
-            "--clients" => flag_usize(pairs, flag, config.clients).map(|n| config.clients = n),
-            "--requests" => flag_usize(pairs, flag, config.requests).map(|n| config.requests = n),
-            "--throughput-requests" => flag_usize(pairs, flag, config.throughput_requests)
-                .map(|n| config.throughput_requests = n),
-            "--out" => {
-                config.out = Some((*value).to_string());
-                Ok(())
-            }
-            "--min-speedup" => match value.parse::<f64>() {
-                Ok(x) if x > 0.0 => {
-                    config.min_speedup = Some(x);
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "--min-speedup wants a positive number, got '{value}'"
-                )),
-            },
-            _ => return fail(&format!("unknown cluster chaos flag '{flag}'")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
-    let report = match recon_cluster::run_cluster_storm(&config) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("cluster storm failed: {e}")),
-    };
+    let report = recon_cluster::run_cluster_storm(&config)
+        .map_err(|e| format!("cluster storm failed: {e}"))?;
     println!(
         "cluster chaos: seed {} | {} nodes | {} clients x {} requests",
         report.seed, report.nodes, report.clients, report.requests_per_client
@@ -1367,13 +1186,14 @@ fn cmd_chaos_cluster(pairs: &[(&str, &str)]) -> ExitCode {
         println!("report written to {path}");
     }
     if !report.pass() {
-        return fail(
-            "cluster storm failed: responses lost/mismatched or no provable cross-node resume",
+        return Err(
+            "cluster storm failed: responses lost/mismatched or no provable cross-node resume"
+                .into(),
         );
     }
     if let Some(min) = config.min_speedup {
         if report.speedup < min {
-            return fail(&format!(
+            return Err(format!(
                 "aggregate speedup {:.2}x below the required {min}x",
                 report.speedup
             ));
@@ -1384,40 +1204,33 @@ fn cmd_chaos_cluster(pairs: &[(&str, &str)]) -> ExitCode {
         "cluster storm: 0 lost, 0 mismatched — a killed node rerouted and a drained node's \
          checkpoint resumed on its ring successor byte-identically"
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench_serve(args: &[&str], jobs: usize) -> ExitCode {
-    let pairs = match parse_flag_pairs(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
+const BENCH_SERVE_FLAGS: FlagSpec = FlagSpec {
+    command: "bench-serve",
+    valued: &[
+        "--clients",
+        "--requests",
+        "--queue-cap",
+        "--workers",
+        "--out",
+    ],
+    switches: &[],
+};
+
+fn cmd_bench_serve(args: &[&str], jobs: usize) -> Result<ExitCode, String> {
+    let flags = Flags::parse(&BENCH_SERVE_FLAGS, args)?;
+    let d = recon_serve::BenchServeConfig::default();
+    let config = recon_serve::BenchServeConfig {
+        clients: flags.count("--clients", d.clients)?,
+        requests: flags.count("--requests", d.requests)?,
+        queue_cap: flags.count("--queue-cap", d.queue_cap)?,
+        workers: flags.count("--workers", jobs)?,
+        out: flags.get("--out").map_or(d.out, str::to_string),
     };
-    let mut config = recon_serve::BenchServeConfig {
-        workers: jobs,
-        ..recon_serve::BenchServeConfig::default()
-    };
-    for (flag, value) in &pairs {
-        let parsed = match *flag {
-            "--clients" => flag_usize(&pairs, flag, config.clients).map(|n| config.clients = n),
-            "--requests" => flag_usize(&pairs, flag, config.requests).map(|n| config.requests = n),
-            "--queue-cap" => {
-                flag_usize(&pairs, flag, config.queue_cap).map(|n| config.queue_cap = n)
-            }
-            "--workers" => flag_usize(&pairs, flag, config.workers).map(|n| config.workers = n),
-            "--out" => {
-                config.out = (*value).to_string();
-                Ok(())
-            }
-            _ => return fail(&format!("unknown bench-serve flag '{flag}'")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
-    let report = match recon_serve::run_bench_serve(&config) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("bench-serve failed: {e}")),
-    };
+    let report =
+        recon_serve::run_bench_serve(&config).map_err(|e| format!("bench-serve failed: {e}"))?;
     println!(
         "bench-serve: {} clients x {} requests (queue capacity {})",
         report.clients, report.requests_per_client, report.queue_cap
@@ -1436,55 +1249,42 @@ fn cmd_bench_serve(args: &[&str], jobs: usize) -> ExitCode {
     );
     println!("report written to {}", config.out);
     if report.lost > 0 || report.mismatches > 0 {
-        return fail("responses were lost or differed from direct execution");
+        return Err("responses were lost or differed from direct execution".into());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
-    let pairs = match parse_flag_pairs(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
+const CHAOS_FLAGS: FlagSpec = FlagSpec {
+    command: "chaos",
+    valued: &[
+        "--seed",
+        "--clients",
+        "--requests",
+        "--workers",
+        "--faults",
+        "--out",
+    ],
+    switches: &[],
+};
+
+fn cmd_chaos(args: &[&str], jobs: usize) -> Result<ExitCode, String> {
     // `--nodes N` switches to the cluster storm: real node processes
     // behind a gateway instead of synthetic faults inside one process.
-    if pairs.iter().any(|(f, _)| *f == "--nodes") {
-        return cmd_chaos_cluster(&pairs);
+    if args.contains(&"--nodes") {
+        return cmd_chaos_cluster(args);
     }
-    let mut config = recon_serve::ChaosStormConfig {
-        workers: jobs,
-        ..recon_serve::ChaosStormConfig::default()
+    let flags = Flags::parse(&CHAOS_FLAGS, args)?;
+    let d = recon_serve::ChaosStormConfig::default();
+    let config = recon_serve::ChaosStormConfig {
+        seed: flags.seed(d.seed)?,
+        clients: flags.count("--clients", d.clients)?,
+        requests: flags.count("--requests", d.requests)?,
+        workers: flags.count("--workers", jobs)?,
+        faults: flags.get("--faults").map_or(d.faults, str::to_string),
+        out: flags.get("--out").map(str::to_string).or(d.out),
     };
-    for (flag, value) in &pairs {
-        let parsed = match *flag {
-            "--seed" => match value.parse::<u64>() {
-                Ok(n) => {
-                    config.seed = n;
-                    Ok(())
-                }
-                Err(_) => Err(format!("--seed wants an integer, got '{value}'")),
-            },
-            "--clients" => flag_usize(&pairs, flag, config.clients).map(|n| config.clients = n),
-            "--requests" => flag_usize(&pairs, flag, config.requests).map(|n| config.requests = n),
-            "--workers" => flag_usize(&pairs, flag, config.workers).map(|n| config.workers = n),
-            "--faults" => {
-                config.faults = (*value).to_string();
-                Ok(())
-            }
-            "--out" => {
-                config.out = Some((*value).to_string());
-                Ok(())
-            }
-            _ => return fail(&format!("unknown chaos flag '{flag}'")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
-    let report = match recon_serve::run_chaos_storm(&config) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("chaos storm failed: {e}")),
-    };
+    let report =
+        recon_serve::run_chaos_storm(&config).map_err(|e| format!("chaos storm failed: {e}"))?;
     println!(
         "chaos: seed {} | {} clients x {} requests | faults {}",
         report.seed, report.clients, report.requests_per_client, report.faults
@@ -1520,10 +1320,10 @@ fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
         println!("report written to {path}");
     }
     if !report.pass() {
-        return fail("chaos storm lost or corrupted responses");
+        return Err("chaos storm lost or corrupted responses".into());
     }
     println!("chaos storm: 0 lost, 0 mismatched — service healed every injected fault");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -1613,30 +1413,30 @@ fn split_jobs<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, usize), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let strs: Vec<&str> = args.iter().map(String::as_str).collect();
-    let (strs, jobs) = match split_jobs(&strs) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    match strs.as_slice() {
-        ["list"] => cmd_list(),
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    dispatch(&args).unwrap_or_else(|e| fail(&e))
+}
+
+fn dispatch(args: &[&str]) -> Result<ExitCode, String> {
+    let (args, jobs) = split_jobs(args)?;
+    match args.as_slice() {
+        ["list"] => Ok(cmd_list()),
         ["workloads", rest @ ..] => cmd_workloads(rest),
         ["asm", file, rest @ ..] => cmd_asm(file, rest),
         ["run", suite, bench, scheme, rest @ ..] => cmd_run(suite, bench, scheme, rest),
-        ["run", suite, bench] => cmd_matrix(suite, bench, jobs),
-        ["matrix", suite, bench] => cmd_matrix(suite, bench, jobs),
+        ["run" | "matrix", suite, bench] => cmd_matrix(suite, bench, jobs),
         ["resume", file] => cmd_resume(file),
         ["suite", suite, rest @ ..] => cmd_suite(suite, jobs, rest),
         ["fuzz", rest @ ..] => cmd_fuzz(rest, jobs),
         ["audit", rest @ ..] => cmd_audit(rest),
         ["analyze", suite, bench] => cmd_analyze(suite, bench),
         ["verify", rest @ ..] => cmd_verify(rest, jobs),
-        ["overhead"] => cmd_overhead(),
+        ["overhead"] => Ok(cmd_overhead()),
         ["serve", rest @ ..] => cmd_serve(rest, jobs),
         ["gateway", rest @ ..] => cmd_gateway(rest),
         ["bench-serve", rest @ ..] => cmd_bench_serve(rest, jobs),
         ["chaos", rest @ ..] => cmd_chaos(rest, jobs),
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }
 
@@ -1668,15 +1468,39 @@ mod tests {
     #[test]
     fn run_and_suite_reject_unknown_flags() {
         assert_eq!(
-            run_flags("run", &[("--fast-foward", "1000")]).unwrap_err(),
+            run_flags(&RUN_FLAGS, &["--fast-foward", "1000"]).unwrap_err(),
             "unknown run flag '--fast-foward' — did you mean '--fast-forward'?"
         );
         assert_eq!(
-            run_flags("suite", &[("--audit", "64"), ("--bogus", "1")]).unwrap_err(),
+            run_flags(&SUITE_FLAGS, &["--audit", "64", "--bogus", "1"]).unwrap_err(),
             "unknown suite flag '--bogus'"
         );
-        let (_, budget) = run_flags("run", &[("--fast-forward", "1000")]).unwrap();
+        let (_, budget) = run_flags(&RUN_FLAGS, &["--fast-forward", "1000"]).unwrap();
         assert_eq!(budget.fast_forward, Some(1000));
+    }
+
+    #[test]
+    fn flags_reject_repeats_and_missing_values() {
+        assert_eq!(
+            run_flags(&RUN_FLAGS, &["--audit", "64", "--audit", "128"]).unwrap_err(),
+            "--audit is given more than once"
+        );
+        assert_eq!(
+            Flags::parse(&ASM_FLAGS, &["--dump", "--dump"]).err(),
+            Some("--dump is given more than once".to_string())
+        );
+        assert_eq!(
+            Flags::parse(&SERVE_FLAGS, &["--workers"]).err(),
+            Some("--workers wants a value".to_string())
+        );
+        assert_eq!(
+            Flags::parse(&ASM_FLAGS, &["--run"]).err(),
+            Some("--run wants a scheme".to_string())
+        );
+        let flags = Flags::parse(&FUZZ_FLAGS, &["--quick", "--count", "7"]).unwrap();
+        assert!(flags.has("--quick") && !flags.has("--inject-amo-bug"));
+        assert_eq!(flags.count("--count", 100), Ok(7));
+        assert_eq!(flags.seed(3), Ok(3));
     }
 
     #[test]
@@ -1702,7 +1526,7 @@ mod tests {
     #[test]
     fn unknown_suites_list_every_suite_with_a_hint() {
         assert_eq!(
-            find_suite("corpsu").unwrap_err(),
+            benchmark("corpsu", "memref").unwrap_err(),
             "unknown suite 'corpsu' (spec2017|spec2006|parsec|corpus) — did you mean 'corpus'?"
         );
     }
@@ -1710,7 +1534,7 @@ mod tests {
     #[test]
     fn run_keys_are_stable() {
         // These name `.rck` and `.res` files already on disk.
-        assert_eq!(scale_label(), "quick", "run with RECON_SCALE unset");
+        assert_eq!(scale().label(), "quick", "run with RECON_SCALE unset");
         assert_eq!(mcf_key(None, None), 0xf704_28d2_06d8_16ff);
         assert_eq!(mcf_key(Some(1000), None), 0x9f7f_3aa7_accf_d525);
         assert_eq!(mcf_key(None, Some(4096)), 0x9f38_383a_a2bb_7a5b);

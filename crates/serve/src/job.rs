@@ -22,7 +22,7 @@ use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext, CkptRunInfo};
 use recon_sim::{Budget, DeadlineReason, Experiment, SimError, System, SystemResult};
-use recon_workloads::{find, Benchmark, Scale, Suite};
+use recon_workloads::{benchmarks, find, resolve, Benchmark, Scale, Suite};
 
 use crate::json::{escape, Json};
 
@@ -194,25 +194,6 @@ pub struct JobOutput {
     pub instructions: u64,
 }
 
-/// Suite names accepted over the wire, in display order.
-pub const SUITE_NAMES: [&str; 4] = ["spec2017", "spec2006", "parsec", "corpus"];
-
-fn parse_suite(name: &str) -> Option<Suite> {
-    match name {
-        "spec2017" => Some(Suite::Spec2017),
-        "spec2006" => Some(Suite::Spec2006),
-        "parsec" => Some(Suite::Parsec),
-        "corpus" => Some(Suite::Corpus),
-        _ => None,
-    }
-}
-
-/// ` — did you mean '..'?` when `input` is a near-miss of a candidate.
-fn hint(input: &str, candidates: impl IntoIterator<Item = &'static str>) -> String {
-    recon_asm::suggest(input, candidates)
-        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
-}
-
 /// The keys a submission may carry, for the unknown-key check.
 const KNOWN_KEYS: [&str; 12] = [
     "kind",
@@ -302,7 +283,7 @@ impl JobSpec {
             Some(_) => return Err("'source' must be a string".into()),
         };
 
-        let spec = JobSpec {
+        let mut spec = JobSpec {
             kind,
             suite,
             bench,
@@ -320,28 +301,18 @@ impl JobSpec {
         Ok(spec)
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Checks the spec's fields against its kind, and replaces a
+    /// benchmark name given in any case with its canonical spelling.
+    fn validate(&mut self) -> Result<(), String> {
         let needs_bench = matches!(self.kind, JobKind::Run | JobKind::Matrix | JobKind::Analyze);
         if needs_bench {
             let suite_name = self
                 .suite
                 .as_deref()
-                .ok_or_else(|| format!("missing 'suite' ({})", SUITE_NAMES.join("|")))?;
-            let suite = parse_suite(suite_name).ok_or_else(|| {
-                format!(
-                    "unknown suite '{suite_name}' ({}){}",
-                    SUITE_NAMES.join("|"),
-                    hint(suite_name, SUITE_NAMES)
-                )
-            })?;
+                .ok_or_else(|| format!("missing 'suite' ({})", Suite::choices()))?;
+            let suite = Suite::parse(suite_name)?;
             let bench = self.bench.as_deref().ok_or("missing 'bench'")?;
-            let names = recon_workloads::names(suite);
-            if !names.contains(&bench) {
-                return Err(format!(
-                    "no benchmark '{bench}' in {suite}{}",
-                    hint(bench, names)
-                ));
-            }
+            self.bench = Some(resolve(suite, bench)?.to_string());
             if self.gadget.is_some() {
                 return Err(format!(
                     "'gadget' is not accepted for kind '{}'",
@@ -448,10 +419,7 @@ impl JobSpec {
     pub fn canonical(&self) -> String {
         let opt = |o: &Option<String>| o.clone().unwrap_or_else(|| "-".into());
         let num = |o: &Option<u64>| o.map_or_else(|| "-".into(), |n| n.to_string());
-        let scale = match Scale::from_env() {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        };
+        let scale = Scale::from_env().label();
         let src = self.source.as_deref().map_or_else(
             || "-".into(),
             |s| {
@@ -567,22 +535,12 @@ pub fn workloads_payload() -> &'static str {
     static BODY: OnceLock<String> = OnceLock::new();
     BODY.get_or_init(|| {
         let mut s = String::from("{\"suites\":[");
-        for (i, (name, suite)) in SUITE_NAMES
-            .iter()
-            .filter_map(|&n| parse_suite(n).map(|s| (n, s)))
-            .enumerate()
-        {
+        for (i, suite) in Suite::ALL.into_iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"suite\":\"{name}\",\"benchmarks\":[");
-            let benches = match suite {
-                Suite::Spec2017 => recon_workloads::spec2017(Scale::Quick),
-                Suite::Spec2006 => recon_workloads::spec2006(Scale::Quick),
-                Suite::Parsec => recon_workloads::parsec(Scale::Quick),
-                Suite::Corpus => recon_workloads::corpus(Scale::Quick),
-            };
-            for (j, b) in benches.iter().enumerate() {
+            let _ = write!(s, "{{\"suite\":\"{}\",\"benchmarks\":[", suite.name());
+            for (j, b) in benchmarks(suite, Scale::Quick).iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -615,7 +573,7 @@ fn lookup(spec: &JobSpec) -> (Suite, Arc<Benchmark>) {
     type Memo = Mutex<HashMap<(Suite, String, u64), Arc<Benchmark>>>;
     static MEMO: OnceLock<Memo> = OnceLock::new();
 
-    let suite = parse_suite(spec.suite.as_deref().expect("validated")).expect("validated");
+    let suite = Suite::parse(spec.suite.as_deref().expect("validated")).expect("validated");
     let name = spec.bench.as_deref().expect("validated");
     let scale = Scale::from_env();
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
@@ -1281,6 +1239,20 @@ top:
         for b in benches {
             assert!(b.get("static_instructions").and_then(Json::as_u64).unwrap() > 10);
             assert_eq!(b.get("threads").and_then(Json::as_u64), Some(1));
+        }
+    }
+
+    #[test]
+    fn mixed_case_benchmarks_validate_to_their_canonical_name() {
+        for bench in ["cactuBSSN", "cactubssn"] {
+            let s = spec(&format!(
+                r#"{{"kind":"run","suite":"spec2017","bench":"{bench}","scheme":"stt"}}"#
+            ))
+            .unwrap();
+            assert_eq!(s.bench.as_deref(), Some("cactuBSSN"), "{bench}");
+            let again = spec(&s.to_json()).unwrap();
+            assert_eq!(again, s, "{bench} survives a to_json round trip");
+            assert_eq!(again.digest(), s.digest());
         }
     }
 

@@ -28,6 +28,7 @@ pub mod suites;
 pub mod workload;
 
 pub use suites::{
-    all_single_thread, corpus, find, names, parsec, spec2006, spec2017, Scale, FIG9_BENCHMARKS,
+    all_single_thread, benchmarks, corpus, did_you_mean, find, names, parsec, resolve, spec2006,
+    spec2017, Scale, FIG9_BENCHMARKS,
 };
 pub use workload::{Benchmark, Suite, ThreadSpec, Workload};

@@ -49,6 +49,16 @@ impl Scale {
         }
     }
 
+    /// The scale's name (`quick` or `paper`), as `RECON_SCALE` spells
+    /// it and as job digests and checkpoint keys record it.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        }
+    }
+
     /// Reads the scale from the `RECON_SCALE` environment variable
     /// (`paper` for ×4 runs; anything else is [`Scale::Quick`]). The
     /// single source of truth for every harness and the CLI.
@@ -393,6 +403,15 @@ pub fn corpus(scale: Scale) -> Vec<Benchmark> {
         .collect()
 }
 
+/// Every benchmark of `suite` at `scale`, in suite order.
+#[must_use]
+pub fn benchmarks(suite: Suite, scale: Scale) -> Vec<Benchmark> {
+    match suite {
+        Suite::Corpus => corpus(scale),
+        _ => build_all(suite, scale),
+    }
+}
+
 /// Convenience: every single-thread benchmark of both SPEC suites.
 #[must_use]
 pub fn all_single_thread(scale: Scale) -> Vec<Benchmark> {
@@ -411,7 +430,37 @@ pub fn names(suite: Suite) -> Vec<&'static str> {
     }
 }
 
-/// Looks up a benchmark by suite and name, building only that one.
+/// Resolves a benchmark name of `suite`, in any case, to its canonical
+/// spelling without building any program.
+///
+/// # Errors
+///
+/// A message naming the suite, with a hint when `name` is a near miss
+/// of one of its benchmarks.
+pub fn resolve(suite: Suite, name: &str) -> Result<&'static str, String> {
+    let names = names(suite);
+    names
+        .iter()
+        .find(|n| n.eq_ignore_ascii_case(name))
+        .copied()
+        .ok_or_else(|| {
+            format!(
+                "no benchmark '{name}' in {suite}{}",
+                did_you_mean(name, names.iter().copied())
+            )
+        })
+}
+
+/// ` — did you mean '..'?` when `input`, lowercased, is a near miss of
+/// one of `candidates`; empty otherwise.
+#[must_use]
+pub fn did_you_mean<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -> String {
+    recon_asm::suggest(&input.to_ascii_lowercase(), candidates)
+        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
+}
+
+/// Looks up a benchmark by suite and canonical name, building only that
+/// one.
 #[must_use]
 pub fn find(suite: Suite, name: &str, scale: Scale) -> Option<Benchmark> {
     match suite {
@@ -546,6 +595,32 @@ mod tests {
                     b.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn resolve_finds_names_in_any_case_and_hints_near_misses() {
+        for (input, want) in [
+            ("cactuBSSN", "cactuBSSN"),
+            ("cactubssn", "cactuBSSN"),
+            ("MCF", "mcf"),
+        ] {
+            assert_eq!(resolve(Suite::Spec2017, input), Ok(want));
+        }
+        assert_eq!(
+            resolve(Suite::Spec2017, "mfc").unwrap_err(),
+            "no benchmark 'mfc' in SPEC2017 — did you mean 'gcc'?"
+        );
+        assert_eq!(
+            resolve(Suite::Corpus, "nonexistent").unwrap_err(),
+            "no benchmark 'nonexistent' in CORPUS"
+        );
+        for suite in Suite::ALL {
+            let built: Vec<_> = benchmarks(suite, Scale::Quick)
+                .iter()
+                .map(|b| b.name)
+                .collect();
+            assert_eq!(built, names(suite), "{suite}");
         }
     }
 

@@ -15,6 +15,53 @@ pub enum Suite {
     Corpus,
 }
 
+impl Suite {
+    /// Every suite, in display order.
+    pub const ALL: [Suite; 4] = [
+        Suite::Spec2017,
+        Suite::Spec2006,
+        Suite::Parsec,
+        Suite::Corpus,
+    ];
+
+    /// The lowercase name the command line and job submissions spell
+    /// the suite with (`spec2017`, `spec2006`, `parsec`, `corpus`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Suite::Spec2017 => "spec2017",
+            Suite::Spec2006 => "spec2006",
+            Suite::Parsec => "parsec",
+            Suite::Corpus => "corpus",
+        }
+    }
+
+    /// Every suite name joined with `|`, for messages.
+    #[must_use]
+    pub fn choices() -> String {
+        Suite::ALL.map(Suite::name).join("|")
+    }
+
+    /// Parses a suite name in any case.
+    ///
+    /// # Errors
+    ///
+    /// A message listing every suite, with a hint when `name` is a
+    /// near miss of one.
+    pub fn parse(name: &str) -> Result<Suite, String> {
+        Suite::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                format!(
+                    "unknown suite '{name}' ({}){}",
+                    Suite::choices(),
+                    crate::did_you_mean(name, Suite::ALL.map(Suite::name))
+                )
+            })
+    }
+}
+
 impl core::fmt::Display for Suite {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {
@@ -112,5 +159,21 @@ mod tests {
     fn suite_display() {
         assert_eq!(Suite::Spec2017.to_string(), "SPEC2017");
         assert_eq!(Suite::Parsec.to_string(), "PARSEC");
+    }
+
+    #[test]
+    fn suites_parse_in_any_case_and_hint_near_misses() {
+        for suite in Suite::ALL {
+            assert_eq!(Suite::parse(suite.name()), Ok(suite));
+            assert_eq!(Suite::parse(&suite.to_string()), Ok(suite));
+        }
+        assert_eq!(
+            Suite::parse("corpsu").unwrap_err(),
+            "unknown suite 'corpsu' (spec2017|spec2006|parsec|corpus) — did you mean 'corpus'?"
+        );
+        assert_eq!(
+            Suite::parse("bogus").unwrap_err(),
+            "unknown suite 'bogus' (spec2017|spec2006|parsec|corpus)"
+        );
     }
 }
