@@ -539,15 +539,9 @@ fn cmd_matrix(suite: &str, bench: &str, jobs: usize) -> Result<ExitCode, String>
     let (mut matrices, _) = exp.run_matrices(std::slice::from_ref(&b), jobs);
     let m = matrices.remove(0);
     let mut t = Table::new(&["scheme", "cycles", "IPC", "normalized", "tainted loads"]);
-    for (name, r) in [
-        ("unsafe", &m.baseline),
-        ("NDA", &m.nda),
-        ("NDA+ReCon", &m.nda_recon),
-        ("STT", &m.stt),
-        ("STT+ReCon", &m.stt_recon),
-    ] {
+    for (scheme, r) in SecureConfig::ALL.iter().zip(m.results()) {
         t.row(&[
-            name.into(),
+            scheme.label(),
             r.cycles.to_string(),
             format!("{:.3}", r.ipc()),
             format!("{:.3}", m.normalized_ipc(r)),
@@ -631,12 +625,7 @@ fn cmd_suite(suite: &str, jobs: usize, rest: &[&str]) -> Result<ExitCode, String
     print!("{}", jt.render());
     let dropped: u64 = matrices
         .iter()
-        .map(|m| {
-            [&m.baseline, &m.nda, &m.nda_recon, &m.stt, &m.stt_recon]
-                .iter()
-                .map(|r| r.trace_dropped())
-                .sum::<u64>()
-        })
+        .flat_map(|m| m.results().map(SystemResult::trace_dropped))
         .sum();
     println!("trace events dropped: {dropped}");
     if let Some(s) = &batch.ckpt {

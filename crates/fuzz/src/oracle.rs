@@ -237,18 +237,6 @@ fn run_detailed(
     }
 }
 
-/// The five-scheme matrix, baseline first.
-#[must_use]
-pub fn all_schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 /// Runs all five oracles over one program. `Ok(())` means every oracle
 /// held; the first violated oracle is returned as a [`Failure`].
 ///
@@ -259,7 +247,7 @@ pub fn check(program: &Program, cfg: &OracleConfig) -> Result<(), Failure> {
     let functional = observe_functional(program)?;
 
     // Oracle 1 + 4 (baseline), then 2 + 4 (each secure scheme).
-    let schemes = all_schemes();
+    let schemes = SecureConfig::ALL;
     let baseline = run_detailed(program, cfg, schemes[0])?;
     if let Some(diff) = first_diff(&functional, &baseline) {
         return Err(Failure::FunctionalMismatch(format!(

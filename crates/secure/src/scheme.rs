@@ -89,9 +89,19 @@ pub struct SecureConfig {
 }
 
 impl SecureConfig {
+    /// The five evaluated configurations, in the paper's order: unsafe,
+    /// NDA, NDA+ReCon, STT, STT+ReCon.
+    pub const ALL: [SecureConfig; 5] = [
+        SecureConfig::unsafe_baseline(),
+        SecureConfig::nda(),
+        SecureConfig::nda_recon(),
+        SecureConfig::stt(),
+        SecureConfig::stt_recon(),
+    ];
+
     /// The unsafe baseline.
     #[must_use]
-    pub fn unsafe_baseline() -> Self {
+    pub const fn unsafe_baseline() -> Self {
         SecureConfig {
             kind: SchemeKind::Unsafe,
             recon: false,
@@ -100,7 +110,7 @@ impl SecureConfig {
 
     /// NDA without ReCon.
     #[must_use]
-    pub fn nda() -> Self {
+    pub const fn nda() -> Self {
         SecureConfig {
             kind: SchemeKind::Nda,
             recon: false,
@@ -109,7 +119,7 @@ impl SecureConfig {
 
     /// NDA with ReCon.
     #[must_use]
-    pub fn nda_recon() -> Self {
+    pub const fn nda_recon() -> Self {
         SecureConfig {
             kind: SchemeKind::Nda,
             recon: true,
@@ -118,7 +128,7 @@ impl SecureConfig {
 
     /// STT without ReCon.
     #[must_use]
-    pub fn stt() -> Self {
+    pub const fn stt() -> Self {
         SecureConfig {
             kind: SchemeKind::Stt,
             recon: false,
@@ -127,7 +137,7 @@ impl SecureConfig {
 
     /// STT with ReCon.
     #[must_use]
-    pub fn stt_recon() -> Self {
+    pub const fn stt_recon() -> Self {
         SecureConfig {
             kind: SchemeKind::Stt,
             recon: true,

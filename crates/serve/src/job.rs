@@ -786,13 +786,7 @@ fn execute_matrix(spec: &JobSpec, budget: &Budget) -> Result<JobOutput, JobError
     use std::fmt::Write as _;
     let (suite, b) = lookup(spec);
     let exp = experiment_for(suite);
-    let schemes = [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ];
+    let schemes = SecureConfig::ALL;
     let mut results = Vec::with_capacity(schemes.len());
     for s in schemes {
         results.push((

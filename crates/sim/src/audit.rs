@@ -462,13 +462,7 @@ fn monitored_finish(sys: &mut System, max_cycles: u64, audit_every: u64) -> RunO
 pub fn run_campaign(cfg: &CampaignConfig) -> AuditCampaignReport {
     let mut rng = SplitMix64::new(cfg.seed);
     let workloads = campaign_workloads();
-    let schemes = [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ];
+    let schemes = SecureConfig::ALL;
     // Fault-free total cycles per (workload, scheme), measured once.
     let mut total_cycles: Vec<Vec<Option<u64>>> = vec![vec![None; schemes.len()]; workloads.len()];
 
@@ -643,13 +637,7 @@ mod tests {
         // Zero-false-positive gate in miniature: every scheme runs a
         // parallel workload under a tight audit cadence and completes.
         let w = &campaign_workloads()[0];
-        for scheme in [
-            SecureConfig::unsafe_baseline(),
-            SecureConfig::nda(),
-            SecureConfig::nda_recon(),
-            SecureConfig::stt(),
-            SecureConfig::stt_recon(),
-        ] {
+        for scheme in SecureConfig::ALL {
             let mut sys = fresh(w, scheme);
             let budget = Budget {
                 audit_every_cycles: Some(64),

@@ -103,6 +103,19 @@ pub struct SchemeMatrix {
 }
 
 impl SchemeMatrix {
+    /// The five results, in [`SecureConfig::ALL`](recon_secure::SecureConfig::ALL)
+    /// order.
+    #[must_use]
+    pub fn results(&self) -> [&SystemResult; 5] {
+        [
+            &self.baseline,
+            &self.nda,
+            &self.nda_recon,
+            &self.stt,
+            &self.stt_recon,
+        ]
+    }
+
     /// IPC of `result` normalized to the unsafe baseline (Figures 5/6).
     #[must_use]
     pub fn normalized_ipc(&self, result: &SystemResult) -> f64 {

@@ -395,30 +395,6 @@ pub fn run_batch_with(
     }
 }
 
-/// The five-configuration matrix of the paper's evaluation.
-const MATRIX: [SecureConfig; 5] = [
-    SecureConfig {
-        kind: recon_secure::SchemeKind::Unsafe,
-        recon: false,
-    },
-    SecureConfig {
-        kind: recon_secure::SchemeKind::Nda,
-        recon: false,
-    },
-    SecureConfig {
-        kind: recon_secure::SchemeKind::Nda,
-        recon: true,
-    },
-    SecureConfig {
-        kind: recon_secure::SchemeKind::Stt,
-        recon: false,
-    },
-    SecureConfig {
-        kind: recon_secure::SchemeKind::Stt,
-        recon: true,
-    },
-];
-
 impl Experiment {
     /// Runs the five-way scheme matrix on every benchmark with `jobs`
     /// parallel workers, returning matrices in benchmark order plus the
@@ -449,14 +425,18 @@ impl Experiment {
         budget: &Budget,
         persist: Option<(&CkptContext, &str)>,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_with(self, benches, &MATRIX, jobs, budget, persist);
+        let batch = run_batch_with(self, benches, &SecureConfig::ALL, jobs, budget, persist);
         (Self::matrices_from(benches, &batch), batch)
     }
 
     fn matrices_from(benches: &[Benchmark], batch: &BatchResults) -> Vec<SchemeMatrix> {
         benches
             .iter()
-            .filter(|b| MATRIX.iter().all(|&c| batch.get(b.name, c).is_some()))
+            .filter(|b| {
+                SecureConfig::ALL
+                    .iter()
+                    .all(|&c| batch.get(b.name, c).is_some())
+            })
             .map(|b| SchemeMatrix {
                 name: b.name,
                 baseline: batch

@@ -37,16 +37,6 @@ fn workloads() -> Vec<(&'static str, Workload)> {
     .collect()
 }
 
-fn schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 fn fresh(w: &Workload, secure: SecureConfig) -> System {
     System::new(
         w,
@@ -79,7 +69,7 @@ fn run_full(w: &Workload, secure: SecureConfig) -> (SystemResult, Vec<(u64, Vec<
 #[test]
 fn resume_equals_uninterrupted_for_every_scheme_and_workload() {
     for (name, w) in &workloads() {
-        for secure in schemes() {
+        for secure in SecureConfig::ALL {
             let (full, snaps) = run_full(w, secure);
             assert!(
                 snaps.len() >= 2,

@@ -19,19 +19,6 @@ use recon_workloads::{find, Scale, Suite};
 use crate::differ::{CellResult, Verdict};
 use crate::gadget::{self, Gadget};
 
-/// The five evaluated configurations, baseline first (the paper's
-/// Figure 5/6 matrix minus the fence baseline).
-#[must_use]
-pub fn schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 /// The verdict a correct implementation must produce for one cell:
 /// LEAKS only for a transmit gadget on the unprotected baseline.
 #[must_use]
@@ -217,7 +204,7 @@ pub fn run_matrix_budgeted_with(
         None if embedded => gadget::all_with_embedded(),
         None => gadget::all(),
     };
-    let picked: Vec<SecureConfig> = schemes()
+    let picked: Vec<SecureConfig> = SecureConfig::ALL
         .into_iter()
         .filter(|s| scheme_filter.is_none_or(|want| *s == want))
         .collect();
@@ -377,7 +364,7 @@ mod tests {
     fn expectations_only_leak_on_the_unprotected_baseline() {
         let mut leaks = 0;
         for g in gadget::all() {
-            for s in schemes() {
+            for s in SecureConfig::ALL {
                 if expected_verdict(&g, s) == Verdict::Leaks {
                     leaks += 1;
                     assert!(g.transmit);

@@ -19,16 +19,6 @@ fn corpus_benchmarks() -> Vec<Benchmark> {
         .collect()
 }
 
-fn all_schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 fn system_for(b: &Benchmark, scheme: SecureConfig) -> System {
     System::new(
         &b.workload,
@@ -46,7 +36,7 @@ fn system_for(b: &Benchmark, scheme: SecureConfig) -> System {
 fn corpus_programs_self_check_under_every_scheme() {
     for b in corpus_benchmarks() {
         let golden = corpus::find(b.name).expect("corpus entry").golden_digest;
-        for scheme in all_schemes() {
+        for scheme in SecureConfig::ALL {
             let mut sys = system_for(&b, scheme);
             let r = sys.run(200_000_000);
             assert!(r.completed, "{} under {scheme}: completes", b.name);
@@ -97,7 +87,7 @@ fn quicksort_fast_forward_matches_snapshot_restore_replica() {
     let b = find(Suite::Corpus, "quicksort", Scale::Quick).expect("benchmark exists");
     let golden = corpus::QUICKSORT_DIGEST;
     const FF: u64 = 5_000;
-    for scheme in all_schemes() {
+    for scheme in SecureConfig::ALL {
         let mut warm = system_for(&b, scheme);
         let executed = warm.fast_forward(FF);
         assert_eq!(executed, FF, "warmup shorter than the program");

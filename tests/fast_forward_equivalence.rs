@@ -36,16 +36,6 @@ fn single_thread_picks() -> Vec<Benchmark> {
     .collect()
 }
 
-fn all_schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 fn system_for(b: &Benchmark, scheme: SecureConfig) -> System {
     let mem = if b.workload.num_threads() > 1 {
         MemConfig::scaled_multicore()
@@ -105,7 +95,7 @@ fn detailed_runs_are_deterministic_for_every_scheme() {
     let mut picks = single_thread_picks();
     picks.push(find(Suite::Parsec, "canneal", Scale::Quick).expect("benchmark exists"));
     for b in &picks {
-        for scheme in all_schemes() {
+        for scheme in SecureConfig::ALL {
             let first = system_for(b, scheme).run(200_000_000);
             let second = system_for(b, scheme).run(200_000_000);
             assert!(first.completed, "{} under {scheme}: completes", b.name);
@@ -122,7 +112,7 @@ fn detailed_runs_are_deterministic_for_every_scheme() {
 fn fast_forward_detailed_region_matches_snapshot_restore_replica() {
     let b = find(Suite::Spec2017, "mcf", Scale::Quick).expect("benchmark exists");
     const FF: u64 = 50_000;
-    for scheme in all_schemes() {
+    for scheme in SecureConfig::ALL {
         let mut warm = system_for(&b, scheme);
         let executed = warm.fast_forward(FF);
         assert_eq!(executed, FF, "warmup shorter than the program");

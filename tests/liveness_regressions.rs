@@ -16,16 +16,6 @@ use recon_workloads::Workload;
 const DATA_BASE: u64 = 0x2000;
 const MAX_CYCLES: u64 = 2_000_000;
 
-fn all_schemes() -> [SecureConfig; 5] {
-    [
-        SecureConfig::unsafe_baseline(),
-        SecureConfig::nda(),
-        SecureConfig::nda_recon(),
-        SecureConfig::stt(),
-        SecureConfig::stt_recon(),
-    ]
-}
-
 fn program(code: Vec<Inst>) -> Program {
     let p = Program {
         code,
@@ -49,7 +39,7 @@ fn system(p: &Program, core: CoreConfig, secure: SecureConfig) -> System {
 /// Runs `p` with the watchdog at its default window (Budget::default
 /// leaves `watchdog_cycles` unset) and asserts clean completion.
 fn completes_under_all_schemes(p: &Program, label: &str) {
-    for secure in all_schemes() {
+    for secure in SecureConfig::ALL {
         let mut sys = system(p, CoreConfig::tiny(), secure);
         let r = sys
             .run_budgeted(MAX_CYCLES, &Budget::default())
@@ -177,7 +167,7 @@ fn amo_bug_hook_stalls_within_the_window_with_forensics() {
         ..CoreConfig::tiny()
     };
     let p = amo_shadow_store();
-    for secure in all_schemes() {
+    for secure in SecureConfig::ALL {
         let mut sys = system(&p, buggy, secure);
         let budget = Budget {
             watchdog_cycles: Some(WINDOW),
