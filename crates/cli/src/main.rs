@@ -1,32 +1,7 @@
 //! `recon` — command-line driver for the ReCon reproduction.
 //!
 //! ```text
-//! recon list                         list all benchmark stand-ins
-//! recon workloads --list             same table, stable flag spelling
-//! recon asm <file> [--dump] [--run SCHEME]  assemble a .asm program,
-//!           [--fast-forward N]       optionally run + self-check it
-//! recon run <suite> <bench> [scheme] run one benchmark (default: matrix)
-//!           [--checkpoint D] [--checkpoint-every CYC] [--audit CYC]
-//! recon resume <file.rck>            continue a checkpointed run
-//! recon matrix <suite> <bench>       run all five scheme configurations
-//! recon suite <suite> [--jobs N]     five-way matrix on a whole suite
-//!             [--checkpoint D]       (crash-safe: re-running resumes)
-//! recon audit [--seed S] [--faults N] soft-error injection campaign ->
-//!             [--audit CYC] [--demo]  BENCH_audit.json detection latencies
-//! recon analyze <suite> <bench>      Clueless-style leakage report
-//! recon verify [--gadget G] [--scheme S] [--embedded]
-//!                                    two-trace security checker
-//! recon overhead                     §6.7 storage accounting
-//! recon serve [--addr A] [--workers N] [--queue-cap Q] [--handler-cap H]
-//!             [--chaos SPEC] [--cache-dir D] [--checkpoint-every CYC]
-//!             [--node ID]            HTTP job service (see recon-serve)
-//! recon gateway --nodes H:P,...      consistent-hash cluster front door
-//! recon bench-serve [--clients C] [--requests R] [--queue-cap Q]
-//!                                    loopback load generator -> BENCH_serve.json
-//! recon chaos [--seed S] [--clients C] [--requests R] [--faults F]
-//!                                    seeded fault storm -> BENCH_chaos.json
-//! recon chaos --nodes N              cluster storm: SIGKILL/restart + drain
-//!                                    migration -> BENCH_cluster.json
+#![doc = include_str!("usage.txt")]
 //! ```
 //!
 //! Suites: `spec2017`, `spec2006`, `parsec`, `corpus`. Schemes: `unsafe`, `nda`,
@@ -52,9 +27,7 @@ use recon_secure::SecureConfig;
 use recon_serve::job::experiment_for;
 use recon_sim::ckpt::{self, CkptContext};
 use recon_sim::report::Table;
-use recon_sim::{
-    jobs_from_env, Budget, Experiment, SimError, System, SystemResult, DEFAULT_WATCHDOG_CYCLES,
-};
+use recon_sim::{jobs_from_env, Budget, Experiment, SimError, System, SystemResult};
 use recon_workloads::{did_you_mean, Benchmark, Scale, Suite, ThreadSpec, Workload};
 
 fn scale() -> Scale {
@@ -67,6 +40,10 @@ const DEFAULT_CKPT_EVERY: u64 = 500_000;
 
 /// Checkpoints retained per job while it runs.
 const CKPT_KEEP: usize = 3;
+
+/// The command list `recon` prints when no command matches; also this
+/// module's doc header.
+const USAGE: &str = include_str!("usage.txt");
 
 /// The flags one subcommand accepts: those that take a value and the
 /// bare switches. `command` names the subcommand in the unknown-flag
@@ -1196,53 +1173,6 @@ fn cmd_chaos_cluster(args: &[&str]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-const BENCH_SERVE_FLAGS: FlagSpec = FlagSpec {
-    command: "bench-serve",
-    valued: &[
-        "--clients",
-        "--requests",
-        "--queue-cap",
-        "--workers",
-        "--out",
-    ],
-    switches: &[],
-};
-
-fn cmd_bench_serve(args: &[&str], jobs: usize) -> Result<ExitCode, String> {
-    let flags = Flags::parse(&BENCH_SERVE_FLAGS, args)?;
-    let d = recon_serve::BenchServeConfig::default();
-    let config = recon_serve::BenchServeConfig {
-        clients: flags.count("--clients", d.clients)?,
-        requests: flags.count("--requests", d.requests)?,
-        queue_cap: flags.count("--queue-cap", d.queue_cap)?,
-        workers: flags.count("--workers", jobs)?,
-        out: flags.get("--out").map_or(d.out, str::to_string),
-    };
-    let report =
-        recon_serve::run_bench_serve(&config).map_err(|e| format!("bench-serve failed: {e}"))?;
-    println!(
-        "bench-serve: {} clients x {} requests (queue capacity {})",
-        report.clients, report.requests_per_client, report.queue_cap
-    );
-    println!(
-        "  ok {}  deadline {}  backpressure(429) {}  mismatches {}  lost {}",
-        report.ok, report.deadline, report.backpressure_429, report.mismatches, report.lost
-    );
-    println!(
-        "  cache {} hits / {} misses",
-        report.cache_hits, report.cache_misses
-    );
-    println!(
-        "  wall {:.2}s  throughput {:.1} req/s  p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms",
-        report.wall_seconds, report.throughput_rps, report.p50_ms, report.p95_ms, report.p99_ms
-    );
-    println!("report written to {}", config.out);
-    if report.lost > 0 || report.mismatches > 0 {
-        return Err("responses were lost or differed from direct execution".into());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 const CHAOS_FLAGS: FlagSpec = FlagSpec {
     command: "chaos",
     valued: &[
@@ -1321,64 +1251,7 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: recon <command>");
-    eprintln!("  list                               list all benchmark stand-ins");
-    eprintln!("  workloads [--list]                 enumerate suites/workloads with");
-    eprintln!("                                     static instruction counts");
-    eprintln!("  asm <file> [--dump] [--run SCHEME] assemble a .asm program; --dump prints");
-    eprintln!("      [--fast-forward N]             canonical disassembly, --run executes");
-    eprintln!("                                     it and reads the self-check words");
-    eprintln!("  run <suite> <bench> <scheme>       run one configuration");
-    eprintln!("      [--checkpoint D] [--checkpoint-every CYC]");
-    eprintln!("                                     periodic crash-safe checkpoints into D");
-    eprintln!("      [--fast-forward N]             functional warmup: N instructions before");
-    eprintln!("                                     detailed timing");
-    eprintln!("      [--watchdog-cycles N]          liveness watchdog window (default {DEFAULT_WATCHDOG_CYCLES};");
-    eprintln!("                                     0 = off); stalls print full forensics");
-    eprintln!("      [--audit CYC]                  sweep the invariant auditor every CYC");
-    eprintln!("                                     cycles; violations print forensics");
-    eprintln!("  resume <file.rck>                  continue a checkpointed run");
-    eprintln!("  matrix <suite> <bench> [--jobs N]  run all five configurations");
-    eprintln!("  suite <suite> [--jobs N]           five-way matrix on every benchmark,");
-    eprintln!("                                     timings to BENCH_runner.json");
-    eprintln!("      [--checkpoint D] [--checkpoint-every CYC]");
-    eprintln!("                                     crash-safe suite: finished jobs are");
-    eprintln!("                                     cached, killed jobs resume");
-    eprintln!("      [--fast-forward N]             functional warmup per job");
-    eprintln!("      [--watchdog-cycles N]          liveness watchdog window per job (0 = off)");
-    eprintln!("      [--audit CYC]                  invariant-audit sweep cadence per job");
-    eprintln!("  fuzz [--seed S] [--count N] [--quick] [--jobs N]");
-    eprintln!("       [--out-dir D] [--json P] [--watchdog-cycles N]");
-    eprintln!("                                     seeded differential torture: random");
-    eprintln!("                                     programs x five oracles, failures");
-    eprintln!("                                     shrunk to minimal .asm repros");
-    eprintln!("  audit [--seed S] [--faults N] [--audit CYC] [--out P] [--quick] [--demo]");
-    eprintln!("                                     seeded soft-error injection campaign:");
-    eprintln!("                                     every unmasked fault must be detected");
-    eprintln!("                                     -> BENCH_audit.json (--demo: CI smoke)");
-    eprintln!("  analyze <suite> <bench>            leakage (DIFT vs load pairs)");
-    eprintln!("  verify [--gadget G] [--scheme S]   two-trace security checker");
-    eprintln!("         [--fast-forward N]          (gadget x scheme verdict matrix;");
-    eprintln!("                                     warmup applies to soundness runs only)");
-    eprintln!("         [--embedded]                include gadgets spliced into corpus");
-    eprintln!("                                     host programs (quicksort, memref)");
-    eprintln!("  overhead                           §6.7 storage accounting");
-    eprintln!("  serve [--addr A] [--workers N] [--queue-cap Q] [--handler-cap H]");
-    eprintln!("        [--chaos SPEC] [--cache-dir D] [--checkpoint-every CYC] [--node ID]");
-    eprintln!("                                     HTTP job service (--node labels metrics");
-    eprintln!("                                     and marks a cluster worker)");
-    eprintln!("  gateway --nodes H:P,H:P,... [--addr A] [--vnodes V] [--handler-cap H]");
-    eprintln!("                                     consistent-hash front door over N nodes");
-    eprintln!("  bench-serve [--clients C] [--requests R] [--queue-cap Q] [--out P]");
-    eprintln!("                                     loopback load test -> BENCH_serve.json");
-    eprintln!("  chaos [--seed S] [--clients C] [--requests R] [--faults F] [--out P]");
-    eprintln!("                                     seeded fault storm -> BENCH_chaos.json");
-    eprintln!("  chaos --nodes N [--seed S] [--clients C] [--requests R] [--min-speedup X]");
-    eprintln!("                                     cluster storm: SIGKILL + restart, drain");
-    eprintln!("                                     migration -> BENCH_cluster.json");
-    eprintln!("suites: spec2017 spec2006 parsec corpus");
-    eprintln!("schemes: unsafe nda nda+recon stt stt+recon");
-    eprintln!("--jobs defaults to RECON_JOBS or all cores");
+    eprint!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -1423,7 +1296,6 @@ fn dispatch(args: &[&str]) -> Result<ExitCode, String> {
         ["overhead"] => Ok(cmd_overhead()),
         ["serve", rest @ ..] => cmd_serve(rest, jobs),
         ["gateway", rest @ ..] => cmd_gateway(rest),
-        ["bench-serve", rest @ ..] => cmd_bench_serve(rest, jobs),
         ["chaos", rest @ ..] => cmd_chaos(rest, jobs),
         _ => Ok(usage()),
     }
@@ -1490,6 +1362,12 @@ mod tests {
         assert!(flags.has("--quick") && !flags.has("--inject-amo-bug"));
         assert_eq!(flags.count("--count", 100), Ok(7));
         assert_eq!(flags.seed(3), Ok(3));
+    }
+
+    #[test]
+    fn usage_states_the_default_watchdog_window() {
+        let default = format!("(default {};", recon_sim::DEFAULT_WATCHDOG_CYCLES);
+        assert!(USAGE.contains(&default), "{USAGE}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The serving protocol needs both directions — parsing job
 //! submissions and schema-checking the JSON reports the repo writes
-//! (`BENCH_runner.json`, `BENCH_serve.json`) — but only the small,
+//! (`BENCH_runner.json`, `BENCH_chaos.json`) — but only the small,
 //! strict subset real payloads use: objects, arrays, strings, numbers
 //! (as `f64`), booleans, and `null`. Input is bounded by the HTTP
 //! layer's body cap and nesting is depth-limited, so a hostile payload

@@ -1,8 +1,7 @@
 //! # recon-serve
 //!
 //! A production-shaped serving layer over the ReCon simulator: the
-//! `recon serve` daemon, the `recon bench-serve` load generator, and
-//! the `recon chaos` fault storm.
+//! `recon serve` daemon and the `recon chaos` fault storm.
 //!
 //! The service speaks HTTP/1.1 (keep-alive, per-connection timeouts)
 //! over `std::net::TcpListener` — no dependencies, same hermetic build
@@ -44,9 +43,11 @@
 //! retries with bounded, deterministically-jittered backoff over
 //! keep-alive connections. Simulation is deterministic, so the
 //! service's payloads are byte-identical to direct in-process runs. The
-//! [`storm`] driver asserts exactly that: under a flooded queue
-//! (`bench-serve`), while every fault class fires (`recon chaos`), and
-//! through a cluster gateway (`recon chaos --nodes N`).
+//! [`storm`] driver asserts exactly that while every fault class fires
+//! (`recon chaos`) and through a cluster gateway (`recon chaos --nodes
+//! N`); `tests/serve_smoke.rs` asserts it under a flooded one-slot
+//! queue. The service's performance record is the repository
+//! benchmark's `serve-mixed` workload.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -74,7 +75,4 @@ pub use json::{parse, Json};
 pub use metrics::Metrics;
 pub use queue::{BoundedQueue, PushError};
 pub use server::{ServeConfig, Server};
-pub use storm::{
-    run_bench_serve, run_chaos_storm, BenchServeConfig, BenchServeReport, ChaosStormConfig,
-    ChaosStormReport,
-};
+pub use storm::{run_chaos_storm, ChaosStormConfig, ChaosStormReport};

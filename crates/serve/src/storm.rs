@@ -9,15 +9,9 @@
 //! [`Connection`], comparing every final response with its expectation
 //! byte for byte and counting the outcome into a [`Tally`].
 //! [`Clients::join`] merges the tallies. The driver needs nothing but
-//! the address to aim at, so three storms share it:
+//! the address to aim at, so two storms share it:
 //!
-//! * `recon bench-serve` ([`run_bench_serve`]) floods an in-process
-//!   server behind a deliberately small queue with a repeating mix (all
-//!   five schemes, a verifier cell, and a fuel-limited job that must
-//!   deadline). It checks that every request is answered exactly once
-//!   with the direct-execution bytes and that the flood really draws
-//!   `429` backpressure, which the clients ride out.
-//! * `recon chaos` ([`run_chaos_storm`]) aims the same clients at an
+//! * `recon chaos` ([`run_chaos_storm`]) aims the clients at an
 //!   in-process server with the chaos plane armed (dropped and
 //!   corrupted connections, synthetic `429` bursts, panicking workers,
 //!   torn checkpoints). Faults may delay an answer but never change it:
@@ -25,6 +19,9 @@
 //! * `recon chaos --nodes N` (`recon-cluster`'s storm) aims them at a
 //!   gateway in front of real node processes that it kills, restarts
 //!   and drains.
+//!
+//! The service's performance record is the repository benchmark's
+//! `serve-mixed` workload (`examples/benchmark`), not a storm.
 //!
 //! The chaos storm is reproducible: job digests are disjoint across
 //! clients and every client is serial, so each digest's fault-draw
@@ -47,7 +44,7 @@ use crate::chaos::FaultSite;
 use crate::client::{self, submit_with_retry, Connection, RetryPolicy};
 use crate::job::{self, CkptPlan, JobError, JobSpec};
 use crate::json::parse;
-use crate::server::{ServeConfig, Server, Shared};
+use crate::server::{ServeConfig, Server};
 
 /// Checkpoint cadence for storm jobs, in simulated cycles: small enough
 /// that run jobs cross several checkpoint boundaries, so the torn
@@ -280,206 +277,8 @@ pub fn report_json(fields: &[(&str, &dyn std::fmt::Display)]) -> String {
     format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
-/// Runs one storm against a fresh in-process server: starts it with
-/// `serve`, drives `slices` through it with [`spawn_clients`], lets
-/// `inspect` read the server's state, then shuts it down. Returns the
-/// tally, the storm's wall-clock seconds and what `inspect` returned.
-fn in_process<R>(
-    serve: &ServeConfig,
-    slices: Vec<Vec<Expected>>,
-    policy: &RetryPolicy,
-    inspect: impl FnOnce(&Shared) -> R,
-) -> io::Result<(Tally, f64, R)> {
-    let server = Server::start(serve)?;
-    let addr = server.addr();
-    let start = Instant::now();
-    // Generous timeout: nothing in a storm legitimately takes this long,
-    // so timeouts never fire and never perturb the chaos storm's
-    // determinism.
-    let t = spawn_clients(addr, slices, policy, Duration::from_secs(60)).join();
-    let wall = start.elapsed().as_secs_f64();
-    let inspected = inspect(server.shared());
-    let _ = client::request(addr, "POST", "/shutdown", None);
-    server.wait();
-    Ok((t, wall, inspected))
-}
-
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get().min(8))
-}
-
-/// Load-generator configuration (the `recon bench-serve` flags).
-#[derive(Clone, Debug)]
-pub struct BenchServeConfig {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests per client.
-    pub requests: usize,
-    /// Server queue capacity (1 = maximally flooded, the default).
-    pub queue_cap: usize,
-    /// Worker threads for the in-process server.
-    pub workers: usize,
-    /// Output report path.
-    pub out: String,
-}
-
-impl Default for BenchServeConfig {
-    fn default() -> Self {
-        BenchServeConfig {
-            clients: 8,
-            requests: 200,
-            queue_cap: 1,
-            workers: default_workers(),
-            out: "BENCH_serve.json".to_string(),
-        }
-    }
-}
-
-/// Aggregated results of one bench run.
-#[derive(Clone, Debug, Default)]
-pub struct BenchServeReport {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests per client.
-    pub requests_per_client: usize,
-    /// Server queue capacity used.
-    pub queue_cap: usize,
-    /// Successful (`200`) responses.
-    pub ok: u64,
-    /// Deadline (`408`) responses (the fuel-limited spec).
-    pub deadline: u64,
-    /// `429` rejections observed; each is retried up to the client's
-    /// attempt bound.
-    pub backpressure_429: u64,
-    /// Responses whose body differed from the direct execution.
-    pub mismatches: u64,
-    /// Requests never answered: retries exhausted or an unexpected
-    /// status.
-    pub lost: u64,
-    /// Cache hits reported by the server after the run.
-    pub cache_hits: u64,
-    /// Cache misses reported by the server after the run.
-    pub cache_misses: u64,
-    /// Wall-clock for the whole run, in seconds.
-    pub wall_seconds: f64,
-    /// Served responses per second.
-    pub throughput_rps: f64,
-    /// Median request latency (first attempt to final response,
-    /// including backoff), in milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, in milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, in milliseconds.
-    pub p99_ms: f64,
-}
-
-impl BenchServeReport {
-    /// Renders the report as the `BENCH_serve.json` document (schema
-    /// checked by `tests/bench_json_schema.rs`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        report_json(&[
-            ("clients", &self.clients),
-            ("requests_per_client", &self.requests_per_client),
-            ("queue_cap", &self.queue_cap),
-            ("ok", &self.ok),
-            ("deadline", &self.deadline),
-            ("backpressure_429", &self.backpressure_429),
-            ("mismatches", &self.mismatches),
-            ("lost", &self.lost),
-            ("cache_hits", &self.cache_hits),
-            ("cache_misses", &self.cache_misses),
-            ("wall_seconds", &format!("{:.6}", self.wall_seconds)),
-            ("throughput_rps", &format!("{:.3}", self.throughput_rps)),
-            ("p50_ms", &format!("{:.3}", self.p50_ms)),
-            ("p95_ms", &format!("{:.3}", self.p95_ms)),
-            ("p99_ms", &format!("{:.3}", self.p99_ms)),
-        ])
-    }
-
-    /// Writes [`Self::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// File I/O errors.
-    pub fn write_json(&self, path: &str) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Runs the load generator and writes the report.
-///
-/// # Errors
-///
-/// I/O errors from the loopback server or the report file.
-pub fn run_bench_serve(config: &BenchServeConfig) -> io::Result<BenchServeReport> {
-    // The mix, cycled through by every client from its own offset: five
-    // `run` jobs (one per scheme), a verifier cell, and one fuel-limited
-    // job that must answer `408`. Executing it directly first also warms
-    // the workload constructors.
-    let mix: Vec<Expected> = [
-        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"unsafe"}"#,
-        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"nda"}"#,
-        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"nda+recon"}"#,
-        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt"}"#,
-        r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt+recon"}"#,
-        r#"{"kind":"verify","gadget":"spectre-v1","scheme":"stt+recon"}"#,
-        r#"{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":1000}"#,
-    ]
-    .into_iter()
-    .map(|json| Expected::direct(json.to_string(), None))
-    .collect();
-    let slices = (0..config.clients)
-        .map(|c| {
-            (0..config.requests)
-                .map(|j| mix[(c + j) % mix.len()].clone())
-                .collect()
-        })
-        .collect();
-
-    let serve = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: config.workers,
-        queue_cap: config.queue_cap,
-        // Every keep-alive client holds one handler.
-        handler_cap: config.clients * 2 + 4,
-        ..ServeConfig::default()
-    };
-    // A flooded 1-slot queue answers some requests with a long run of
-    // 429s; ride them out in short steps, with a bound only a stuck
-    // server reaches.
-    let policy = RetryPolicy {
-        max_attempts: 20_000,
-        base_delay: Duration::from_micros(500),
-        max_delay: Duration::from_micros(500),
-        retry_after_cap: Duration::from_micros(500),
-        seed: 0,
-        fail_fast_refused: true,
-    };
-    let (t, wall, (cache_hits, cache_misses)) = in_process(&serve, slices, &policy, |s| {
-        (s.metrics.cache_hits.get(), s.metrics.cache_misses.get())
-    })?;
-
-    let total = (config.clients * config.requests) as u64;
-    let report = BenchServeReport {
-        clients: config.clients,
-        requests_per_client: config.requests,
-        queue_cap: config.queue_cap,
-        ok: t.ok,
-        deadline: t.deadline,
-        backpressure_429: t.backpressure_429,
-        mismatches: t.mismatches,
-        lost: t.lost,
-        cache_hits,
-        cache_misses,
-        wall_seconds: wall,
-        throughput_rps: if wall > 0.0 { total as f64 / wall } else { 0.0 },
-        p50_ms: t.percentile_ms(0.50),
-        p95_ms: t.percentile_ms(0.95),
-        p99_ms: t.percentile_ms(0.99),
-    };
-    report.write_json(&config.out)?;
-    Ok(report)
 }
 
 /// Storm configuration (the `recon chaos` flags).
@@ -705,27 +504,15 @@ pub fn run_chaos_storm(config: &ChaosStormConfig) -> io::Result<ChaosStormReport
         // harness bug, so surface it as `lost`.
         fail_fast_refused: true,
     };
-    let (t, wall_seconds, server_side) = in_process(&serve, slices, &policy, |s| {
-        let m = &s.metrics;
-        ChaosStormReport {
-            injected: FaultSite::ALL
-                .iter()
-                .map(|&site| (site.label().to_string(), s.chaos.injected(site)))
-                .collect(),
-            injected_total: s.chaos.injected_total(),
-            worker_restarts: m.worker_restarts.get(),
-            jobs_rejected: m.jobs_rejected.get(),
-            cache_hits: m.cache_hits.get(),
-            cache_misses: m.cache_misses.get(),
-            singleflight_joined: m.singleflight_joined.get(),
-            checkpoints_written: m.checkpoints_written.get(),
-            checkpoints_resumed: m.checkpoints_resumed.get(),
-            checkpoints_dropped_corrupt: m.checkpoints_dropped_corrupt.get(),
-            ..ChaosStormReport::default()
-        }
-    })?;
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-
+    let server = Server::start(&serve)?;
+    let addr = server.addr();
+    let start = Instant::now();
+    // Generous timeout: nothing in the storm legitimately takes this
+    // long, so timeouts never fire and never perturb its determinism.
+    let t = spawn_clients(addr, slices, &policy, Duration::from_secs(60)).join();
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let s = server.shared();
+    let m = &s.metrics;
     let report = ChaosStormReport {
         seed: config.seed,
         clients,
@@ -737,9 +524,24 @@ pub fn run_chaos_storm(config: &ChaosStormConfig) -> io::Result<ChaosStormReport
         lost: t.lost,
         retries: t.retries,
         reconnects: t.reconnects,
+        injected: FaultSite::ALL
+            .iter()
+            .map(|&site| (site.label().to_string(), s.chaos.injected(site)))
+            .collect(),
+        injected_total: s.chaos.injected_total(),
+        worker_restarts: m.worker_restarts.get(),
+        jobs_rejected: m.jobs_rejected.get(),
+        cache_hits: m.cache_hits.get(),
+        cache_misses: m.cache_misses.get(),
+        singleflight_joined: m.singleflight_joined.get(),
+        checkpoints_written: m.checkpoints_written.get(),
+        checkpoints_resumed: m.checkpoints_resumed.get(),
+        checkpoints_dropped_corrupt: m.checkpoints_dropped_corrupt.get(),
         wall_seconds,
-        ..server_side
     };
+    let _ = client::request(addr, "POST", "/shutdown", None);
+    server.wait();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     if let Some(path) = &config.out {
         report.write_json(path)?;
     }
@@ -761,35 +563,6 @@ mod tests {
         assert!((t.percentile_ms(0.99) - 99.0).abs() < 1e-9);
         t.latencies_micros.clear();
         assert_eq!(t.percentile_ms(0.5), 0.0);
-    }
-
-    #[test]
-    fn report_json_is_complete() {
-        let r = BenchServeReport {
-            clients: 2,
-            requests_per_client: 3,
-            ..BenchServeReport::default()
-        };
-        let v = parse(&r.to_json()).expect("report parses");
-        for key in [
-            "clients",
-            "requests_per_client",
-            "queue_cap",
-            "ok",
-            "deadline",
-            "backpressure_429",
-            "mismatches",
-            "lost",
-            "cache_hits",
-            "cache_misses",
-            "wall_seconds",
-            "throughput_rps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-        ] {
-            assert!(v.get(key).is_some(), "missing {key}");
-        }
     }
 
     /// A small storm with every fault class armed: nothing lost,

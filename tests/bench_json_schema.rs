@@ -1,6 +1,6 @@
 //! Schema stability for the JSON reports the repo writes:
-//! `BENCH_runner.json` (`BatchResults::write_json`), `BENCH_serve.json`
-//! (`BenchServeReport`) and `BENCH_chaos.json` (`ChaosStormReport`).
+//! `BENCH_runner.json` (`BatchResults::write_json`) and
+//! `BENCH_chaos.json` (`ChaosStormReport`).
 //! Simulation speed is recorded by `examples/benchmark`, whose own
 //! tests pin its metric names and units. All reports here
 //! are parsed back with the serving layer's own JSON reader, so the
@@ -8,7 +8,7 @@
 //! timings stay deterministic across worker counts.
 
 use recon_secure::SecureConfig;
-use recon_serve::{json, BenchServeReport, ChaosStormReport};
+use recon_serve::{json, ChaosStormReport};
 use recon_sim::{run_batch, Experiment};
 use recon_workloads::{find, Scale, Suite};
 
@@ -96,45 +96,6 @@ fn batch_results_json_schema_and_determinism_across_jobs() {
         rows_by_jobs[0], rows_by_jobs[1],
         "timing rows (bench, scheme, cycles) are identical for --jobs 1 and --jobs 4"
     );
-}
-
-#[test]
-fn bench_serve_report_golden() {
-    let report = BenchServeReport {
-        clients: 8,
-        requests_per_client: 200,
-        queue_cap: 1,
-        ok: 1580,
-        deadline: 20,
-        backpressure_429: 431,
-        mismatches: 0,
-        lost: 0,
-        cache_hits: 1200,
-        cache_misses: 400,
-        wall_seconds: 12.5,
-        throughput_rps: 128.0,
-        p50_ms: 40.25,
-        p95_ms: 150.5,
-        p99_ms: 310.125,
-    };
-    // Byte-for-byte golden: any schema change must update this test.
-    let golden = "{\n  \"clients\": 8,\n  \"requests_per_client\": 200,\n  \"queue_cap\": 1,\n  \"ok\": 1580,\n  \"deadline\": 20,\n  \"backpressure_429\": 431,\n  \"mismatches\": 0,\n  \"lost\": 0,\n  \"cache_hits\": 1200,\n  \"cache_misses\": 400,\n  \"wall_seconds\": 12.500000,\n  \"throughput_rps\": 128.000,\n  \"p50_ms\": 40.250,\n  \"p95_ms\": 150.500,\n  \"p99_ms\": 310.125\n}\n";
-    assert_eq!(report.to_json(), golden);
-
-    // Round-trip through the parser.
-    let doc = json::parse(&report.to_json()).expect("valid JSON");
-    assert_eq!(doc.get("ok").and_then(json::Json::as_u64), Some(1580));
-    assert_eq!(
-        doc.get("p99_ms").and_then(json::Json::as_f64),
-        Some(310.125)
-    );
-
-    // And through the file writer.
-    let path = tmp_path("serve-golden.json");
-    report.write_json(&path).expect("write BENCH_serve.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(text, golden);
 }
 
 #[test]

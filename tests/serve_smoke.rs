@@ -2,7 +2,7 @@
 //! caching, backpressure, deadlines, metrics, and graceful shutdown —
 //! the same sequence the CI `serve-smoke` job drives.
 
-use recon_serve::{client, job, json, JobSpec, ServeConfig, Server};
+use recon_serve::{client, job, json, JobError, JobSpec, ServeConfig, Server};
 
 fn start(workers: usize, queue_cap: usize) -> Server {
     Server::start(&ServeConfig {
@@ -18,6 +18,17 @@ fn direct_payload(spec_json: &str) -> String {
     let v = json::parse(spec_json).expect("spec parses");
     let spec = JobSpec::from_json(&v).expect("spec validates");
     job::execute(&spec, None).expect("direct execution").payload
+}
+
+/// The final answer a direct in-process execution of `spec_json` gives:
+/// `200` with the result, or `408` with a deadline's partial stats.
+fn direct_answer(spec_json: &str) -> (u16, String) {
+    let spec = JobSpec::from_json(&json::parse(spec_json).unwrap()).unwrap();
+    match job::execute(&spec, None) {
+        Ok(out) => (200, out.payload),
+        Err(JobError::DeadlineExceeded { payload, .. }) => (408, payload),
+        Err(e) => panic!("{spec_json} failed directly: {e:?}"),
+    }
 }
 
 #[test]
@@ -101,11 +112,14 @@ fn flooded_one_slot_queue_backpressures_with_429() {
     let server = start(1, 1);
     let addr = server.addr();
 
-    // Eight concurrent distinct submissions against one worker and one
+    // Eleven concurrent distinct submissions against one worker and one
     // queue slot: at most two can be admitted at any instant, so the
     // flood must observe 429s. Rejected clients retry until served —
-    // backpressure sheds load, it does not lose requests.
-    let specs: Vec<String> = ["unsafe", "nda", "nda+recon", "stt", "stt+recon"]
+    // backpressure sheds load, it does not lose requests, and every
+    // request is answered once with the bytes of a direct execution: ten
+    // full runs, and one fuel-starved run that must deadline with its
+    // partial stats.
+    let mut specs: Vec<String> = ["unsafe", "nda", "nda+recon", "stt", "stt+recon"]
         .iter()
         .flat_map(|scheme| {
             ["mcf", "deepsjeng"].iter().map(move |bench| {
@@ -115,6 +129,16 @@ fn flooded_one_slot_queue_backpressures_with_429() {
             })
         })
         .collect();
+    specs.push(
+        r#"{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":1000}"#
+            .to_string(),
+    );
+    let expected: Vec<(u16, String)> = specs.iter().map(|s| direct_answer(s)).collect();
+    assert_eq!(
+        expected.last().unwrap().0,
+        408,
+        "the fuel-starved run deadlines"
+    );
     let handles: Vec<_> = specs
         .iter()
         .cloned()
@@ -123,23 +147,29 @@ fn flooded_one_slot_queue_backpressures_with_429() {
                 let mut rejected = 0u64;
                 loop {
                     let resp = client::submit_job(addr, &spec).unwrap();
-                    match resp.status {
-                        429 => {
-                            assert_eq!(resp.header("retry-after"), Some("1"));
-                            rejected += 1;
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                        200 => return rejected,
-                        other => panic!("unexpected status {other}: {}", resp.body),
+                    if resp.status != 429 {
+                        return (rejected, resp.status, resp.body);
                     }
+                    assert_eq!(resp.header("retry-after"), Some("1"));
+                    rejected += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             })
         })
         .collect();
-    let total_rejections: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let mut total_rejections = 0;
+    for ((h, spec), want) in handles.into_iter().zip(&specs).zip(&expected) {
+        let (rejected, status, body) = h.join().unwrap();
+        total_rejections += rejected;
+        assert_eq!(
+            (status, &body),
+            (want.0, &want.1),
+            "{spec}: the served answer must be the direct execution's"
+        );
+    }
     assert!(
         total_rejections >= 1,
-        "a 10-way flood of a 1-slot queue must hit backpressure"
+        "an 11-way flood of a 1-slot queue must hit backpressure"
     );
 
     // The metrics endpoint agrees.
@@ -155,7 +185,11 @@ fn flooded_one_slot_queue_backpressures_with_429() {
             .unwrap_or_else(|| panic!("metric {name} missing"))
     };
     assert_eq!(counter("recon_jobs_rejected_total"), total_rejections);
-    assert_eq!(counter("recon_jobs_completed_total"), specs.len() as u64);
+    assert_eq!(
+        counter("recon_jobs_completed_total"),
+        specs.len() as u64 - 1
+    );
+    assert_eq!(counter("recon_jobs_deadline_exceeded_total"), 1);
     assert_eq!(counter("recon_jobs_failed_total"), 0);
     // The liveness watchdog is armed on every served run; no legal
     // workload deadlocks, so the stall counter exists and reads zero.
