@@ -1341,30 +1341,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_reject_repeats_and_missing_values() {
-        assert_eq!(
-            run_flags(&RUN_FLAGS, &["--audit", "64", "--audit", "128"]).unwrap_err(),
-            "--audit is given more than once"
-        );
-        assert_eq!(
-            Flags::parse(&ASM_FLAGS, &["--dump", "--dump"]).err(),
-            Some("--dump is given more than once".to_string())
-        );
-        assert_eq!(
-            Flags::parse(&SERVE_FLAGS, &["--workers"]).err(),
-            Some("--workers wants a value".to_string())
-        );
-        assert_eq!(
-            Flags::parse(&ASM_FLAGS, &["--run"]).err(),
-            Some("--run wants a scheme".to_string())
-        );
-        let flags = Flags::parse(&FUZZ_FLAGS, &["--quick", "--count", "7"]).unwrap();
-        assert!(flags.has("--quick") && !flags.has("--inject-amo-bug"));
-        assert_eq!(flags.count("--count", 100), Ok(7));
-        assert_eq!(flags.seed(3), Ok(3));
-    }
-
-    #[test]
     fn usage_states_the_default_watchdog_window() {
         let default = format!("(default {};", recon_sim::DEFAULT_WATCHDOG_CYCLES);
         assert!(USAGE.contains(&default), "{USAGE}");

@@ -69,6 +69,21 @@ const CASES: &[&[&str]] = &[
     &["run", "corpus", "memref", "stt"],
     &["matrix", "corpus", "memref"],
     &["asm", MEMREF, "--run", "stt+recon"],
+    // Near-miss hints on every subcommand, and repeated flags.
+    &["asm", MEMREF, "--dumb"],
+    &["suite", "corpus", "--fast-forwrd", "10"],
+    &["fuzz", "--coutn", "5"],
+    &["audit", "--fault", "3"],
+    &["verify", "--gadgte", "spectre-v1"],
+    &["serve", "--worker", "2"],
+    &["gateway", "--vnode", "8"],
+    &["chaos", "--seeds", "1"],
+    &["chaos", "--nodes", "2", "--min-speedpu", "2"],
+    &[
+        "run", "spec2017", "mcf", "stt", "--audit", "64", "--audit", "128",
+    ],
+    &["serve", "--addr", "127.0.0.1:0", "--addr", "127.0.0.1:1"],
+    &["verify", "--embedded", "--embedded"],
 ];
 
 /// Runs `recon` with `args` from the workspace root and renders the

@@ -565,13 +565,8 @@ mod tests {
 
     #[test]
     fn by_name_builds_equal_the_suite_entries() {
-        let suites = [
-            (Suite::Spec2017, spec2017(Scale::Quick)),
-            (Suite::Spec2006, spec2006(Scale::Quick)),
-            (Suite::Parsec, parsec(Scale::Quick)),
-            (Suite::Corpus, corpus(Scale::Quick)),
-        ];
-        for (suite, benches) in suites {
+        for suite in Suite::ALL {
+            let benches = benchmarks(suite, Scale::Quick);
             let listed: Vec<_> = benches.iter().map(|b| b.name).collect();
             assert_eq!(names(suite), listed, "{suite} names");
             for b in &benches {
@@ -615,13 +610,6 @@ mod tests {
             resolve(Suite::Corpus, "nonexistent").unwrap_err(),
             "no benchmark 'nonexistent' in CORPUS"
         );
-        for suite in Suite::ALL {
-            let built: Vec<_> = benchmarks(suite, Scale::Quick)
-                .iter()
-                .map(|b| b.name)
-                .collect();
-            assert_eq!(built, names(suite), "{suite}");
-        }
     }
 
     #[test]
