@@ -16,7 +16,7 @@
 use core::fmt;
 
 /// One invariant violation found by an audit sweep.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AuditViolation {
     /// Stable name of the violated invariant (e.g. `"swmr"`,
     /// `"lpt-slot-map"`, `"rob-seq-contiguous"`).

@@ -51,6 +51,20 @@ pub struct LptStats {
     pub installs_skipped_revealed: u64,
 }
 
+impl LptStats {
+    /// Every counter, in declaration order — the order snapshots and
+    /// result records store them in.
+    pub fn counters_mut(&mut self) -> [&mut u64; 5] {
+        [
+            &mut self.loads_committed,
+            &mut self.pairs_detected,
+            &mut self.tag_conflicts,
+            &mut self.deactivations,
+            &mut self.installs_skipped_revealed,
+        ]
+    }
+}
+
 /// The Load-Pair Table.
 ///
 /// ```
@@ -335,12 +349,10 @@ impl LoadPairTable {
             w.u32(e.tag);
             w.u64(e.addr);
         }
-        let s = self.stats;
-        w.u64(s.loads_committed);
-        w.u64(s.pairs_detected);
-        w.u64(s.tag_conflicts);
-        w.u64(s.deactivations);
-        w.u64(s.installs_skipped_revealed);
+        let mut stats = self.stats;
+        for v in stats.counters_mut() {
+            w.u64(*v);
+        }
     }
 
     /// Reconstructs a table from [`LoadPairTable::save_snap`] bytes.
@@ -366,13 +378,10 @@ impl LoadPairTable {
                 addr: r.u64()?,
             });
         }
-        let stats = LptStats {
-            loads_committed: r.u64()?,
-            pairs_detected: r.u64()?,
-            tag_conflicts: r.u64()?,
-            deactivations: r.u64()?,
-            installs_skipped_revealed: r.u64()?,
-        };
+        let mut stats = LptStats::default();
+        for v in stats.counters_mut() {
+            *v = r.u64()?;
+        }
         Ok(LoadPairTable { entries, stats })
     }
 }

@@ -128,6 +128,15 @@ fn idle_counters(s: &mut CoreStats) -> [&mut u64; 7] {
     ]
 }
 
+/// The counters a core keeps itself, in snapshot order: every counter
+/// of [`CoreStats::counters_mut`] but the five LPT counters and
+/// `trace_dropped`, which [`Core::stats`] reads from the LPT and the
+/// trace ring.
+fn own_counters(s: &mut CoreStats) -> impl Iterator<Item = &mut u64> {
+    let [base @ .., _, _, _, _, _, _, s0, s1, s2, s3, s4] = s.counters_mut();
+    base.into_iter().chain([s0, s1, s2, s3, s4])
+}
+
 /// The operands an instruction waits for before it may issue. A plain
 /// store issues its address computation only: the data operand is
 /// decoupled (supplied to the SQ when it arrives) and never blocks
@@ -864,29 +873,9 @@ impl Core {
         w.bool(self.halted);
         w.u64(self.fuel);
         w.bool(self.out_of_fuel);
-        let s = &self.stats;
-        for v in [
-            s.cycles,
-            s.committed,
-            s.loads_committed,
-            s.stores_committed,
-            s.branches_committed,
-            s.branch_mispredicts,
-            s.memory_violations,
-            s.squashed,
-            s.guarded_loads,
-            s.guarded_loads_committed,
-            s.loads_delayed_by_scheme,
-            s.scheme_delay_cycles,
-            s.revealed_loads_committed,
-            s.reveals_requested,
-            s.stall_head_load,
-            s.stall_head_store,
-            s.stall_head_branch,
-            s.stall_head_other,
-            s.stall_empty,
-        ] {
-            w.u64(v);
+        let mut stats = self.stats;
+        for v in own_counters(&mut stats) {
+            w.u64(*v);
         }
         w.bool(self.record_observations);
         w.u64(self.observations.len() as u64);
@@ -935,28 +924,7 @@ impl Core {
         self.halted = r.bool()?;
         self.fuel = r.u64()?;
         self.out_of_fuel = r.bool()?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.cycles,
-            &mut s.committed,
-            &mut s.loads_committed,
-            &mut s.stores_committed,
-            &mut s.branches_committed,
-            &mut s.branch_mispredicts,
-            &mut s.memory_violations,
-            &mut s.squashed,
-            &mut s.guarded_loads,
-            &mut s.guarded_loads_committed,
-            &mut s.loads_delayed_by_scheme,
-            &mut s.scheme_delay_cycles,
-            &mut s.revealed_loads_committed,
-            &mut s.reveals_requested,
-            &mut s.stall_head_load,
-            &mut s.stall_head_store,
-            &mut s.stall_head_branch,
-            &mut s.stall_head_other,
-            &mut s.stall_empty,
-        ] {
+        for v in own_counters(&mut self.stats) {
             *v = r.u64()?;
         }
         self.record_observations = r.bool()?;
@@ -1806,6 +1774,20 @@ mod tests {
             assert_eq!(data.peek(addr), golden_mem.peek(addr), "word {addr:#x}");
         }
         let _ = golden_state;
+    }
+
+    #[test]
+    fn own_counters_are_all_but_the_lpt_and_trace_ones() {
+        let mut s = CoreStats::default();
+        let mut n = 0;
+        for v in own_counters(&mut s) {
+            n += 1;
+            *v = n;
+        }
+        assert_eq!(n, 19);
+        assert_eq!((s.lpt, s.trace_dropped), (recon::LptStats::default(), 0));
+        assert_eq!((s.cycles, s.reveals_requested), (1, 14));
+        assert_eq!((s.stall_head_load, s.stall_empty), (15, 19));
     }
 
     #[test]

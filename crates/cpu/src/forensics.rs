@@ -9,10 +9,10 @@
 
 use core::fmt;
 
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, Record, SnapError};
 
 /// Occupancy of one pipeline queue at the stall point.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct QueueOcc {
     /// Queue name (`rob`, `iq`, `lq`, `sq`, `sb`).
     pub name: String,
@@ -22,25 +22,17 @@ pub struct QueueOcc {
     pub cap: u64,
 }
 
-impl QueueOcc {
-    fn save_snap(&self, w: &mut SnapWriter) {
-        w.str(&self.name);
-        w.u64(self.len);
-        w.u64(self.cap);
-    }
-
-    fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(QueueOcc {
-            name: r.str()?,
-            len: r.u64()?,
-            cap: r.u64()?,
-        })
+impl Record for QueueOcc {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.str(&mut self.name)?;
+        c.u64(&mut self.len)?;
+        c.u64(&mut self.cap)
     }
 }
 
 /// Forensics for the instruction at the ROB head — the one whose
 /// inability to commit is stalling the core.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct HeadForensics {
     /// Dynamic sequence number.
     pub seq: u64,
@@ -73,95 +65,31 @@ pub struct HeadForensics {
     pub lpt_entry: Option<u64>,
 }
 
-fn save_opt_u64(w: &mut SnapWriter, v: Option<u64>) {
-    w.bool(v.is_some());
-    w.u64(v.unwrap_or(0));
-}
-
-fn load_opt_u64(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapError> {
-    let some = r.bool()?;
-    let v = r.u64()?;
-    Ok(some.then_some(v))
-}
-
-fn save_opt_str(w: &mut SnapWriter, v: Option<&str>) {
-    w.bool(v.is_some());
-    w.str(v.unwrap_or(""));
-}
-
-fn load_opt_str(r: &mut SnapReader<'_>) -> Result<Option<String>, SnapError> {
-    let some = r.bool()?;
-    let s = r.str()?;
-    Ok(some.then_some(s))
-}
-
-impl HeadForensics {
-    fn save_snap(&self, w: &mut SnapWriter) {
-        w.u64(self.seq);
-        w.u64(self.pc);
-        w.str(&self.inst);
-        w.str(&self.status);
-        w.str(&self.wait);
-        save_opt_u64(w, self.addr);
-        w.bool(self.speculative);
-        w.bool(self.delayed_by_scheme);
-        w.u32(self.guarded_operands.len() as u32);
-        for &(p, root) in &self.guarded_operands {
-            w.u32(p);
-            w.u64(root);
-        }
-        save_opt_str(w, self.l1_state.as_deref());
-        save_opt_str(w, self.l2_state.as_deref());
-        save_opt_str(w, self.dir_state.as_deref());
-        w.bool(self.word_revealed.is_some());
-        w.bool(self.word_revealed.unwrap_or(false));
-        save_opt_u64(w, self.lpt_entry);
-    }
-
-    fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let seq = r.u64()?;
-        let pc = r.u64()?;
-        let inst = r.str()?;
-        let status = r.str()?;
-        let wait = r.str()?;
-        let addr = load_opt_u64(r)?;
-        let speculative = r.bool()?;
-        let delayed_by_scheme = r.bool()?;
-        let n = r.u32()? as usize;
-        let mut guarded_operands = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            let p = r.u32()?;
-            let root = r.u64()?;
-            guarded_operands.push((p, root));
-        }
-        let l1_state = load_opt_str(r)?;
-        let l2_state = load_opt_str(r)?;
-        let dir_state = load_opt_str(r)?;
-        let revealed_some = r.bool()?;
-        let revealed = r.bool()?;
-        let lpt_entry = load_opt_u64(r)?;
-        Ok(HeadForensics {
-            seq,
-            pc,
-            inst,
-            status,
-            wait,
-            addr,
-            speculative,
-            delayed_by_scheme,
-            guarded_operands,
-            l1_state,
-            l2_state,
-            dir_state,
-            word_revealed: revealed_some.then_some(revealed),
-            lpt_entry,
-        })
+impl Record for HeadForensics {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.u64(&mut self.seq)?;
+        c.u64(&mut self.pc)?;
+        c.str(&mut self.inst)?;
+        c.str(&mut self.status)?;
+        c.str(&mut self.wait)?;
+        c.opt(&mut self.addr, |c, v| c.u64(v))?;
+        c.bool(&mut self.speculative)?;
+        c.bool(&mut self.delayed_by_scheme)?;
+        c.seq(&mut self.guarded_operands, |c, (p, root)| {
+            c.u32(p)?;
+            c.u64(root)
+        })?;
+        c.opt(&mut self.l1_state, |c, v| c.str(v))?;
+        c.opt(&mut self.l2_state, |c, v| c.str(v))?;
+        c.opt(&mut self.dir_state, |c, v| c.str(v))?;
+        c.opt(&mut self.word_revealed, |c, v| c.bool(v))?;
+        c.opt(&mut self.lpt_entry, |c, v| c.u64(v))
     }
 }
 
 /// One core's view at the stall point: queue occupancies, scheme state,
 /// and the ROB-head instruction's forensics.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CoreStallInfo {
     /// Core id.
     pub core: u64,
@@ -183,62 +111,27 @@ pub struct CoreStallInfo {
     pub head: Option<HeadForensics>,
 }
 
-impl CoreStallInfo {
-    /// Serializes the per-core stall info.
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"CSI1");
-        w.u64(self.core);
-        w.u64(self.committed);
-        w.bool(self.halted);
-        w.bool(self.out_of_fuel);
-        w.u64(self.fetch_pc);
-        w.u32(self.queues.len() as u32);
-        for q in &self.queues {
-            q.save_snap(w);
+impl Record for CoreStallInfo {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"CSI1")?;
+        c.u64(&mut self.core)?;
+        c.u64(&mut self.committed)?;
+        c.bool(&mut self.halted)?;
+        c.bool(&mut self.out_of_fuel)?;
+        c.u64(&mut self.fetch_pc)?;
+        c.seq(&mut self.queues, |c, q| q.codec(c))?;
+        c.u64(&mut self.shadows)?;
+        c.u64(&mut self.guards_active)?;
+        // Unlike the dense options above, the head is written only when
+        // present.
+        let mut present = self.head.is_some();
+        c.bool(&mut present)?;
+        if present {
+            self.head
+                .get_or_insert_with(HeadForensics::default)
+                .codec(c)?;
         }
-        w.u64(self.shadows);
-        w.u64(self.guards_active);
-        w.bool(self.head.is_some());
-        if let Some(h) = &self.head {
-            h.save_snap(w);
-        }
-    }
-
-    /// Reconstructs stall info from [`CoreStallInfo::save_snap`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.expect_tag(b"CSI1")?;
-        let core = r.u64()?;
-        let committed = r.u64()?;
-        let halted = r.bool()?;
-        let out_of_fuel = r.bool()?;
-        let fetch_pc = r.u64()?;
-        let nq = r.u32()? as usize;
-        let mut queues = Vec::with_capacity(nq.min(16));
-        for _ in 0..nq {
-            queues.push(QueueOcc::load_snap(r)?);
-        }
-        let shadows = r.u64()?;
-        let guards_active = r.u64()?;
-        let head = if r.bool()? {
-            Some(HeadForensics::load_snap(r)?)
-        } else {
-            None
-        };
-        Ok(CoreStallInfo {
-            core,
-            committed,
-            halted,
-            out_of_fuel,
-            fetch_pc,
-            queues,
-            shadows,
-            guards_active,
-            head,
-        })
+        Ok(())
     }
 }
 
@@ -350,14 +243,26 @@ mod tests {
 
     #[test]
     fn snap_round_trips() {
-        let info = sample();
-        let mut w = SnapWriter::new();
-        info.save_snap(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = CoreStallInfo::load_snap(&mut r).unwrap();
-        assert_eq!(back, info);
-        assert!(r.is_exhausted());
+        for info in [
+            sample(),
+            CoreStallInfo {
+                head: None,
+                ..sample()
+            },
+        ] {
+            assert_eq!(CoreStallInfo::from_bytes(&info.to_bytes()), Ok(info));
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_is_rejected() {
+        let bytes = sample().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                CoreStallInfo::from_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

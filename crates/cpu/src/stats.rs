@@ -60,6 +60,39 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// Every counter, in declaration order (the LPT's in place of
+    /// `lpt`) — the order result records store them in.
+    pub fn counters_mut(&mut self) -> [&mut u64; 25] {
+        let [l0, l1, l2, l3, l4] = self.lpt.counters_mut();
+        [
+            &mut self.cycles,
+            &mut self.committed,
+            &mut self.loads_committed,
+            &mut self.stores_committed,
+            &mut self.branches_committed,
+            &mut self.branch_mispredicts,
+            &mut self.memory_violations,
+            &mut self.squashed,
+            &mut self.guarded_loads,
+            &mut self.guarded_loads_committed,
+            &mut self.loads_delayed_by_scheme,
+            &mut self.scheme_delay_cycles,
+            &mut self.revealed_loads_committed,
+            &mut self.reveals_requested,
+            l0,
+            l1,
+            l2,
+            l3,
+            l4,
+            &mut self.trace_dropped,
+            &mut self.stall_head_load,
+            &mut self.stall_head_store,
+            &mut self.stall_head_branch,
+            &mut self.stall_head_other,
+            &mut self.stall_empty,
+        ]
+    }
+
     /// Instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {

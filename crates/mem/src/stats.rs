@@ -41,6 +41,28 @@ pub struct MemStats {
 }
 
 impl MemStats {
+    /// Every counter, in declaration order — the order snapshots and
+    /// result records store them in.
+    pub fn counters_mut(&mut self) -> [&mut u64; 15] {
+        [
+            &mut self.l1_hits,
+            &mut self.l2_hits,
+            &mut self.llc_hits,
+            &mut self.mem_fetches,
+            &mut self.stores_performed,
+            &mut self.upgrades,
+            &mut self.remote_forwards,
+            &mut self.invalidations,
+            &mut self.reveals_set,
+            &mut self.reveals_dropped,
+            &mut self.conceals,
+            &mut self.revealed_loads,
+            &mut self.mask_bits_lost_inval,
+            &mut self.mask_bits_lost_evict,
+            &mut self.mask_merges,
+        ]
+    }
+
     /// Total demand loads observed.
     #[must_use]
     pub fn total_loads(&self) -> u64 {

@@ -324,25 +324,9 @@ impl MemorySystem {
                 }
             }
         }
-        let s = self.stats;
-        for v in [
-            s.l1_hits,
-            s.l2_hits,
-            s.llc_hits,
-            s.mem_fetches,
-            s.stores_performed,
-            s.upgrades,
-            s.remote_forwards,
-            s.invalidations,
-            s.reveals_set,
-            s.reveals_dropped,
-            s.conceals,
-            s.revealed_loads,
-            s.mask_bits_lost_inval,
-            s.mask_bits_lost_evict,
-            s.mask_merges,
-        ] {
-            w.u64(v);
+        let mut stats = self.stats;
+        for v in stats.counters_mut() {
+            w.u64(*v);
         }
         w.u64(self.now);
         w.bool(self.record);
@@ -396,23 +380,9 @@ impl MemorySystem {
             };
             self.dir.insert(line, state);
         }
-        self.stats = MemStats {
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            llc_hits: r.u64()?,
-            mem_fetches: r.u64()?,
-            stores_performed: r.u64()?,
-            upgrades: r.u64()?,
-            remote_forwards: r.u64()?,
-            invalidations: r.u64()?,
-            reveals_set: r.u64()?,
-            reveals_dropped: r.u64()?,
-            conceals: r.u64()?,
-            revealed_loads: r.u64()?,
-            mask_bits_lost_inval: r.u64()?,
-            mask_bits_lost_evict: r.u64()?,
-            mask_merges: r.u64()?,
-        };
+        for v in self.stats.counters_mut() {
+            *v = r.u64()?;
+        }
         self.now = r.u64()?;
         self.record = r.bool()?;
         self.events.clear();

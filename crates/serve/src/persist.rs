@@ -1,15 +1,10 @@
 //! Crash-safe persistence for the result cache: a checksummed snapshot
 //! plus an append-only log under `--cache-dir`.
 //!
-//! Both files share one record framing:
-//!
-//! ```text
-//! magic  u32 LE  0x3143_4352  ("RCC1")
-//! digest u64 LE  content address (the cache key)
-//! len    u32 LE  payload length in bytes (capped at MAX_BODY)
-//! payload [len]  the JSON body
-//! check  u64 LE  FxHash of digest || payload
-//! ```
+//! Both files are a sequence of records in the envelope checkpoint
+//! files also use ([`recon_isa::snap::seal`]): magic `RCC1`, the cache
+//! key as digest, the payload length (capped at [`MAX_BODY`]), the JSON
+//! body, and a checksum over key and body.
 //!
 //! Recovery reads `cache.snap` (the last compaction) and then
 //! `cache.log` (appends since), stopping at the first record that is
@@ -22,16 +17,15 @@
 //! log only ever holds the delta since startup.
 
 use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
-use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use recon_isa::hash::FxHasher;
+use recon_isa::snap;
 
 use crate::http::MAX_BODY;
 
-/// Record magic: "RCC1" little-endian.
-const MAGIC: u32 = 0x3143_4352;
+/// Record magic.
+const MAGIC: [u8; 4] = *b"RCC1";
 
 /// Snapshot file name inside the cache directory.
 const SNAP_NAME: &str = "cache.snap";
@@ -57,99 +51,37 @@ pub struct CacheStore {
     log: BufWriter<File>,
 }
 
-fn checksum(digest: u64, payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(&digest.to_le_bytes());
-    h.write(payload);
-    h.finish()
-}
-
-fn write_record(w: &mut impl Write, digest: u64, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&digest.to_le_bytes())?;
-    w.write_all(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    )?;
-    w.write_all(payload)?;
-    w.write_all(&checksum(digest, payload).to_le_bytes())
-}
-
-/// Reads one record. `Ok(None)` is clean EOF; `Err` means the tail is
-/// torn or corrupt from the current offset on.
-fn read_record(r: &mut impl Read) -> io::Result<Option<(u64, String)>> {
-    let mut magic = [0u8; 4];
-    match r.read_exact(&mut magic) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    if u32::from_le_bytes(magic) != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad record magic",
-        ));
-    }
-    let mut digest = [0u8; 8];
-    r.read_exact(&mut digest)?;
-    let digest = u64::from_le_bytes(digest);
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "record length exceeds the body cap",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut check = [0u8; 8];
-    r.read_exact(&mut check)?;
-    if u64::from_le_bytes(check) != checksum(digest, &payload) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "record checksum mismatch",
-        ));
-    }
-    let payload = String::from_utf8(payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "record payload is not UTF-8"))?;
-    Ok(Some((digest, payload)))
-}
-
 /// Replays one file into `out`, truncating a damaged tail in place.
 fn replay_file(
     path: &Path,
     out: &mut Vec<(u64, String)>,
     stats: &mut RecoveryStats,
 ) -> io::Result<()> {
-    let Ok(file) = File::open(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return Ok(()); // absent file: nothing to recover
     };
-    let file_len = file.metadata()?.len();
-    let mut reader = BufReader::new(file);
-    let mut good_end: u64 = 0;
-    loop {
-        match read_record(&mut reader) {
-            Ok(Some((digest, payload))) => {
-                stats.recovered += 1;
-                out.push((digest, payload));
-                good_end = reader.stream_position()?;
-            }
-            Ok(None) => break,
-            Err(_) => {
-                // Torn or corrupt from good_end on: count whole records
-                // we can no longer trust as one dropped tail record,
-                // truncate, and stop. Nothing past this point is served.
-                stats.dropped += 1;
-                stats.truncated_bytes += file_len.saturating_sub(good_end);
-                drop(reader);
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(good_end)?;
-                break;
-            }
-        }
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        let record = snap::open(rest, &MAGIC, MAX_BODY)
+            .ok()
+            .and_then(|(digest, payload, tail)| {
+                Some((digest, String::from_utf8(payload.to_vec()).ok()?, tail))
+            });
+        let Some((digest, payload, tail)) = record else {
+            // Torn or corrupt from here on: count what we can no
+            // longer trust as one dropped tail record, truncate, and
+            // stop. Nothing past this point is served.
+            let good_end = bytes.len() - rest.len();
+            stats.dropped += 1;
+            stats.truncated_bytes += rest.len() as u64;
+            OpenOptions::new()
+                .write(true)
+                .open(path)?
+                .set_len(good_end as u64)?;
+            break;
+        };
+        out.push((digest, payload));
+        rest = tail;
     }
     Ok(())
 }
@@ -177,24 +109,18 @@ impl CacheStore {
         // Last write per digest wins; earlier duplicates are dropped
         // (determinism makes duplicates identical, but the rule is
         // still stated).
-        let mut seen = recon_isa::hash::FxHashMap::default();
-        for (i, (digest, _)) in entries.iter().enumerate() {
-            seen.insert(*digest, i);
-        }
-        let mut unique: Vec<(u64, String)> = Vec::with_capacity(seen.len());
-        for (i, (digest, payload)) in entries.into_iter().enumerate() {
-            if seen.get(&digest) == Some(&i) {
-                unique.push((digest, payload));
-            }
-        }
-        stats.recovered = unique.len() as u64;
+        entries.reverse();
+        let mut seen = std::collections::HashSet::new();
+        entries.retain(|(digest, _)| seen.insert(*digest));
+        entries.reverse();
+        stats.recovered = entries.len() as u64;
 
         // Compact: snapshot = everything recovered, log = empty.
         let tmp = dir.join("cache.snap.tmp");
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
-            for (digest, payload) in &unique {
-                write_record(&mut w, *digest, payload.as_bytes())?;
+            for (digest, payload) in &entries {
+                w.write_all(&snap::seal(&MAGIC, *digest, payload.as_bytes()))?;
             }
             w.flush()?;
             w.get_ref().sync_all()?;
@@ -209,7 +135,7 @@ impl CacheStore {
             dir: dir.to_path_buf(),
             log: BufWriter::new(log_file),
         };
-        Ok((store, unique, stats))
+        Ok((store, entries, stats))
     }
 
     /// Appends one entry to the log and flushes it to the OS, so a
@@ -221,7 +147,8 @@ impl CacheStore {
     /// File I/O errors (callers log and continue: persistence is an
     /// accelerator, never a correctness dependency).
     pub fn append(&mut self, digest: u64, payload: &str) -> io::Result<()> {
-        write_record(&mut self.log, digest, payload.as_bytes())?;
+        self.log
+            .write_all(&snap::seal(&MAGIC, digest, payload.as_bytes()))?;
         self.log.flush()
     }
 
@@ -283,6 +210,37 @@ mod tests {
         assert_eq!(stats.dropped, 1, "the torn tail is counted");
         assert!(stats.truncated_bytes > 0);
         assert_eq!(entries[0].0, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_cut_anywhere_keeps_exactly_the_whole_records_before_the_cut() {
+        let dir = tmp_dir("cuts");
+        let payloads = ["{\"a\":1}", "{\"bb\":22}", "{\"ccc\":333}"];
+        {
+            let (mut store, _, _) = CacheStore::open(&dir).unwrap();
+            for (i, p) in payloads.iter().enumerate() {
+                store.append(i as u64, p).unwrap();
+            }
+        }
+        let log = std::fs::read(dir.join(LOG_NAME)).unwrap();
+        let mut ends = vec![0];
+        for p in payloads {
+            ends.push(ends.last().unwrap() + snap::ENVELOPE_BYTES + p.len());
+        }
+        assert_eq!(*ends.last().unwrap(), log.len());
+        for cut in 0..=log.len() {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(LOG_NAME), &log[..cut]).unwrap();
+            let (_store, entries, stats) = CacheStore::open(&dir).unwrap();
+            let whole = ends.iter().rposition(|&e| e <= cut).unwrap();
+            let kept: Vec<&str> = entries.iter().map(|(_, p)| p.as_str()).collect();
+            assert_eq!(kept, payloads[..whole], "cut at {cut}");
+            let torn = cut != ends[whole];
+            assert_eq!(stats.dropped, u64::from(torn), "cut at {cut}");
+            assert_eq!(stats.truncated_bytes, (cut - ends[whole]) as u64);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use recon::AuditViolation;
 use recon_cpu::CoreConfig;
 use recon_isa::rng::{Rng as _, SplitMix64};
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, Record, SnapError};
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
 use recon_workloads::gen::parallel::{generate, ParKind, ParallelParams};
@@ -54,7 +54,7 @@ pub const DEFAULT_AUDIT_EVERY_CYCLES: u64 = 1 << 14;
 /// What one audit sweep found when it stopped a run: the violated
 /// invariants plus where and when. Plain data with a stable binary
 /// encoding (`ARP1`), mirroring [`crate::StallReport`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AuditReport {
     /// Cycle at which the sweep fired.
     pub cycle: u64,
@@ -82,67 +82,19 @@ impl AuditReport {
             None => format!("invariant violated at cycle {}", self.cycle),
         }
     }
+}
 
-    /// Serializes the report (an `ARP1`-tagged stream).
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"ARP1");
-        w.u64(self.cycle);
-        w.u64(self.cadence);
-        w.u32(self.violations.len() as u32);
-        for v in &self.violations {
-            w.str(&v.invariant);
-            w.str(&v.site);
-            w.str(&v.detail);
-        }
-    }
-
-    /// Serializes the report to a standalone byte vector.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.save_snap(&mut w);
-        w.into_bytes()
-    }
-
-    /// Reconstructs a report from [`AuditReport::save_snap`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.expect_tag(b"ARP1")?;
-        let cycle = r.u64()?;
-        let cadence = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut violations = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let invariant = r.str()?;
-            let site = r.str()?;
-            let detail = r.str()?;
-            violations.push(AuditViolation::new(invariant, site, detail));
-        }
-        Ok(AuditReport {
-            cycle,
-            cadence,
-            violations,
+/// An `ARP1`-tagged stream.
+impl Record for AuditReport {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"ARP1")?;
+        c.u64(&mut self.cycle)?;
+        c.u64(&mut self.cadence)?;
+        c.seq(&mut self.violations, |c, v| {
+            c.str(&mut v.invariant)?;
+            c.str(&mut v.site)?;
+            c.str(&mut v.detail)
         })
-    }
-
-    /// Reconstructs a report from a standalone byte vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditReport::load_snap`], plus trailing-bytes detection.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let report = Self::load_snap(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError {
-                what: "trailing bytes after audit report".to_string(),
-                offset: r.offset(),
-            });
-        }
-        Ok(report)
     }
 }
 
@@ -603,9 +555,10 @@ mod tests {
 
     #[test]
     fn corrupt_report_bytes_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes.truncate(bytes.len() / 2);
-        assert!(AuditReport::from_bytes(&bytes).is_err());
+        let bytes = sample().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(AuditReport::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

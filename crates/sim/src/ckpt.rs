@@ -4,22 +4,15 @@
 //! A checkpoint is one file holding one drained-boundary snapshot
 //! ([`crate::System::snapshot_bytes`]) plus enough metadata to rebuild
 //! the system it came from (suite/bench/scheme/scale, cadence, budget).
-//! The on-disk record follows the same discipline as `recon-serve`'s
-//! cache log: magic, length, payload, and a trailing checksum over the
-//! whole record, so a torn write (SIGKILL mid-checkpoint), a corrupted
-//! byte, or a zero-length file is *detected* — recovery skips and
-//! counts the bad file and falls back to an older checkpoint or a
-//! from-scratch run, never to wrong bytes.
-//!
-//! Layout:
-//!
-//! ```text
-//! "RCK1"            magic (4 bytes)
-//! config_digest     u64 LE — identifies the (config, workload, cadence)
-//! payload_len       u32 LE
-//! payload           SnapWriter stream: tag "CKPT", cycle, meta, state
-//! checksum          u64 LE — FxHash over digest || payload
-//! ```
+//! The file is one record in the envelope `recon-serve`'s result cache
+//! also uses ([`recon_isa::snap::seal`]): magic `RCK1`, the config
+//! digest, the payload length, the payload, and a checksum over digest
+//! and payload. The payload is a `SnapWriter` stream: tag `CKPT`,
+//! cycle, meta, state. The record must span the whole file, so a torn
+//! write (SIGKILL mid-checkpoint), a corrupted byte, or a zero-length
+//! file is *detected* — recovery skips and counts the bad file and
+//! falls back to an older checkpoint or a from-scratch run, never to
+//! wrong bytes.
 //!
 //! Files are named `<digest:016x>-<cycle:020>.rck`, so a lexicographic
 //! sort within one digest is a cycle sort and the newest checkpoint of
@@ -31,7 +24,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use recon_isa::hash::FxHasher;
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{self, Codec, Record, SnapError, SnapReader, SnapWriter};
 use recon_secure::SecureConfig;
 use recon_workloads::Workload;
 
@@ -48,7 +41,7 @@ pub const MAGIC: [u8; 4] = *b"RCK1";
 pub const EXTENSION: &str = "rck";
 
 /// A decoded checkpoint: the snapshot bytes plus identifying metadata.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Checkpoint {
     /// Digest of the run configuration (see [`config_digest`]); a
     /// checkpoint may only be restored into a system built from the
@@ -76,94 +69,43 @@ impl Checkpoint {
     /// Encodes the checkpoint into the `RCK1` record bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.tag(b"CKPT");
-        w.u64(self.cycle);
-        w.u32(self.meta.len() as u32);
-        for (k, v) in &self.meta {
-            w.str(k);
-            w.str(v);
-        }
-        w.bytes(&self.state);
-        let payload = w.into_bytes();
-
-        let mut out = Vec::with_capacity(4 + 8 + 4 + payload.len() + 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.config_digest.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum(self.config_digest, &payload).to_le_bytes());
-        out
+        snap::seal(&MAGIC, self.config_digest, &self.to_bytes())
     }
 
     /// Decodes and verifies an `RCK1` record.
     ///
     /// # Errors
     ///
-    /// Fails on bad magic, a length pointing past the end (torn write),
-    /// a checksum mismatch (corruption), or a malformed payload. Every
-    /// failure names what went wrong; none ever yields wrong state.
+    /// Fails on bad magic, a length that does not match the file (torn
+    /// write), a checksum mismatch (corruption), or a malformed payload.
+    /// Every failure names what went wrong; none ever yields wrong state.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, SnapError> {
-        let fail = |what: &str, offset: usize| SnapError {
-            what: what.to_string(),
-            offset,
-        };
-        if bytes.len() < 4 + 8 + 4 + 8 {
-            return Err(fail(
-                "checkpoint shorter than its fixed header",
-                bytes.len(),
-            ));
+        let (config_digest, payload, rest) = snap::open(bytes, &MAGIC, usize::MAX)?;
+        if !rest.is_empty() {
+            return Err(SnapError {
+                what: "checkpoint length does not match the file".to_string(),
+                offset: bytes.len() - rest.len(),
+            });
         }
-        if bytes[..4] != MAGIC {
-            return Err(fail("bad checkpoint magic (want RCK1)", 0));
-        }
-        let config_digest = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        let body_end = 16usize
-            .checked_add(len)
-            .ok_or_else(|| fail("checkpoint length overflows", 12))?;
-        if body_end + 8 != bytes.len() {
-            return Err(fail(
-                "checkpoint length does not match the file (torn or truncated write)",
-                12,
-            ));
-        }
-        let payload = &bytes[16..body_end];
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8"));
-        if stored != checksum(config_digest, payload) {
-            return Err(fail(
-                "checkpoint checksum mismatch (corrupt record)",
-                body_end,
-            ));
-        }
-
-        let mut r = SnapReader::new(payload);
-        r.expect_tag(b"CKPT")?;
-        let cycle = r.u64()?;
-        let meta_count = r.u32()? as usize;
-        let mut meta = Vec::with_capacity(meta_count);
-        for _ in 0..meta_count {
-            let k = r.str()?;
-            let v = r.str()?;
-            meta.push((k, v));
-        }
-        let state = r.bytes()?.to_vec();
         Ok(Checkpoint {
             config_digest,
-            cycle,
-            meta,
-            state,
+            ..Checkpoint::from_bytes(payload)?
         })
     }
 }
 
-/// The record checksum: FxHash over the config digest and the payload.
-#[must_use]
-pub fn checksum(config_digest: u64, payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(config_digest);
-    h.write(payload);
-    h.finish()
+/// The payload: tag `CKPT`, cycle, meta, state (the config digest rides
+/// in the envelope).
+impl Record for Checkpoint {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"CKPT")?;
+        c.u64(&mut self.cycle)?;
+        c.seq(&mut self.meta, |c, (k, v)| {
+            c.str(k)?;
+            c.str(v)
+        })?;
+        c.bytes(&mut self.state)
+    }
 }
 
 /// Digests a run configuration from its textual parts (Debug-formatted
@@ -363,21 +305,18 @@ pub fn write_record(
     outcome: &Result<SystemResult, SimError>,
     meta: &[(String, String)],
 ) -> io::Result<bool> {
+    let result = outcome.as_ref().unwrap_or_else(SimError::partial);
     let mut w = SnapWriter::new();
-    let (result, label) = match outcome {
-        Ok(r) => {
-            r.save_snap(&mut w);
-            (r, None)
+    result.save(&mut w);
+    let label = match outcome {
+        Ok(_) => None,
+        Err(SimError::Stalled { report, .. }) => {
+            report.save(&mut w);
+            Some(OUTCOME_STALLED)
         }
-        Err(SimError::Stalled { partial, report }) => {
-            partial.save_snap(&mut w);
-            report.save_snap(&mut w);
-            (&**partial, Some(OUTCOME_STALLED))
-        }
-        Err(SimError::InvariantViolated { partial, report }) => {
-            partial.save_snap(&mut w);
-            report.save_snap(&mut w);
-            (&**partial, Some(OUTCOME_AUDIT))
+        Err(SimError::InvariantViolated { report, .. }) => {
+            report.save(&mut w);
+            Some(OUTCOME_AUDIT)
         }
         Err(SimError::DeadlineExceeded { .. } | SimError::Cancelled { .. }) => return Ok(false),
     };
@@ -413,15 +352,15 @@ pub fn read_record(dir: &Path, config_digest: u64) -> Option<Result<SystemResult
         return None;
     }
     let mut r = SnapReader::new(&ck.state);
-    let partial = Box::new(SystemResult::load_snap(&mut r).ok()?);
+    let partial = Box::new(SystemResult::load(&mut r).ok()?);
     Some(match ck.meta(OUTCOME_KEY) {
         Some(OUTCOME_STALLED) => Err(SimError::Stalled {
             partial,
-            report: Box::new(StallReport::load_snap(&mut r).ok()?),
+            report: Box::new(StallReport::load(&mut r).ok()?),
         }),
         Some(OUTCOME_AUDIT) => Err(SimError::InvariantViolated {
             partial,
-            report: Box::new(AuditReport::load_snap(&mut r).ok()?),
+            report: Box::new(AuditReport::load(&mut r).ok()?),
         }),
         _ => Ok(*partial),
     })

@@ -2,18 +2,18 @@
 //! aggregating every core's [`CoreStallInfo`] at the moment forward
 //! progress stopped.
 //!
-//! The report is plain data with a stable binary encoding
-//! ([`StallReport::save_snap`]) so `recon serve` can persist it inside
+//! The report is plain data with a stable binary encoding (its
+//! [`Record`] codec) so `recon serve` can persist it inside
 //! a failed job's `.res` record and explain an orphaned job's death
 //! after a restart without re-running the job.
 
 use core::fmt;
 
 use recon_cpu::CoreStallInfo;
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, Record, SnapError};
 
 /// Why a budgeted run was declared stalled, per core.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StallReport {
     /// Cycle at which the watchdog fired.
     pub cycle: u64,
@@ -45,62 +45,15 @@ impl StallReport {
             ),
         }
     }
+}
 
-    /// Serializes the report (a `SRP1`-tagged stream).
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"SRP1");
-        w.u64(self.cycle);
-        w.u64(self.window);
-        w.u32(self.cores.len() as u32);
-        for c in &self.cores {
-            c.save_snap(w);
-        }
-    }
-
-    /// Serializes the report to a standalone byte vector.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.save_snap(&mut w);
-        w.into_bytes()
-    }
-
-    /// Reconstructs a report from [`StallReport::save_snap`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.expect_tag(b"SRP1")?;
-        let cycle = r.u64()?;
-        let window = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut cores = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            cores.push(CoreStallInfo::load_snap(r)?);
-        }
-        Ok(StallReport {
-            cycle,
-            window,
-            cores,
-        })
-    }
-
-    /// Reconstructs a report from a standalone byte vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`StallReport::load_snap`], plus trailing-bytes detection.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let report = Self::load_snap(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapError {
-                what: "trailing bytes after stall report".to_string(),
-                offset: r.offset(),
-            });
-        }
-        Ok(report)
+/// A `SRP1`-tagged stream.
+impl Record for StallReport {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"SRP1")?;
+        c.u64(&mut self.cycle)?;
+        c.u64(&mut self.window)?;
+        c.seq(&mut self.cores, |c, core| core.codec(c))
     }
 }
 
@@ -184,8 +137,9 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes.truncate(bytes.len() / 2);
-        assert!(StallReport::from_bytes(&bytes).is_err());
+        let bytes = sample().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(StallReport::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use recon_secure::SecureConfig;
 use recon_workloads::Workload;
 
 use recon_isa::hash::FxHasher;
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, Record, SnapError, SnapReader, SnapWriter};
 use std::hash::Hasher;
 
 use crate::audit::{AuditReport, FaultSite};
@@ -30,7 +30,7 @@ pub const DRAIN_BOUND_CYCLES: u64 = 1 << 16;
 /// `PartialEq`/`Eq` compare every counter — the equality the
 /// checkpoint/resume tests use to assert a resumed run is
 /// indistinguishable from an uninterrupted one.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SystemResult {
     /// Whether every core committed its `halt` within the budget.
     pub completed: bool,
@@ -78,61 +78,7 @@ impl SystemResult {
     /// runner's completion records, so a restarted suite can skip
     /// finished jobs and still print their numbers.
     pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"SRES");
-        w.bool(self.completed);
-        w.u64(self.cycles);
-        w.u32(self.cores.len() as u32);
-        for c in &self.cores {
-            for v in [
-                c.cycles,
-                c.committed,
-                c.loads_committed,
-                c.stores_committed,
-                c.branches_committed,
-                c.branch_mispredicts,
-                c.memory_violations,
-                c.squashed,
-                c.guarded_loads,
-                c.guarded_loads_committed,
-                c.loads_delayed_by_scheme,
-                c.scheme_delay_cycles,
-                c.revealed_loads_committed,
-                c.reveals_requested,
-                c.lpt.loads_committed,
-                c.lpt.pairs_detected,
-                c.lpt.tag_conflicts,
-                c.lpt.deactivations,
-                c.lpt.installs_skipped_revealed,
-                c.trace_dropped,
-                c.stall_head_load,
-                c.stall_head_store,
-                c.stall_head_branch,
-                c.stall_head_other,
-                c.stall_empty,
-            ] {
-                w.u64(v);
-            }
-        }
-        let m = &self.mem;
-        for v in [
-            m.l1_hits,
-            m.l2_hits,
-            m.llc_hits,
-            m.mem_fetches,
-            m.stores_performed,
-            m.upgrades,
-            m.remote_forwards,
-            m.invalidations,
-            m.reveals_set,
-            m.reveals_dropped,
-            m.conceals,
-            m.revealed_loads,
-            m.mask_bits_lost_inval,
-            m.mask_bits_lost_evict,
-            m.mask_merges,
-        ] {
-            w.u64(v);
-        }
+        self.save(w);
     }
 
     /// Reconstructs a result from [`SystemResult::save_snap`] bytes.
@@ -141,70 +87,24 @@ impl SystemResult {
     ///
     /// Propagates decode errors from a truncated or corrupt stream.
     pub fn load_snap(r: &mut SnapReader<'_>) -> Result<SystemResult, SnapError> {
-        r.expect_tag(b"SRES")?;
-        let completed = r.bool()?;
-        let cycles = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut cores = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let mut c = CoreStats::default();
-            for v in [
-                &mut c.cycles,
-                &mut c.committed,
-                &mut c.loads_committed,
-                &mut c.stores_committed,
-                &mut c.branches_committed,
-                &mut c.branch_mispredicts,
-                &mut c.memory_violations,
-                &mut c.squashed,
-                &mut c.guarded_loads,
-                &mut c.guarded_loads_committed,
-                &mut c.loads_delayed_by_scheme,
-                &mut c.scheme_delay_cycles,
-                &mut c.revealed_loads_committed,
-                &mut c.reveals_requested,
-                &mut c.lpt.loads_committed,
-                &mut c.lpt.pairs_detected,
-                &mut c.lpt.tag_conflicts,
-                &mut c.lpt.deactivations,
-                &mut c.lpt.installs_skipped_revealed,
-                &mut c.trace_dropped,
-                &mut c.stall_head_load,
-                &mut c.stall_head_store,
-                &mut c.stall_head_branch,
-                &mut c.stall_head_other,
-                &mut c.stall_empty,
-            ] {
-                *v = r.u64()?;
-            }
-            cores.push(c);
-        }
-        let mut m = MemStats::default();
-        for v in [
-            &mut m.l1_hits,
-            &mut m.l2_hits,
-            &mut m.llc_hits,
-            &mut m.mem_fetches,
-            &mut m.stores_performed,
-            &mut m.upgrades,
-            &mut m.remote_forwards,
-            &mut m.invalidations,
-            &mut m.reveals_set,
-            &mut m.reveals_dropped,
-            &mut m.conceals,
-            &mut m.revealed_loads,
-            &mut m.mask_bits_lost_inval,
-            &mut m.mask_bits_lost_evict,
-            &mut m.mask_merges,
-        ] {
-            *v = r.u64()?;
-        }
-        Ok(SystemResult {
-            completed,
-            cycles,
-            cores,
-            mem: m,
-        })
+        Self::load(r)
+    }
+}
+
+/// A `SRES`-tagged stream: every counter of every core, then of the
+/// memory system.
+impl Record for SystemResult {
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"SRES")?;
+        c.bool(&mut self.completed)?;
+        c.u64(&mut self.cycles)?;
+        c.seq(&mut self.cores, |c, core| {
+            core.counters_mut().into_iter().try_for_each(|v| c.u64(v))
+        })?;
+        self.mem
+            .counters_mut()
+            .into_iter()
+            .try_for_each(|v| c.u64(v))
     }
 }
 

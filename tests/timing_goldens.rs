@@ -30,7 +30,7 @@ use recon::ReconConfig;
 use recon_cpu::{CoreConfig, MdpMode};
 use recon_isa::hash::FxHasher;
 use recon_isa::reg::names::*;
-use recon_isa::snap::SnapWriter;
+use recon_isa::snap::{Record as _, SnapWriter};
 use recon_isa::{Inst, MemImage, Program};
 use recon_mem::{LatencyConfig, MemConfig};
 use recon_secure::SecureConfig;
