@@ -143,6 +143,17 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// Rejects every argument after a subcommand that takes no flags, naming
+/// the first as an unknown flag.
+fn no_flags(command: &'static str, rest: &[&str]) -> Result<(), String> {
+    let spec = FlagSpec {
+        command,
+        valued: &[],
+        switches: &[],
+    };
+    Flags::parse(&spec, rest).map(drop)
+}
+
 /// What a valued flag wants, for its missing-value error.
 fn wants(command: &str, flag: &str) -> &'static str {
     match (command, flag) {
@@ -443,6 +454,15 @@ fn run_checkpointed(
 
 fn cmd_run(suite: &str, bench: &str, scheme_name: &str, rest: &[&str]) -> Result<ExitCode, String> {
     let b = benchmark(suite, bench)?;
+    if scheme_name.starts_with("--") {
+        // A flag where the scheme belongs: name a bad flag, else the
+        // missing scheme.
+        run_flags(&RUN_FLAGS, &[&[scheme_name], rest].concat())?;
+        return Err(format!(
+            "run wants a scheme before its flags ({})",
+            SecureConfig::PARSE_NAMES
+        ));
+    }
     let secure = parse_scheme(scheme_name)?;
     let (ctx, budget) = run_flags(&RUN_FLAGS, rest)?;
     let exp = experiment_for(b.suite);
@@ -1282,18 +1302,27 @@ fn main() -> ExitCode {
 fn dispatch(args: &[&str]) -> Result<ExitCode, String> {
     let (args, jobs) = split_jobs(args)?;
     match args.as_slice() {
-        ["list"] => Ok(cmd_list()),
+        ["list", rest @ ..] => no_flags("list", rest).map(|()| cmd_list()),
         ["workloads", rest @ ..] => cmd_workloads(rest),
         ["asm", file, rest @ ..] => cmd_asm(file, rest),
         ["run", suite, bench, scheme, rest @ ..] => cmd_run(suite, bench, scheme, rest),
-        ["run" | "matrix", suite, bench] => cmd_matrix(suite, bench, jobs),
-        ["resume", file] => cmd_resume(file),
+        ["run" | "matrix", suite, bench, rest @ ..] => {
+            no_flags("matrix", rest)?;
+            cmd_matrix(suite, bench, jobs)
+        }
+        ["resume", file, rest @ ..] => {
+            no_flags("resume", rest)?;
+            cmd_resume(file)
+        }
         ["suite", suite, rest @ ..] => cmd_suite(suite, jobs, rest),
         ["fuzz", rest @ ..] => cmd_fuzz(rest, jobs),
         ["audit", rest @ ..] => cmd_audit(rest),
-        ["analyze", suite, bench] => cmd_analyze(suite, bench),
+        ["analyze", suite, bench, rest @ ..] => {
+            no_flags("analyze", rest)?;
+            cmd_analyze(suite, bench)
+        }
         ["verify", rest @ ..] => cmd_verify(rest, jobs),
-        ["overhead"] => Ok(cmd_overhead()),
+        ["overhead", rest @ ..] => no_flags("overhead", rest).map(|()| cmd_overhead()),
         ["serve", rest @ ..] => cmd_serve(rest, jobs),
         ["gateway", rest @ ..] => cmd_gateway(rest),
         ["chaos", rest @ ..] => cmd_chaos(rest, jobs),

@@ -84,6 +84,17 @@ const CASES: &[&[&str]] = &[
     ],
     &["serve", "--addr", "127.0.0.1:0", "--addr", "127.0.0.1:1"],
     &["verify", "--embedded", "--embedded"],
+    // Mixed-case near misses, a flag in the scheme's place, and stray
+    // flags on the subcommands that take none.
+    &["run", "spec2017", "cactubsn", "stt"],
+    &["run", "spec2017", "mcf", "--fast-foward", "1000"],
+    &["run", "spec2017", "mcf", "--fast-forward", "1000"],
+    &["matrix", "corpus", "memref", "--bogus"],
+    &["run", "corpus", "memref", "--bogus"],
+    &["analyze", "spec2017", "mcf", "--bogus"],
+    &["resume", "missing.rck", "--bogus", "1"],
+    &["list", "--bogus"],
+    &["overhead", "--bogus"],
 ];
 
 /// Runs `recon` with `args` from the workspace root and renders the

@@ -451,12 +451,22 @@ pub fn resolve(suite: Suite, name: &str) -> Result<&'static str, String> {
         })
 }
 
-/// ` — did you mean '..'?` when `input`, lowercased, is a near miss of
-/// one of `candidates`; empty otherwise.
+/// ` — did you mean '..'?` naming the candidate whose lowercase form is
+/// a near miss of `input`'s; empty when none is.
 #[must_use]
 pub fn did_you_mean<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -> String {
-    recon_asm::suggest(&input.to_ascii_lowercase(), candidates)
-        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
+    let lowered: Vec<(String, &str)> = candidates
+        .into_iter()
+        .map(|c| (c.to_ascii_lowercase(), c))
+        .collect();
+    recon_asm::suggest(
+        &input.to_ascii_lowercase(),
+        lowered.iter().map(|(low, _)| low.as_str()),
+    )
+    .and_then(|hit| lowered.iter().find(|(low, _)| low == hit))
+    .map_or_else(String::new, |(_, name)| {
+        format!(" — did you mean '{name}'?")
+    })
 }
 
 /// Looks up a benchmark by suite and canonical name, building only that
@@ -605,6 +615,10 @@ mod tests {
         assert_eq!(
             resolve(Suite::Spec2017, "mfc").unwrap_err(),
             "no benchmark 'mfc' in SPEC2017 — did you mean 'gcc'?"
+        );
+        assert_eq!(
+            resolve(Suite::Spec2017, "cactubsn").unwrap_err(),
+            "no benchmark 'cactubsn' in SPEC2017 — did you mean 'cactuBSSN'?"
         );
         assert_eq!(
             resolve(Suite::Corpus, "nonexistent").unwrap_err(),
