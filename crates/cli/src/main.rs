@@ -758,8 +758,8 @@ const AUDIT_FLAGS: FlagSpec = FlagSpec {
 fn cmd_audit(rest: &[&str]) -> Result<ExitCode, String> {
     let flags = Flags::parse(&AUDIT_FLAGS, rest)?;
     let mut cfg = recon_sim::CampaignConfig::default();
-    let demo = flags.has("--demo");
-    if flags.has("--quick") {
+    let (quick, demo) = (flags.has("--quick"), flags.has("--demo"));
+    if quick {
         cfg.faults = 25;
     }
     // One fault per site: the smallest campaign that still demonstrates
@@ -772,7 +772,11 @@ fn cmd_audit(rest: &[&str]) -> Result<ExitCode, String> {
     if let Some(n) = flags.positive("--audit", "a positive cycle cadence")? {
         cfg.audit_every = n;
     }
-    let out = flags.get("--out").unwrap_or("BENCH_audit.json");
+    // Only a full campaign writes the committed record by default; a
+    // quick or demo campaign writes a report only where --out names one.
+    let out = flags
+        .get("--out")
+        .or((!quick && !demo).then_some("BENCH_audit.json"));
     println!(
         "audit campaign: seed {}, {} fault(s) across {} site(s), sweep every {} cycles",
         cfg.seed,
@@ -811,7 +815,7 @@ fn cmd_audit(rest: &[&str]) -> Result<ExitCode, String> {
         report.no_target,
         report.false_positives
     );
-    if !demo {
+    if let Some(out) = out {
         match std::fs::write(out, report.to_json()) {
             Ok(()) => println!("report written to {out}"),
             Err(e) => eprintln!("warning: could not write {out}: {e}"),

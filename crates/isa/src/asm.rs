@@ -17,7 +17,7 @@
 //! ```
 
 use crate::inst::{AluKind, BranchKind, Inst};
-use crate::program::{Program, ProgramError};
+use crate::program::{ImageWriter, Program, ProgramError};
 use crate::reg::ArchReg;
 
 /// A forward-referenceable code label handed out by [`Asm::new_label`].
@@ -77,8 +77,8 @@ pub struct Asm {
     bound: Vec<Option<usize>>,
     /// Parallel to `bound`: an optional human-readable name per label.
     names: Vec<Option<String>>,
-    /// Image writes in program order; [`Asm::assemble`] sorts them once.
-    image: Vec<(u64, u64)>,
+    /// The memory image, built as [`Asm::data`] defines its words.
+    image: ImageWriter,
 }
 
 impl Asm {
@@ -150,9 +150,11 @@ impl Asm {
     }
 
     /// Defines an initial-memory word (8-byte aligned address). A later
-    /// definition of the same address wins.
+    /// definition of the same address wins. Words defined in ascending
+    /// address order go straight into the image; [`Asm::assemble`]
+    /// merges any others in once.
     pub fn data(&mut self, addr: u64, value: u64) -> &mut Self {
-        self.image.push((addr, value));
+        self.image.write(addr, value);
         self
     }
 
@@ -409,7 +411,7 @@ impl Asm {
         let program = Program {
             code: self.code,
             entry: 0,
-            image: self.image.into_iter().collect(),
+            image: self.image.finish(),
         };
         program.validate()?;
         Ok(program)

@@ -1,7 +1,7 @@
 //! Data memory abstraction and a paged flat-store implementation.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::hash::FxHashMap;
 use crate::program::MemImage;
@@ -29,124 +29,213 @@ const WORD_MASK: u64 = PAGE_WORDS as u64 - 1;
 /// One zero-initialized page of backing store.
 type Page = [u64; PAGE_WORDS];
 
-/// The pages of one [`MemImage`], shared by every live [`SparseMem`]
-/// built from it and built on first touch.
-///
-/// The image holds this set only through a `Weak`, and each memory
-/// built from the image holds it strongly, so the set and every page in
-/// it are freed with the last such memory. It keeps its own handle on
-/// the image's sorted words, since a memory can outlive its image.
-#[derive(Debug)]
+/// Which words of a page an image defines: bit `w % 64` of chunk
+/// `w / 64` for word `w`.
+type PageMap = [u64; PAGE_WORDS / 64];
+
+/// The words of a [`MemImage`], laid out by page at 8 bytes a word plus
+/// 80 a page. A word's value is found in place by the rank of its bit,
+/// so [`SparseMem`]s read untouched image pages without building them.
+/// Canonical: every listed page defines a word, so equal layouts are
+/// equal images.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub(crate) struct ImagePages {
-    /// The image's words, ascending by address.
-    words: Arc<Vec<(u64, u64)>>,
-    /// Start of each page's run of words in `words`, ascending, plus
-    /// `words.len()` as a sentinel. A run's position is its page's
-    /// number within the set.
-    starts: Vec<usize>,
-    /// Each run's built page, while some memory may still read it
-    /// unchanged.
-    built: Mutex<Vec<Option<Arc<Page>>>>,
+    /// Page numbers, ascending.
+    pages: Vec<u64>,
+    /// Per page, the words it defines.
+    maps: Vec<PageMap>,
+    /// Per page, the index in `values` of its first word (low 32 bits)
+    /// and, 9 bits each from bit 32, the words it defines below chunks
+    /// 2, 4 and 6, so that a rank counts the bits of at most one chunk.
+    starts: Vec<u64>,
+    /// The defined words' values, in address order.
+    pub(crate) values: Vec<u64>,
+    /// The last word's address (0 while there is none).
+    last: u64,
+    /// The lowest misaligned address written. Such a write defines no
+    /// word; it is kept for [`Program::validate`](crate::Program::validate)
+    /// to reject.
+    pub(crate) misaligned: Option<u64>,
 }
 
 impl ImagePages {
-    /// Indexes `words` (ascending by address) by page; builds no page.
-    pub(crate) fn new(words: Arc<Vec<(u64, u64)>>) -> Self {
-        let mut starts = Vec::new();
-        let mut at = 0;
-        for run in words.chunk_by(|a, b| page_of(a.0) == page_of(b.0)) {
-            starts.push(at);
-            at += run.len();
+    /// Appends the word at `addr`, or overwrites the last word if `addr`
+    /// is its address; `false` (and no change) for an address below the
+    /// last word's. A misaligned `addr` is only noted in `misaligned`.
+    #[inline]
+    pub(crate) fn push(&mut self, addr: u64, value: u64) -> bool {
+        if !addr.is_multiple_of(8) {
+            self.misaligned = Some(self.misaligned.map_or(addr, |a| a.min(addr)));
+            return true;
         }
-        starts.push(at);
-        let built = Mutex::new(vec![None; starts.len() - 1]);
-        ImagePages {
-            words,
-            starts,
-            built,
+        if !self.values.is_empty() && addr <= self.last {
+            if addr < self.last {
+                return false;
+            }
+            *self.values.last_mut().expect("a defined word has a value") = value;
+            return true;
+        }
+        let (page, word) = (page_of(addr), word_in_page(addr));
+        if self.pages.last() != Some(&page) {
+            self.pages.push(page);
+            self.maps.push([0; PAGE_WORDS / 64]);
+            let start = u32::try_from(self.values.len()).expect("an image holds under 2^32 words");
+            self.starts.push(start.into());
+        }
+        self.maps.last_mut().expect("one map a page")[word / 64] |= 1 << (word % 64);
+        let start = self.starts.last_mut().expect("one start a page");
+        for pair in word / 128..3 {
+            *start += 1 << (32 + 9 * pair);
+        }
+        self.values.push(value);
+        self.last = addr;
+        true
+    }
+
+    /// The layout with `later` (writes in program order) written over
+    /// it: a stable sort of `later`, then one walk of both in address
+    /// order, in which a later write to an address wins.
+    pub(crate) fn merge(self, mut later: Vec<(u64, u64)>) -> ImagePages {
+        later.sort_by_key(|&(addr, _)| addr);
+        let mut merged = ImagePages {
+            misaligned: self.misaligned,
+            ..ImagePages::default()
+        };
+        merged.values.reserve(self.values.len() + later.len());
+        let mut later = later.into_iter().peekable();
+        for (addr, value) in self.iter() {
+            while let Some((a, v)) = later.next_if(|&(a, _)| a < addr) {
+                merged.push(a, v);
+            }
+            merged.push(addr, value);
+        }
+        for (a, v) in later {
+            merged.push(a, v);
+        }
+        merged
+    }
+
+    /// Frees the spare capacity of growth.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.pages.shrink_to_fit();
+        self.maps.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
+    /// The index in `values` of the first word of map chunk `chunk` of
+    /// page number `run`: its page's start plus the words defined below.
+    #[inline]
+    fn chunk_start(&self, run: usize, chunk: usize) -> usize {
+        let start = self.starts[run];
+        let mut below = start & 0xffff_ffff;
+        if chunk >= 2 {
+            below += (start >> (32 + 9 * (chunk / 2 - 1))) & 0x1ff;
+        }
+        if chunk % 2 == 1 {
+            below += u64::from(self.maps[run][chunk - 1].count_ones());
+        }
+        below as usize
+    }
+
+    /// The word at `addr` on page number `run`, if defined, given the
+    /// [`chunk_start`](Self::chunk_start) of its chunk: that plus the
+    /// rank of its bit within the chunk is its index in `values`.
+    #[inline]
+    fn word_at(&self, run: usize, addr: u64, chunk_start: usize) -> Option<u64> {
+        let word = word_in_page(addr);
+        let (bits, bit) = (self.maps[run][word / 64], 1u64 << (word % 64));
+        (bits & bit != 0)
+            .then(|| self.values[chunk_start + (bits & (bit - 1)).count_ones() as usize])
+    }
+
+    /// The word at aligned `addr`, if defined.
+    pub(crate) fn get(&self, addr: u64) -> Option<u64> {
+        let run = self.pages.binary_search(&page_of(addr)).ok()?;
+        self.word_at(run, addr, self.chunk_start(run, word_in_page(addr) / 64))
+    }
+
+    /// `(address, value)` of every word on page numbers `runs`, in
+    /// address order.
+    fn words(&self, runs: std::ops::Range<usize>) -> Words<'_> {
+        let at = self
+            .starts
+            .get(runs.start)
+            .map_or(0, |&s| s as u32 as usize);
+        let maps = &self.maps[runs.clone()];
+        Words {
+            pages: &self.pages[runs],
+            maps,
+            values: self.values[at..].iter(),
+            run: 0,
+            chunk: 0,
+            bits: maps.first().map_or(0, |map| map[0]),
         }
     }
 
-    /// The image's words on page number `run`.
-    fn run(&self, run: u32) -> &[(u64, u64)] {
-        let run = run as usize;
-        &self.words[self.starts[run]..self.starts[run + 1]]
+    /// `(address, value)` of every word, in address order.
+    pub(crate) fn iter(&self) -> Words<'_> {
+        self.words(0..self.pages.len())
     }
 
-    /// Page index and page number of every page of the image.
-    fn runs(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let runs = u32::try_from(self.starts.len() - 1).expect("page count fits in u32");
-        (0..runs).map(|run| (page_of(self.run(run)[0].0), run))
-    }
-
-    /// Page `run` as the image defines it.
+    /// Page number `run` as the image defines it.
     fn build(&self, run: u32) -> Page {
         let mut page = [0; PAGE_WORDS];
-        for &(addr, value) in self.run(run) {
+        for (addr, value) in self.words(run as usize..run as usize + 1) {
             page[word_in_page(addr)] = value;
         }
         page
     }
+}
 
-    /// The image's word at `addr`, on page number `run`.
-    fn word(&self, run: u32, addr: u64) -> u64 {
-        let words = self.run(run);
-        words
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .map_or(0, |i| words[i].1)
+impl core::fmt::Debug for ImagePages {
+    /// The words as `(address, value)` pairs in address order.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, Vec<Option<Arc<Page>>>> {
-        self.built.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// The words of an [`ImagePages`] in address order: a walk over the
+/// set bits of each page's map.
+pub(crate) struct Words<'a> {
+    pages: &'a [u64],
+    maps: &'a [PageMap],
+    values: std::slice::Iter<'a, u64>,
+    /// The page number and map chunk being walked, and its bits not
+    /// walked yet.
+    run: usize,
+    chunk: usize,
+    bits: u64,
+}
 
-    /// Shared page `run`, built now if no memory holds it.
-    fn share(&self, run: u32) -> Arc<Page> {
-        let mut built = self.lock();
-        Arc::clone(built[run as usize].get_or_insert_with(|| Arc::new(self.build(run))))
-    }
+impl Iterator for Words<'_> {
+    type Item = (u64, u64);
 
-    /// Makes shared page `run` the caller's own, to write. When the
-    /// caller is the last memory that shares it, the set lets go of the
-    /// page rather than keep a second copy of it.
-    fn own(&self, run: u32, page: Arc<Page>) -> Box<Page> {
-        {
-            let mut built = self.lock();
-            let slot = &mut built[run as usize];
-            if slot
-                .as_ref()
-                .is_some_and(|held| Arc::ptr_eq(held, &page) && Arc::strong_count(&page) == 2)
-            {
-                *slot = None;
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        while self.bits == 0 {
+            self.chunk += 1;
+            if self.chunk == PAGE_WORDS / 64 {
+                self.chunk = 0;
+                self.run += 1;
             }
+            self.bits = self.maps.get(self.run)?[self.chunk];
         }
-        Box::new(Arc::unwrap_or_clone(page))
+        let word = self.chunk as u64 * 64 + u64::from(self.bits.trailing_zeros());
+        self.bits &= self.bits - 1;
+        let addr = self.pages[self.run] << PAGE_SHIFT | word << 3;
+        Some((addr, *self.values.next()?))
     }
 }
 
 /// One resident page of a [`SparseMem`].
 #[derive(Clone, Debug)]
 enum Frame {
-    /// An image page this memory has not touched yet, by its number in
-    /// the image's page set.
+    /// An image page this memory has not written, by its number in the
+    /// image's [`ImagePages`]; read there in place.
     Pristine(u32),
-    /// An image page as the page set built it, shared with the image's
-    /// other memories; read-only.
-    Shared(u32, Arc<Page>),
     /// A page this memory alone holds, written in place.
     Owned(Box<Page>),
-}
-
-impl Frame {
-    /// The page's words, unless it is still pristine.
-    #[inline]
-    fn words(&self) -> Option<&Page> {
-        match self {
-            Frame::Pristine(_) => None,
-            Frame::Shared(_, page) => Some(&**page),
-            Frame::Owned(page) => Some(&**page),
-        }
-    }
 }
 
 /// Sparse paged memory. Uninitialized words read as zero.
@@ -154,8 +243,7 @@ impl Frame {
 /// This sits on the simulator's hottest path — every functional load and
 /// store of every core, every cycle — so it is a flat array walk, not a
 /// per-word hash lookup: addresses map to 4 KiB pages held in an
-/// [`FxHashMap`] (allocated on first write, or built from the image on
-/// first touch), and
+/// [`FxHashMap`] (allocated on first write), and
 /// the word index within the page is a shift-and-mask. Compared to the
 /// previous word-granular SipHash map this is one cheap hash per *page*
 /// reference instead of one expensive hash per *word* reference, plus
@@ -165,17 +253,14 @@ impl Frame {
 /// slot, so sequential and loop-local accesses skip the hash probe; a
 /// miss swaps it back into the map and promotes the new page.
 ///
-/// A memory built [from an image](SparseMem::from_image) shares that
-/// image's pages with every other live memory built from it, and each
-/// page is built from the image's words on its first touch by any of
-/// them. A memory's pages are therefore pristine (image pages it has
-/// not touched), shared (read-only, held by the image's page set) or
-/// owned (written in place). A write to a shared page copies it first,
-/// unless this memory is its last sharer, which takes it from the set.
-/// Only stores to owned pages in the hot slot take the fast path, a
-/// plain store. Systems built from one workload keep one copy of the
-/// pages they only read, and no copy of those no run touches. None of
-/// this is visible: equality, [`peek`](SparseMem::peek),
+/// A memory built [from an image](SparseMem::from_image) holds the
+/// image's words, shared with the image and every other memory built
+/// from it, and builds no page to read them: a page it has not written
+/// is pristine, and a read there ranks the word's bit in the image's
+/// page map. Its first write builds that one page, which it owns from
+/// then on. Systems built from one workload keep no copy of the pages
+/// they only read. None of this is visible: equality,
+/// [`peek`](SparseMem::peek),
 /// [`resident_pages`](SparseMem::resident_pages), `clone` and the
 /// snapshot bytes are as if every image page were built up front.
 ///
@@ -191,18 +276,22 @@ impl Frame {
 pub struct SparseMem {
     pages: FxHashMap<u64, Frame>,
     /// Page index of the hot slot (meaningful only while `hot` is
-    /// `Some`). Invariant: the hot page is never also in `pages`, and
-    /// is never pristine.
+    /// `Some`). Invariant: the hot page is never also in `pages`.
     hot_page: u64,
     hot: Option<Frame>,
-    /// The page set of the image this memory was built from, which its
-    /// pristine pages are built from.
+    /// The words of the image this memory was built from, which its
+    /// pristine pages read.
     image: Option<Arc<ImagePages>>,
+    /// The page number, map chunk and [chunk start](ImagePages::chunk_start)
+    /// of the last read of a pristine page, kept so that reads within one
+    /// chunk rank only within it. The default, `(0, 0, 0)`, is right for
+    /// every image.
+    chunk_at: (u32, usize, usize),
 }
 
 impl PartialEq for SparseMem {
     /// Logical equality over resident pages: where the hot slot points,
-    /// and which pages are built or shared, are access-pattern
+    /// and which pages are still pristine, are access-pattern
     /// artifacts, not state.
     fn eq(&self, other: &Self) -> bool {
         self.resident_pages() == other.resident_pages()
@@ -234,22 +323,21 @@ impl SparseMem {
     }
 
     /// Creates a memory pre-loaded from a program image. Every image
-    /// page is resident from the start, but none is built: each is
-    /// built on its first touch by any memory of the image, shared
-    /// between them, and copied only to be written.
+    /// page is resident from the start, but none is built: each is read
+    /// in the image's words, and built only by its first write.
     #[must_use]
     pub fn from_image(image: &MemImage) -> Self {
-        let Some(set) = image.page_set() else {
+        let words = &image.words;
+        if image.is_empty() {
             return SparseMem::new();
-        };
+        }
         SparseMem {
-            pages: set
-                .runs()
-                .map(|(idx, run)| (idx, Frame::Pristine(run)))
+            pages: (0..)
+                .zip(&words.pages)
+                .map(|(run, &idx)| (idx, Frame::Pristine(run)))
                 .collect(),
-            hot_page: 0,
-            hot: None,
-            image: Some(set),
+            image: Some(Arc::clone(words)),
+            ..SparseMem::default()
         }
     }
 
@@ -266,7 +354,7 @@ impl SparseMem {
         self.resident_pages() * PAGE_WORDS
     }
 
-    /// The page set pristine pages are built from.
+    /// The image words pristine pages read.
     fn image(&self) -> &ImagePages {
         self.image
             .as_deref()
@@ -296,22 +384,17 @@ impl SparseMem {
     fn contents<'a>(&'a self, frame: &'a Frame) -> Cow<'a, Page> {
         match frame {
             Frame::Pristine(run) => Cow::Owned(self.image().build(*run)),
-            Frame::Shared(_, page) => Cow::Borrowed(page),
             Frame::Owned(page) => Cow::Borrowed(page),
         }
     }
 
     /// Moves `idx` into the hot slot, flushing the previous occupant
-    /// back into the map; a pristine page is shared from the image's
-    /// page set on the way. Returns `false` when the page is not
-    /// resident (the hot slot is left untouched).
+    /// back into the map. Returns `false` when the page is not resident
+    /// (the hot slot is left untouched).
     fn promote(&mut self, idx: u64) -> bool {
-        let Some(mut frame) = self.pages.remove(&idx) else {
+        let Some(frame) = self.pages.remove(&idx) else {
             return false;
         };
-        if let Frame::Pristine(run) = frame {
-            frame = Frame::Shared(run, self.image().share(run));
-        }
         if let Some(old) = self.hot.replace(frame) {
             self.pages.insert(self.hot_page, old);
         }
@@ -320,7 +403,8 @@ impl SparseMem {
     }
 
     /// The write path past the hot owned page: makes `idx` hot and this
-    /// memory's own (allocating it on first touch), then stores.
+    /// memory's own (allocating or building it on first write), then
+    /// stores.
     #[inline(never)]
     fn write_cold(&mut self, idx: u64, addr: u64, value: u64) {
         let hot = self.hot_page == idx && self.hot.is_some();
@@ -332,19 +416,19 @@ impl SparseMem {
             }
             self.hot_page = idx;
         }
-        let mut page = match self.hot.take() {
-            Some(Frame::Shared(run, page)) => self.image().own(run, page),
-            Some(Frame::Owned(page)) => page,
-            _ => unreachable!("the hot page is resident and never pristine"),
-        };
-        page[word_in_page(addr)] = value;
-        self.hot = Some(Frame::Owned(page));
+        if let Some(Frame::Pristine(run)) = self.hot {
+            self.hot = Some(Frame::Owned(Box::new(self.image().build(run))));
+        }
+        match &mut self.hot {
+            Some(Frame::Owned(page)) => page[word_in_page(addr)] = value,
+            _ => unreachable!("the hot page was just made owned"),
+        }
     }
 
     /// Serializes resident pages in ascending page order (canonical
     /// bytes: the same contents always encode identically, regardless
     /// of hash-map iteration order, which page is hot, or which image
-    /// pages are built yet).
+    /// pages are still pristine).
     pub fn save_snap(&self, w: &mut SnapWriter) {
         w.tag(b"SMEM");
         let mut indices: Vec<u64> = self.frames().map(|(idx, _)| idx).collect();
@@ -384,16 +468,14 @@ impl SparseMem {
 
     /// Reads without requiring `&mut self` (the trait takes `&mut` so
     /// that timing models can update internal state on reads). Shared
-    /// access cannot rotate the hot slot or build a page, so repeated
-    /// off-hot peeks pay the map probe, and a peek at a pristine page
-    /// searches the image's words; the `&mut` paths promote.
+    /// access cannot rotate the hot slot, so repeated off-hot peeks pay
+    /// the map probe; the `&mut` paths promote.
     #[must_use]
     #[inline]
     pub fn peek(&self, addr: u64) -> u64 {
         debug_assert_eq!(addr % 8, 0, "misaligned read at {addr:#x}");
         match self.frame(page_of(addr)) {
-            Some(Frame::Pristine(run)) => self.image().word(*run, addr),
-            Some(Frame::Shared(_, page)) => page[word_in_page(addr)],
+            Some(Frame::Pristine(_)) => self.image().get(addr).unwrap_or(0),
             Some(Frame::Owned(page)) => page[word_in_page(addr)],
             None => 0,
         }
@@ -405,16 +487,23 @@ impl DataMem for SparseMem {
     fn read(&mut self, addr: u64) -> u64 {
         debug_assert_eq!(addr % 8, 0, "misaligned read at {addr:#x}");
         let idx = page_of(addr);
-        if self.hot_page == idx {
-            if let Some(page) = self.hot.as_ref().and_then(Frame::words) {
-                return page[word_in_page(addr)];
-            }
+        let hot = self.hot_page == idx && self.hot.is_some();
+        if !hot && !self.promote(idx) {
+            return 0;
         }
-        if self.promote(idx) {
-            let hot = self.hot.as_ref().and_then(Frame::words);
-            hot.expect("just promoted")[word_in_page(addr)]
-        } else {
-            0
+        match &self.hot {
+            Some(Frame::Owned(page)) => page[word_in_page(addr)],
+            Some(Frame::Pristine(run)) => {
+                let (run, chunk) = (*run, word_in_page(addr) / 64);
+                let image = self.image.as_deref().expect("pristine pages have an image");
+                if self.chunk_at.0 != run || self.chunk_at.1 != chunk {
+                    self.chunk_at = (run, chunk, image.chunk_start(run as usize, chunk));
+                }
+                image
+                    .word_at(run as usize, addr, self.chunk_at.2)
+                    .unwrap_or(0)
+            }
+            None => unreachable!("just promoted"),
         }
     }
 
@@ -435,6 +524,17 @@ impl DataMem for SparseMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ImagePages {
+        /// Bytes held on the heap, capacity included.
+        pub(crate) fn heap_bytes(&self) -> usize {
+            use std::mem::size_of;
+            self.pages.capacity() * size_of::<u64>()
+                + self.maps.capacity() * size_of::<PageMap>()
+                + self.starts.capacity() * size_of::<u64>()
+                + self.values.capacity() * size_of::<u64>()
+        }
+    }
 
     #[test]
     fn uninitialized_reads_zero() {
@@ -461,59 +561,67 @@ mod tests {
         assert_eq!(m.read(0x10), 7);
     }
 
-    /// Whether `mem`'s image page set holds page number `run` built.
-    fn set_holds(mem: &SparseMem, run: u32) -> bool {
-        mem.image().lock()[run as usize].is_some()
+    /// Whether page `idx` of `mem` is resident and still pristine.
+    fn pristine(mem: &SparseMem, idx: u64) -> bool {
+        matches!(mem.frame(idx), Some(Frame::Pristine(_)))
     }
 
     #[test]
-    fn memories_of_one_image_share_its_pages() {
+    fn image_pages_are_read_in_place() {
+        let img: MemImage = [(0x10, 7), (0x2008, 8)].into_iter().collect();
+        let mut m = SparseMem::from_image(&img);
+        assert_eq!(m.resident_pages(), 2, "image pages are resident unbuilt");
+        assert_eq!((m.read(0x10), m.read(0x18)), (7, 0));
+        assert_eq!((m.read(0x2008), m.peek(0x10)), (8, 7));
+        assert!(pristine(&m, 0) && pristine(&m, 2), "reads build nothing");
+        assert!(
+            Arc::ptr_eq(m.image.as_ref().unwrap(), &img.words),
+            "the memory reads the image's own words"
+        );
+    }
+
+    #[test]
+    fn first_write_builds_only_its_page() {
+        let img: MemImage = [(0x10, 7), (0x18, 9), (0x2008, 8)].into_iter().collect();
+        let mut m = SparseMem::from_image(&img);
+        m.write(0x20, 1);
+        assert!(
+            matches!(m.frame(0), Some(Frame::Owned(_))),
+            "written page built"
+        );
+        assert!(pristine(&m, 2), "the other page untouched");
+        assert_eq!((m.read(0x10), m.read(0x18), m.read(0x20)), (7, 9, 1));
+        assert_eq!((m.read(0x28), m.read(0x2008)), (0, 8));
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn memories_of_one_image_are_written_independently() {
         let img: MemImage = [(0x10, 7), (0x2008, 8)].into_iter().collect();
         let mut a = SparseMem::from_image(&img);
         let mut b = SparseMem::from_image(&img);
-        assert!(
-            Arc::ptr_eq(a.image.as_ref().unwrap(), b.image.as_ref().unwrap()),
-            "one page set per image"
-        );
-        assert_eq!(a.resident_pages(), 2, "image pages are resident unbuilt");
-        assert!(!set_holds(&a, 0) && !set_holds(&a, 1), "nothing built yet");
-        assert_eq!(b.peek(0x2008), 8, "peek builds nothing");
-        assert!(!set_holds(&a, 1));
-        assert_eq!(a.read(0x10), 7);
-        assert_eq!(b.read(0x10), 7);
-        assert!(set_holds(&a, 0) && !set_holds(&a, 1), "built on touch");
-        // `a` copies the page it writes while `b` still shares it; `b`,
-        // the last sharer, takes the page out of the set.
         a.write(0x10, 1);
-        assert!(set_holds(&a, 0), "a copied the shared page");
         b.write(0x18, 2);
-        assert!(!set_holds(&a, 0), "b took the page");
-        assert_eq!((a.peek(0x10), a.peek(0x18)), (1, 0));
-        assert_eq!((b.peek(0x10), b.peek(0x18)), (7, 2));
-        // A later memory rebuilds the page from the image's words.
-        assert_eq!(SparseMem::from_image(&img).read(0x10), 7);
+        b.write(0x2008, 3);
+        assert_eq!((a.peek(0x10), a.peek(0x18), a.peek(0x2008)), (1, 0, 8));
+        assert_eq!((b.peek(0x10), b.peek(0x18), b.peek(0x2008)), (7, 2, 3));
+        assert!(pristine(&a, 2), "b's write left a's page pristine");
+        assert_eq!(img.get(0x10), Some(7), "the image is unchanged");
+        assert_eq!(SparseMem::from_image(&img).read(0x2008), 8);
     }
 
     #[test]
-    fn page_set_is_freed_with_its_last_memory() {
+    fn memory_outlives_its_image() {
         let img: MemImage = [(0x10, 7), (0x2008, 8)].into_iter().collect();
-        let mut a = SparseMem::from_image(&img);
-        let b = SparseMem::from_image(&img);
-        assert_eq!(a.read(0x10), 7);
-        let set = Arc::downgrade(a.image.as_ref().expect("built from an image"));
-        let page = match a.frame(0) {
-            Some(Frame::Shared(_, page)) => Arc::downgrade(page),
-            other => panic!("a read image page is shared, got {other:?}"),
-        };
-        drop(a);
-        assert!(set.upgrade().is_some(), "b still holds the set");
-        assert!(page.upgrade().is_some(), "the set still holds the page");
-        drop(b);
-        assert!(set.upgrade().is_none(), "the set went with the last memory");
-        assert!(page.upgrade().is_none(), "its pages went with it");
-        // The image outlives its set and makes a fresh one on demand.
-        let mut c = SparseMem::from_image(&img);
-        assert_eq!(c.read(0x2008), 8);
+        let mut m = SparseMem::from_image(&img);
+        let words = Arc::downgrade(&img.words);
+        drop(img);
+        assert!(words.upgrade().is_some(), "the memory holds the words");
+        assert_eq!((m.read(0x10), m.peek(0x2008)), (7, 8));
+        m.write(0x2010, 5);
+        assert_eq!((m.read(0x2008), m.read(0x2010)), (8, 5));
+        drop(m);
+        assert!(words.upgrade().is_none(), "the words went with the memory");
     }
 
     #[test]

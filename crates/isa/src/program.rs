@@ -1,6 +1,6 @@
 //! Programs: instruction sequences plus an initial memory image.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::Arc;
 
 use crate::inst::Inst;
 use crate::mem::ImagePages;
@@ -42,15 +42,17 @@ impl std::error::Error for ProgramError {}
 
 /// An initial memory image: sparse map of aligned 8-byte words.
 ///
-/// Stored as one address-sorted vector with one `(address, value)`
-/// entry per defined word: 16 bytes a word, against about 36 for a
-/// balanced-tree map. Every figure, batch and service lookup rebuilds
-/// tens of these images, so their footprint and construction time are
-/// a large share of a sweep's memory peak and set-up. Sorted words and
-/// not dense pages, because the images are sparse: a multi-thread
-/// stand-in can define one word in eight across a thousand pages.
-/// The live memories built from an image share one set of its pages,
-/// built as they are touched (see [`SparseMem`](crate::SparseMem)).
+/// Laid out by page: the numbers of the pages it defines words on, a
+/// 512-bit map of each page's defined words, and the values in address
+/// order. That is 8 bytes a word plus 80 a page, against 16 a word for
+/// sorted `(address, value)` pairs and about 36 for a balanced-tree
+/// map. Every figure, batch and service lookup rebuilds tens of these
+/// images, so their footprint and construction time are a large share
+/// of a sweep's memory peak and set-up. Maps and not dense pages,
+/// because the images are sparse: a multi-thread stand-in can define
+/// one word in eight across a thousand pages. The memories built from
+/// an image read its words in place (see
+/// [`SparseMem`](crate::SparseMem)).
 ///
 /// ```
 /// use recon_isa::MemImage;
@@ -60,41 +62,52 @@ impl std::error::Error for ProgramError {}
 /// assert_eq!(img.get(0x100), Some(42));
 /// assert_eq!(img.get(0x108), None);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct MemImage {
-    /// Strictly ascending by address (so equality of the words is
-    /// logical equality). Behind an `Arc` so that clones and the page
-    /// set below share them.
-    words: Arc<Vec<(u64, u64)>>,
-    /// The page set of the live memories built from this image
-    /// ([`SparseMem::from_image`](crate::SparseMem::from_image)). Weak,
-    /// so that the set and its pages go with the last such memory.
-    pages: Mutex<Weak<ImagePages>>,
+    /// The words, behind an `Arc` so that clones and the memories built
+    /// from the image share them.
+    pub(crate) words: Arc<ImagePages>,
 }
-
-impl Clone for MemImage {
-    /// Shares the words, and the page set while it lives.
-    fn clone(&self) -> Self {
-        MemImage {
-            words: Arc::clone(&self.words),
-            pages: Mutex::new(self.lock_pages().clone()),
-        }
-    }
-}
-
-impl PartialEq for MemImage {
-    fn eq(&self, other: &Self) -> bool {
-        self.words == other.words
-    }
-}
-
-impl Eq for MemImage {}
 
 impl core::fmt::Debug for MemImage {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MemImage")
             .field("words", &self.words)
             .finish()
+    }
+}
+
+/// Writes in program order, gathered into a [`MemImage`] in which the
+/// last write to an address wins. A write above every earlier one
+/// appends to the image's layout as it comes; any other is buffered
+/// and merged once, by [`finish`](ImageWriter::finish).
+#[derive(Debug, Default)]
+pub(crate) struct ImageWriter {
+    words: ImagePages,
+    /// The buffered writes, in program order.
+    later: Vec<(u64, u64)>,
+}
+
+impl ImageWriter {
+    /// Writes the word at `addr`.
+    #[inline]
+    pub(crate) fn write(&mut self, addr: u64, value: u64) {
+        if !self.words.push(addr, value) {
+            self.later.push((addr, value));
+        }
+    }
+
+    /// The image, with the buffered writes merged in after the others.
+    pub(crate) fn finish(self) -> MemImage {
+        let mut words = if self.later.is_empty() {
+            self.words
+        } else {
+            self.words.merge(self.later)
+        };
+        words.shrink_to_fit();
+        MemImage {
+            words: Arc::new(words),
+        }
     }
 }
 
@@ -105,106 +118,60 @@ impl MemImage {
         Self::default()
     }
 
-    /// Builds an image from writes in program order: one stable sort,
-    /// and the last write to an address wins.
-    fn from_writes(mut words: Vec<(u64, u64)>) -> Self {
-        words.sort_by_key(|&(addr, _)| addr);
-        words.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 = next.1;
-            }
-            same
-        });
-        words.shrink_to_fit();
-        MemImage {
-            words: Arc::new(words),
-            pages: Mutex::default(),
-        }
-    }
-
-    fn lock_pages(&self) -> MutexGuard<'_, Weak<ImagePages>> {
-        self.pages.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The page set shared by the live memories built from this image,
-    /// made now if none lives; `None` for an empty image.
-    pub(crate) fn page_set(&self) -> Option<Arc<ImagePages>> {
-        if self.words.is_empty() {
-            return None;
-        }
-        let mut pages = self.lock_pages();
-        Some(pages.upgrade().unwrap_or_else(|| {
-            let set = Arc::new(ImagePages::new(Arc::clone(&self.words)));
-            *pages = Arc::downgrade(&set);
-            set
-        }))
-    }
-
-    /// The words, to change: the live page set (if any) keeps the old
-    /// ones, and memories built from now on get a set of their own.
-    fn words_mut(&mut self) -> &mut Vec<(u64, u64)> {
-        *self.pages.get_mut().unwrap_or_else(PoisonError::into_inner) = Weak::new();
-        Arc::make_mut(&mut self.words)
-    }
-
     /// Sets the word at `addr` (must be 8-byte aligned; validated by
     /// [`Program::validate`], asserted here in debug builds). Ascending
-    /// addresses append; any other order inserts or replaces in place.
+    /// addresses append; any other order rewrites the image.
     pub fn set(&mut self, addr: u64, value: u64) {
         debug_assert_eq!(addr % 8, 0, "image word at {addr:#x} must be aligned");
-        let words = self.words_mut();
-        match words.last() {
-            Some(&(last, _)) if last >= addr => {
-                match words.binary_search_by_key(&addr, |&(a, _)| a) {
-                    Ok(i) => words[i].1 = value,
-                    Err(i) => words.insert(i, (addr, value)),
-                }
-            }
-            _ => words.push((addr, value)),
+        if !Arc::make_mut(&mut self.words).push(addr, value) {
+            self.extend([(addr, value)]);
         }
     }
 
     /// The word at `addr`, if the image defines one.
     #[must_use]
     pub fn get(&self, addr: u64) -> Option<u64> {
-        self.words
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .ok()
-            .map(|i| self.words[i].1)
+        self.words.get(addr).filter(|_| addr.is_multiple_of(8))
     }
 
     /// Number of words defined by the image.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.words.values.len()
     }
 
     /// Whether the image defines no words.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(address, value)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().copied()
+        self.words.iter()
     }
 }
 
 impl Extend<(u64, u64)> for MemImage {
     /// Later pairs overwrite earlier ones and the image's own words.
     fn extend<T: IntoIterator<Item = (u64, u64)>>(&mut self, iter: T) {
-        let mut words = Arc::unwrap_or_clone(std::mem::take(&mut self.words));
-        words.extend(iter);
-        *self = Self::from_writes(words);
+        let mut writer = ImageWriter {
+            words: Arc::unwrap_or_clone(std::mem::take(&mut self.words)),
+            later: Vec::new(),
+        };
+        for (addr, value) in iter {
+            writer.write(addr, value);
+        }
+        *self = writer.finish();
     }
 }
 
 impl FromIterator<(u64, u64)> for MemImage {
     /// The last pair for an address wins.
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(iter: T) -> Self {
-        Self::from_writes(iter.into_iter().collect())
+        let mut image = MemImage::new();
+        image.extend(iter);
+        image
     }
 }
 
@@ -266,7 +233,7 @@ impl Program {
         if !self.code.iter().any(|i| matches!(i, Inst::Halt)) {
             return Err(ProgramError::MissingHalt);
         }
-        if let Some((addr, _)) = self.image.iter().find(|&(a, _)| a % 8 != 0) {
+        if let Some(addr) = self.image.words.misaligned {
             return Err(ProgramError::MisalignedImage { addr });
         }
         Ok(())
@@ -314,6 +281,33 @@ mod tests {
         assert_eq!(pairs, vec![(0x0, 1), (0x8, 2)]);
     }
 
+    /// Heap bytes of an image built by the assembler from `words`, and
+    /// the most its layout may hold: 8 bytes a word plus 80 a page.
+    fn footprint(words: impl Iterator<Item = u64>) -> (usize, usize) {
+        let mut a = crate::Asm::new();
+        for addr in words {
+            a.data(addr, addr ^ 0x5a5a);
+        }
+        a.halt();
+        let image = a.assemble().expect("aligned words").image;
+        let mut pages: Vec<u64> = image.iter().map(|(addr, _)| addr >> 12).collect();
+        pages.dedup();
+        let bound = 8 * image.len() + 80 * pages.len();
+        (image.words.heap_bytes(), bound)
+    }
+
+    #[test]
+    fn image_costs_at_most_eight_bytes_a_word_plus_eighty_a_page() {
+        // PARSEC-shaped: one word per 64-byte line across 1,000 pages.
+        let (bytes, bound) = footprint((0..1000 * 64).map(|line| 0x10_0000 + 64 * line));
+        assert!(bytes <= bound, "sparse image: {bytes} B > {bound} B");
+        assert_eq!(bound, 8 * 64_000 + 80 * 1000);
+        // A dense 8,192-word array, 16 pages.
+        let (bytes, bound) = footprint((0..8192).map(|word| 0x40_0000 + 8 * word));
+        assert!(bytes <= bound, "dense image: {bytes} B > {bound} B");
+        assert_eq!(bound, 8 * 8192 + 80 * 16);
+    }
+
     #[test]
     fn validate_accepts_well_formed() {
         let p = halted(vec![
@@ -346,7 +340,9 @@ mod tests {
     #[test]
     fn validate_rejects_misaligned_image() {
         let mut p = halted(vec![]);
-        p.image.words_mut().insert(0, (0x3, 1)); // bypass the debug assert in set()
+        // Collected, not set(), which asserts alignment in debug builds.
+        p.image = [(0x10, 1), (0x5, 2), (0x3, 3)].into_iter().collect();
+        assert_eq!(p.image.len(), 1, "a misaligned write defines no word");
         assert_eq!(
             p.validate(),
             Err(ProgramError::MisalignedImage { addr: 0x3 })

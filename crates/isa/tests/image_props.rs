@@ -1,7 +1,8 @@
 //! Randomized property tests of program images and functional memory.
-//! `MemImage` keeps one address-sorted word vector, and the memories
-//! `SparseMem::from_image` builds share the image's pages, build each on
-//! first touch and copy it to write; both are checked here against a
+//! `MemImage` lays its words out by page, a bitmap of each page's
+//! defined words and the values in address order, and the memories
+//! `SparseMem::from_image` builds read the image's pages in place and
+//! build each only to write it; both are checked here against a
 //! `BTreeMap` model and against an eager memory written word by word.
 //! Driven by the repo's own `SplitMix64`, so a failure replays from the
 //! seed it prints.
@@ -374,7 +375,7 @@ fn memories_of_different_images_compare_by_contents() {
         let mut rng = SplitMix64::new(0xd1ff_0000 + seed);
         let w = writes(&mut rng);
         let img: MemImage = w.iter().copied().collect();
-        // Equal words, built apart: a page set of its own.
+        // Equal words, built apart: a layout of its own.
         let twin: MemImage = w.iter().copied().collect();
         let mine = SparseMem::from_image(&img);
         assert!(mine == SparseMem::from_image(&twin), "seed {seed}: twin");
@@ -388,5 +389,109 @@ fn memories_of_different_images_compare_by_contents() {
         assert!(mine != theirs, "seed {seed}: altered {a:#x}");
         assert!(theirs != mine, "seed {seed}: altered {a:#x}, reversed");
         assert_eq!(SparseMem::from_image(&img).peek(a), v, "seed {seed}");
+    }
+}
+
+/// Builds `w` (writes in program order) through every path an image is
+/// built by, `set`, collect, `extend` and `Asm::data`, and checks each
+/// against the model, and a memory built from it against an eager one.
+fn check_every_path(w: &[(u64, u64)], what: &str) {
+    let model = model_of(w);
+    let mut set = MemImage::new();
+    for &(a, v) in w {
+        set.set(a, v);
+    }
+    assert_matches(&set, &model, &format!("{what}, set"), 0);
+    let collected: MemImage = w.iter().copied().collect();
+    assert_matches(&collected, &model, &format!("{what}, collect"), 0);
+    let mut extended: MemImage = w[..w.len() / 2].iter().copied().collect();
+    extended.extend(w[w.len() / 2..].iter().copied());
+    assert_matches(&extended, &model, &format!("{what}, extend"), 0);
+    let mut a = Asm::new();
+    for &(addr, value) in w {
+        a.data(addr, value);
+    }
+    a.halt();
+    let assembled = a.assemble().expect("aligned image assembles").image;
+    assert_matches(&assembled, &model, &format!("{what}, Asm::data"), 0);
+    assert!(set == collected && extended == collected && assembled == collected);
+    let mut m = Checked::new(&assembled);
+    m.check(what, 0);
+    for (&a, &v) in &model {
+        assert_eq!(m.mem.read(a), v, "{what}: read {a:#x}");
+    }
+    m.check(&format!("{what}, after reads"), 0);
+}
+
+/// Writes of `value`, `value + 1`, ... to `n` consecutive words from
+/// `base`.
+fn run(base: u64, n: u64, value: u64) -> impl DoubleEndedIterator<Item = (u64, u64)> {
+    (0..n).map(move |i| (base + 8 * i, value + i))
+}
+
+#[test]
+fn page_edges_and_address_extremes() {
+    let top = 0xFFFF_FFFF_FFFF_FFF8;
+    let cases: [(&str, Vec<(u64, u64)>); 6] = [
+        ("page boundary", vec![(0x0FF8, 1), (0x1000, 2)]),
+        ("page boundary, reversed", vec![(0x1000, 2), (0x0FF8, 1)]),
+        (
+            "extremes",
+            vec![(0, 3), (0x1000, 0), (top - 8, 5), (top, 4)],
+        ),
+        (
+            "extremes, reversed",
+            vec![(top, 4), (top - 8, 5), (0x1000, 0), (0, 3)],
+        ),
+        ("one full page", run(0x3000, 512, 100).collect()),
+        (
+            "one full page and its neighbours, reversed",
+            run(0x2FF8, 514, 100).rev().collect(),
+        ),
+    ];
+    for (what, w) in cases {
+        check_every_path(&w, what);
+    }
+    // Every word of a page, each defined twice: the second pass
+    // overwrites the first.
+    let twice: Vec<_> = run(0x3000, 512, 1).chain(run(0x3000, 512, 1000)).collect();
+    check_every_path(&twice, "one full page, twice");
+    let img: MemImage = twice.into_iter().collect();
+    assert_eq!((img.get(0x3000), img.get(0x3FF8)), (Some(1000), Some(1511)));
+    assert_eq!((img.get(0x2FF8), img.get(0x4000)), (None, None));
+}
+
+#[test]
+fn assembler_data_in_any_order_keeps_the_last_write() {
+    // Two 700-word arrays far apart, each across page boundaries.
+    let (xs, ys) = (0x1_0e00, 0x8_0000);
+    let ascending: Vec<_> = run(xs, 700, 1).chain(run(ys, 700, 5000)).collect();
+    let descending: Vec<_> = ascending.iter().rev().copied().collect();
+    let interleaved: Vec<_> = run(xs, 700, 1)
+        .zip(run(ys, 700, 5000))
+        .flat_map(|(x, y)| [x, y])
+        .collect();
+    let orders = [
+        ("ascending", ascending),
+        ("descending", descending),
+        ("interleaved", interleaved),
+    ];
+    for (what, w) in &orders {
+        check_every_path(w, what);
+        // Each word rewritten straight after its first write.
+        let doubled: Vec<_> = w.iter().flat_map(|&(a, v)| [(a, v), (a, !v)]).collect();
+        check_every_path(&doubled, &format!("{what}, each word twice"));
+        // A second pass over every third word in the same order, and a
+        // third over every sixth: later passes land below the last
+        // word, so they are buffered and must win over the first.
+        let rewrites =
+            |step: usize, flip: u64| w.iter().step_by(step).map(move |&(a, v)| (a, v ^ flip));
+        let passes: Vec<_> = w
+            .iter()
+            .copied()
+            .chain(rewrites(3, 0xff))
+            .chain(rewrites(6, 0xff00))
+            .collect();
+        check_every_path(&passes, &format!("{what}, three passes"));
     }
 }
