@@ -69,6 +69,8 @@ const CASES: &[&[&str]] = &[
     &["run", "corpus", "memref", "stt"],
     &["matrix", "corpus", "memref"],
     &["asm", MEMREF, "--run", "stt+recon"],
+    // A run that stops prints its forensics before the error line.
+    &["run", "spec2017", "mcf", "stt", "--watchdog-cycles", "20"],
     // Near-miss hints on every subcommand, and repeated flags.
     &["asm", MEMREF, "--dumb"],
     &["suite", "corpus", "--fast-forwrd", "10"],

@@ -192,3 +192,93 @@ fn node_answers_503_when_the_connection_backlog_is_full() {
     }
     server.wait();
 }
+
+/// Each way a job can stop, as the node answers it: status line,
+/// headers (the resumable `X-Recon-Checkpoint` ref included) and body.
+#[test]
+fn stop_answers_are_byte_stable() {
+    let server = start(4);
+    let addr = server.addr();
+    let answers = [
+        (
+            r#"{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":1000}"#,
+            "408 Request Timeout",
+            r#"{"error":"deadline_exceeded","kind":"run","reason":"fuel","partial":{"completed":false,"cycles":2018,"committed":1000,"ipc":0.4955,"tainted_loads":57,"reveals_set":0,"revealed_loads":0,"l1_hit_rate":0.2393,"trace_dropped":0}}"#,
+        ),
+        (
+            r#"{"kind":"analyze","suite":"spec2017","bench":"mcf","fuel":500}"#,
+            "408 Request Timeout",
+            r#"{"error":"deadline_exceeded","kind":"analyze","reason":"fuel","partial":{"instructions":500,"touched_words":173,"dift_leaked":98,"pair_leaked":98}}"#,
+        ),
+        (
+            r#"{"kind":"verify","gadget":"already-leaked","scheme":"stt","max_cycles":100}"#,
+            "408 Request Timeout",
+            r#"{"error":"deadline_exceeded","kind":"verify","reason":"max_cycles","partial":{"completed":false,"cycles":100,"committed":0,"ipc":0.0000,"tainted_loads":0,"reveals_set":0,"revealed_loads":0,"l1_hit_rate":0.0000,"trace_dropped":0}}"#,
+        ),
+        (
+            r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt","watchdog_cycles":20}"#,
+            "500 Internal Server Error",
+            r#"{"error":"stalled","kind":"run","summary":"liveness stall: no commit on any core for 20 cycles (at cycle 24); core 0 head `ld r9, [r10+0x0]` — in execution, result available at cycle 119","report":"LIVENESS STALL at cycle 24: no instruction committed on any core for 20 cycles\ncore 0: 14 committed, fetch_pc 57\n  queues: rob 178/352 iq 123/160 lq 58/128 sq 0/72 sb 0/72; shadows 29, guarded pregs 0\n  rob head: seq 14 pc 14 `ld r9, [r10+0x0]` [executing, done at cycle 119]\n  wait reason: in execution, result available at cycle 119\n  address 0x100000: L1 Exclusive, L2 Exclusive, dir Owned { owner: 0 }, word concealed\n","partial":{"completed":false,"cycles":24,"committed":14,"ipc":0.5833,"tainted_loads":0,"reveals_set":0,"revealed_loads":0,"l1_hit_rate":0.0000,"trace_dropped":0}}"#,
+        ),
+        // Refused at execution time, not at admission.
+        (
+            r#"{"kind":"analyze","suite":"parsec","bench":"streamcluster"}"#,
+            "400 Bad Request",
+            r#"{"error":"invalid_job","message":"leakage analysis runs on single-thread benchmarks"}"#,
+        ),
+    ];
+    for (spec, status_line, body) in answers {
+        assert_eq!(
+            post(addr, "/jobs", spec.as_bytes()),
+            closing(status_line, body),
+            "{spec}"
+        );
+    }
+    // A batch entry carries the same status and body; the checkpoint
+    // ref has no place in it.
+    assert_eq!(
+        post(
+            addr,
+            "/jobs/batch",
+            br#"{"jobs":[{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":1000}]}"#
+        ),
+        closing(
+            "200 OK",
+            r#"{"results":[{"status":408,"body":{"error":"deadline_exceeded","kind":"run","reason":"fuel","partial":{"completed":false,"cycles":2018,"committed":1000,"ipc":0.4955,"tainted_loads":57,"reveals_set":0,"revealed_loads":0,"l1_hit_rate":0.2393,"trace_dropped":0}}}]}"#
+        )
+    );
+    let resp = client::request(addr, "POST", "/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    server.wait();
+
+    // A node that persists checkpoints names the newest one a deadline
+    // left behind in the `X-Recon-Checkpoint` header.
+    let dir = std::env::temp_dir().join(format!("recon-http-stops-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 8,
+        cache_dir: Some(dir.clone()),
+        checkpoint_every_cycles: 2_000,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
+    let body = r#"{"error":"deadline_exceeded","kind":"run","reason":"fuel","partial":{"completed":false,"cycles":6893,"committed":5000,"ipc":0.7254,"tainted_loads":324,"reveals_set":0,"revealed_loads":0,"l1_hit_rate":0.2319,"trace_dropped":0}}"#;
+    assert_eq!(
+        post(
+            addr,
+            "/jobs",
+            br#"{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":5000}"#
+        ),
+        format!(
+            "HTTP/1.1 408 Request Timeout\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\nX-Recon-Checkpoint: c3326286fa56ea9f-00000000000000006888.rck\r\n\r\n{body}",
+            body.len()
+        )
+    );
+    let resp = client::request(addr, "POST", "/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
