@@ -306,10 +306,8 @@ fn print_run_result(name: &str, suite: Suite, secure: SecureConfig, r: &SystemRe
 /// the violated-invariant list) instead of dying with a bare error
 /// string.
 fn run_failed(e: &SimError) -> String {
-    match e {
-        SimError::Stalled { report, .. } => eprintln!("{report}"),
-        SimError::InvariantViolated { report, .. } => eprintln!("{report}"),
-        _ => {}
+    if let Some((_, report)) = e.diagnosis() {
+        eprintln!("{report}");
     }
     format!("run did not complete: {e}")
 }

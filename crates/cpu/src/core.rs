@@ -1180,7 +1180,7 @@ impl Core {
             self.fuel = self.fuel.saturating_sub(1);
 
             match detail.inst {
-                Inst::Load { .. } => {
+                Inst::Load { .. } | Inst::LoadIdx { .. } => {
                     self.stats.loads_committed += 1;
                     if detail.guard_root.is_some() {
                         self.stats.guarded_loads_committed += 1;
@@ -1194,69 +1194,34 @@ impl Core {
                     self.lq.commit(seq);
                     if self.secure.recon {
                         let dst = entry.dst.expect("loads have destinations");
-                        let base = entry.srcs[0].expect("loads have a base");
                         let addr = detail.addr.expect("committed load has an address");
-                        // Forwarded values are concealed in the SQ/SB
-                        // (§4.4.2): a forwarded pair must not reveal.
-                        if !detail.forwarded {
-                            if let Some(revealed_addr) =
-                                self.lpt
-                                    .commit_load(dst.new, Some(base), addr, detail.revealed)
-                            {
-                                self.stats.reveals_requested += 1;
-                                mem.reveal(self.id, revealed_addr);
-                            }
-                        } else {
+                        let indexed = matches!(detail.inst, Inst::LoadIdx { .. });
+                        if detail.forwarded {
+                            // Forwarded values are concealed in the SQ/SB
+                            // (§4.4.2): a forwarded pair must not reveal.
                             self.lpt.commit_writer(dst.new);
-                        }
-                    }
-                    if let Some(dst) = entry.dst {
-                        self.rename.commit(dst);
-                    }
-                }
-                Inst::LoadIdx { .. } => {
-                    self.stats.loads_committed += 1;
-                    if detail.guard_root.is_some() {
-                        self.stats.guarded_loads_committed += 1;
-                    }
-                    if detail.revealed {
-                        self.stats.revealed_loads_committed += 1;
-                    }
-                    if detail.was_delayed_by_scheme {
-                        self.stats.loads_delayed_by_scheme += 1;
-                    }
-                    self.lq.commit(seq);
-                    if self.secure.recon {
-                        let dst = entry.dst.expect("loads have destinations");
-                        let addr = detail.addr.expect("committed load has an address");
-                        if !detail.forwarded {
-                            if self.recon_multi_source {
+                        } else {
+                            let revealed = if indexed && self.recon_multi_source {
                                 // §5.1.1: one LPT lookup per address
                                 // operand; a pair can be revealed for each.
                                 let srcs = [entry.srcs[0], entry.srcs[1]];
-                                for revealed_addr in self
-                                    .lpt
+                                self.lpt
                                     .commit_load_multi(dst.new, srcs, addr, detail.revealed)
-                                    .into_iter()
-                                    .flatten()
-                                {
-                                    self.stats.reveals_requested += 1;
-                                    mem.reveal(self.id, revealed_addr);
-                                }
                             } else {
-                                // The paper's evaluated configuration:
+                                // In the paper's evaluated configuration
                                 // multi-source loads (like cracked x86
                                 // µops) detect no pair, but still install
                                 // their own address.
-                                if let Some(revealed_addr) =
-                                    self.lpt.commit_load(dst.new, None, addr, detail.revealed)
-                                {
-                                    self.stats.reveals_requested += 1;
-                                    mem.reveal(self.id, revealed_addr);
-                                }
+                                let base =
+                                    (!indexed).then(|| entry.srcs[0].expect("loads have a base"));
+                                let revealed =
+                                    self.lpt.commit_load(dst.new, base, addr, detail.revealed);
+                                [revealed, None]
+                            };
+                            for revealed_addr in revealed.into_iter().flatten() {
+                                self.stats.reveals_requested += 1;
+                                mem.reveal(self.id, revealed_addr);
                             }
-                        } else {
-                            self.lpt.commit_writer(dst.new);
                         }
                     }
                     if let Some(dst) = entry.dst {

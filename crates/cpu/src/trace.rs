@@ -83,12 +83,6 @@ impl TraceLog {
         self.enabled = on;
     }
 
-    /// Whether recording is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The maximum number of retained events.
     #[must_use]
     pub fn capacity(&self) -> usize {

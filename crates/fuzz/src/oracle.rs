@@ -225,15 +225,17 @@ fn run_detailed(
     let mut sys = make_system(program, cfg, secure);
     match sys.run_budgeted(MAX_DETAILED_CYCLES, &detailed_budget(cfg)) {
         Ok(_) => Ok(observe_system(&sys)),
-        Err(SimError::Stalled { report, .. }) => Err(Failure::Stalled {
-            scheme: label,
-            summary: report.summary(),
+        Err(e) => Err(match (e.diagnosis(), e.label()) {
+            (None, _) => Failure::Deadline { scheme: label },
+            (Some((summary, _)), SimError::STALLED) => Failure::Stalled {
+                scheme: label,
+                summary,
+            },
+            (Some((summary, _)), _) => Failure::AuditViolation {
+                scheme: label,
+                summary,
+            },
         }),
-        Err(SimError::InvariantViolated { report, .. }) => Err(Failure::AuditViolation {
-            scheme: label,
-            summary: report.summary(),
-        }),
-        Err(_) => Err(Failure::Deadline { scheme: label }),
     }
 }
 

@@ -218,11 +218,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Sets one site's rate (in permil), for programmatic plans.
-    pub fn set_rate(&mut self, site: FaultSite, permil: u32) {
-        self.rate_permil[site.index()] = permil.min(1000);
-    }
-
     /// The seed the plan was built with.
     #[must_use]
     pub fn seed(&self) -> u64 {

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use crate::chaos::FaultSite;
 use crate::client::{self, submit_with_retry, Connection, RetryPolicy};
-use crate::job::{self, CkptPlan, JobError, JobSpec};
+use crate::job::{self, CkptPlan, JobSpec};
 use crate::json::parse;
 use crate::server::{ServeConfig, Server};
 
@@ -96,8 +96,10 @@ impl Expected {
         let digest = spec.digest();
         let (status, body) = match job::execute_ckpt(&spec, None, plan).0 {
             Ok(out) => (200, out.payload),
-            Err(JobError::DeadlineExceeded { payload, .. }) => (408, payload),
-            Err(e) => panic!("storm spec failed directly: {e:?}"),
+            Err(e) => match e.answer() {
+                (408, _, body) => (408, body),
+                other => panic!("storm spec failed directly: {other:?}"),
+            },
         };
         Expected {
             json,

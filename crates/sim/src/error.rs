@@ -164,6 +164,41 @@ pub enum SimError {
 }
 
 impl SimError {
+    /// [`SimError::label`] of a deadline.
+    pub const DEADLINE_EXCEEDED: &'static str = "deadline_exceeded";
+    /// [`SimError::label`] of a cancel.
+    pub const CANCELLED: &'static str = "cancelled";
+    /// [`SimError::label`] of a stall.
+    pub const STALLED: &'static str = "stalled";
+    /// [`SimError::label`] of an invariant violation.
+    pub const INVARIANT_VIOLATED: &'static str = "invariant_violated";
+
+    /// The name of this stop: the JSON `error` value a served answer
+    /// carries.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            SimError::DeadlineExceeded { .. } => Self::DEADLINE_EXCEEDED,
+            SimError::Cancelled { .. } => Self::CANCELLED,
+            SimError::Stalled { .. } => Self::STALLED,
+            SimError::InvariantViolated { .. } => Self::INVARIANT_VIOLATED,
+        }
+    }
+
+    /// The forensic report of a diagnosed stop (a stall or an invariant
+    /// violation) as its one-line summary and its full text; `None` for
+    /// a deadline or a cancel.
+    #[must_use]
+    pub fn diagnosis(&self) -> Option<(String, String)> {
+        match self {
+            SimError::Stalled { report, .. } => Some((report.summary(), report.to_string())),
+            SimError::InvariantViolated { report, .. } => {
+                Some((report.summary(), report.to_string()))
+            }
+            SimError::DeadlineExceeded { .. } | SimError::Cancelled { .. } => None,
+        }
+    }
+
     /// The partial result, consuming the error.
     #[must_use]
     pub fn into_partial(self) -> SystemResult {

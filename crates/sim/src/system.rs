@@ -257,6 +257,17 @@ impl System {
         out
     }
 
+    /// One [`System::audit`] sweep of a run audited every `cadence`
+    /// cycles: the report of what it found, if anything.
+    fn audit_sweep(&self, cadence: u64) -> Option<AuditReport> {
+        let violations = self.audit();
+        (!violations.is_empty()).then_some(AuditReport {
+            cycle: self.cycle,
+            cadence,
+            violations,
+        })
+    }
+
     /// Injects one seeded single-bit soft error at `site`. Returns a
     /// description of the flipped state, or `None` when the site holds
     /// no target right now (e.g. an empty LPT) or the site is not an
@@ -678,13 +689,8 @@ impl System {
             }
             if let (Some(at), Some(c)) = (next_audit, audit_cadence) {
                 if self.cycle >= at {
-                    let violations = self.audit();
-                    if !violations.is_empty() {
-                        violated = Some(AuditReport {
-                            cycle: self.cycle,
-                            cadence: c,
-                            violations,
-                        });
+                    violated = self.audit_sweep(c);
+                    if violated.is_some() {
                         break;
                     }
                     next_audit = Some(self.cycle.saturating_add(c));
@@ -713,16 +719,7 @@ impl System {
         // last cadence boundary and the halt: a fault that survives to
         // the end is still caught before the result is reported.
         if completed && violated.is_none() {
-            if let Some(c) = audit_cadence {
-                let violations = self.audit();
-                if !violations.is_empty() {
-                    violated = Some(AuditReport {
-                        cycle: self.cycle,
-                        cadence: c,
-                        violations,
-                    });
-                }
-            }
+            violated = audit_cadence.and_then(|c| self.audit_sweep(c));
         }
         let result = SystemResult {
             completed,

@@ -2,7 +2,7 @@
 //! caching, backpressure, deadlines, metrics, and graceful shutdown —
 //! the same sequence the CI `serve-smoke` job drives.
 
-use recon_serve::{client, job, json, JobError, JobSpec, ServeConfig, Server};
+use recon_serve::{client, job, json, JobSpec, ServeConfig, Server};
 
 fn start(workers: usize, queue_cap: usize) -> Server {
     Server::start(&ServeConfig {
@@ -26,8 +26,10 @@ fn direct_answer(spec_json: &str) -> (u16, String) {
     let spec = JobSpec::from_json(&json::parse(spec_json).unwrap()).unwrap();
     match job::execute(&spec, None) {
         Ok(out) => (200, out.payload),
-        Err(JobError::DeadlineExceeded { payload, .. }) => (408, payload),
-        Err(e) => panic!("{spec_json} failed directly: {e:?}"),
+        Err(e) => match e.answer() {
+            (408, _, body) => (408, body),
+            other => panic!("{spec_json} failed directly: {other:?}"),
+        },
     }
 }
 
