@@ -48,12 +48,21 @@ pub struct BranchPredictor {
     mask: u64,
 }
 
-/// Opaque token carrying the state needed to update or repair the
-/// predictor after the prediction resolves.
+/// Opaque token carrying the prediction and the state needed to update
+/// or repair the predictor after it resolves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PredToken {
-    index: usize,
     history_before: u64,
+    index: u32,
+    taken: bool,
+}
+
+impl PredToken {
+    /// The predicted direction.
+    #[must_use]
+    pub fn taken(self) -> bool {
+        self.taken
+    }
 }
 
 impl BranchPredictor {
@@ -79,18 +88,19 @@ impl BranchPredictor {
     /// [`BranchPredictor::repair`].
     pub fn predict(&mut self, pc: usize) -> (bool, PredToken) {
         let index = ((pc as u64) ^ self.history) & self.mask;
+        let taken = self.table[index as usize].predict();
         let token = PredToken {
-            index: index as usize,
             history_before: self.history,
+            index: index as u32,
+            taken,
         };
-        let taken = self.table[token.index].predict();
         self.history = (self.history << 1) | u64::from(taken);
         (taken, token)
     }
 
     /// Commits the outcome of a resolved branch: trains the counter.
     pub fn update(&mut self, token: PredToken, taken: bool) {
-        self.table[token.index].update(taken);
+        self.table[token.index as usize].update(taken);
     }
 
     /// Repairs the global history after a squash: restores the history to

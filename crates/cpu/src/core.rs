@@ -219,7 +219,7 @@ impl Core {
             rob: Rob::new(cfg.rob_entries),
             sched: Scheduler::new(cfg.rob_entries, cfg.num_pregs),
             lq: LoadQueue::new(cfg.lq_entries),
-            sq: StoreQueue::new(cfg.sq_entries),
+            sq: StoreQueue::new(cfg.sq_entries, cfg.num_pregs),
             sb: StoreBuffer::new(cfg.sb_entries),
             shadows: ShadowTracker::new(),
             guards: GuardTable::new(cfg.num_pregs),
@@ -636,6 +636,8 @@ impl Core {
             prev = Some(e.seq);
         }
 
+        self.sq.audit(&site, |p| self.rename.is_ready(p), &mut out);
+
         // Shadows: every unresolved caster is still in flight.
         for s in self.shadows.iter() {
             if self.rob.get(s).is_none() {
@@ -1031,11 +1033,12 @@ impl Core {
         self.sched.return_due(due);
     }
 
-    /// Writes `value` back to `preg` and wakes the IQ entries waiting on
-    /// it. The guard of `preg` must already be final: a woken entry's
-    /// scheme gate is read from it.
+    /// Writes `value` back to `preg` and wakes the IQ entries and the
+    /// stores waiting on it. The guard of `preg` must already be final: a
+    /// woken entry's scheme gate is read from it.
     fn writeback(&mut self, preg: PReg, value: u64) {
         self.rename.write(preg, value);
+        self.sq.wake(preg);
         let (rob, rename, guards, secure) = (&self.rob, &self.rename, &self.guards, &self.secure);
         self.sched.wake(preg, |seq| {
             let e = rob.get(seq)?;
@@ -1087,7 +1090,7 @@ impl Core {
                 let addr = detail.addr.expect("store computed its address");
                 let store_pc = detail.pc;
                 self.shadows.resolve(seq);
-                self.sq.set_addr(seq, addr);
+                self.sq.set_addr(detail.sq_num, seq, addr);
                 if self.cfg.mdp == MdpMode::Predictor {
                     self.mdp.store_resolved(store_pc, seq);
                     if let Some(victim) = self.lq.violation(seq, addr) {
@@ -1100,7 +1103,8 @@ impl Core {
             }
             Inst::Branch { target, .. } => {
                 let actual = detail.taken_actual.expect("branch resolved at execute");
-                let (predicted, token) = detail.pred.expect("branches are predicted");
+                let token = detail.pred.expect("branches are predicted");
+                let predicted = token.taken();
                 let next_pc = if actual { target } else { detail.pc + 1 };
                 self.shadows.resolve(seq);
                 self.bpred.update(token, actual);
@@ -1230,15 +1234,11 @@ impl Core {
                 }
                 Inst::Store { .. } => {
                     self.stats.stores_committed += 1;
-                    // The data may not have been supplied yet this cycle
-                    // (the producer can commit in the same burst); it is
-                    // necessarily ready by now, so read it directly.
-                    if self.sq.head().is_some_and(|e| e.value.is_none()) {
-                        let val_preg = entry.srcs[1].expect("store has a data source");
-                        debug_assert!(self.rename.is_ready(val_preg));
-                        self.sq.set_value(seq, self.rename.read(val_preg));
-                    }
-                    let (addr, value) = self.sq.commit(seq);
+                    let rename = &self.rename;
+                    let (addr, value) = self.sq.commit(seq, |p| {
+                        debug_assert!(rename.is_ready(p));
+                        rename.read(p)
+                    });
                     self.sb.push(addr, value);
                 }
                 Inst::AmoAdd { .. } => {
@@ -1281,18 +1281,17 @@ impl Core {
         }
     }
 
-    /// Supplies store data to SQ entries whose value register became
-    /// ready (and readable under NDA), enabling store-to-load forwarding
-    /// before commit.
+    /// Supplies store data to the SQ entries whose value register was
+    /// written (and is readable under NDA), enabling store-to-load
+    /// forwarding before commit. The frontier is read here, after
+    /// completion and commit moved it.
     fn supply_store_data(&mut self) {
         let frontier = self.shadows.frontier();
         let nda = self.secure.kind.delays_value_broadcast();
-        let (rob, rename, guards) = (&self.rob, &self.rename, &self.guards);
-        self.active |= self.sq.supply(|seq| {
-            let val_preg = rob.get(seq)?.srcs[1]?;
+        let (rename, guards) = (&self.rename, &self.guards);
+        self.active |= self.sq.supply(|val_preg| {
             // NDA: the value is not yet visible to anyone while guarded.
-            let visible = rename.is_ready(val_preg)
-                && !(nda && guards.is_active(val_preg as usize, frontier));
+            let visible = !(nda && guards.is_active(val_preg as usize, frontier));
             visible.then(|| rename.read(val_preg))
         });
     }
@@ -1462,7 +1461,8 @@ impl Core {
                 return None;
             }
         }
-        let fwd = self.sq.forward(seq, addr, conservative);
+        let older_than = self.rob.detail(seq).expect("present").sq_tail;
+        let fwd = self.sq.forward(older_than, addr, conservative);
         let (value, latency, revealed, forwarded, fwd_seq) = match fwd {
             Forward::MustWait => return None,
             Forward::FromStore { seq: s, value } => {
@@ -1471,7 +1471,6 @@ impl Core {
                 // approximated by the supplying store's own speculation.
                 (value, 1, false, true, Some(s))
             }
-            Forward::FromBuffer { value } => (value, 1, false, true, None),
             Forward::FromMemory => match self.sb.forward(addr) {
                 Some(v) => (v, 1, false, true, None),
                 None => {
@@ -1603,7 +1602,7 @@ impl Core {
             match inst {
                 Inst::Branch { target, .. } => {
                     let (taken, token) = self.bpred.predict(pc);
-                    self.rob.detail_mut(seq).expect("just pushed").pred = Some((taken, token));
+                    self.rob.detail_mut(seq).expect("just pushed").pred = Some(token);
                     self.shadows.cast(seq);
                     if taken {
                         self.fetch_pc = target;
@@ -1615,10 +1614,14 @@ impl Core {
                     self.fetch_pc = pc; // frozen
                 }
                 Inst::Load { .. } | Inst::LoadIdx { .. } | Inst::AmoAdd { .. } => {
-                    self.rob.detail_mut(seq).expect("just pushed").lq_slot = self.lq.push(seq);
+                    let c = self.rob.detail_mut(seq).expect("just pushed");
+                    c.lq_slot = self.lq.push(seq);
+                    c.sq_tail = self.sq.tail();
                 }
                 Inst::Store { .. } => {
-                    self.sq.push(seq);
+                    let data = renamed[1].expect("store has a data source");
+                    let n = self.sq.push(seq, data, self.rename.is_ready(data));
+                    self.rob.detail_mut(seq).expect("just pushed").sq_num = n;
                     self.shadows.cast(seq);
                     if self.cfg.mdp == MdpMode::Predictor {
                         self.mdp.store_dispatched(pc, seq);

@@ -90,8 +90,9 @@ pub struct RobDetail {
     pub pc: usize,
     /// The instruction.
     pub inst: Inst,
-    /// For conditional branches: `(predicted_taken, predictor token)`.
-    pub pred: Option<(bool, PredToken)>,
+    /// For conditional branches: the predictor token, which carries
+    /// the predicted direction.
+    pub pred: Option<PredToken>,
     /// For resolved conditional branches: the actual direction.
     pub taken_actual: Option<bool>,
     /// Effective address, once computed (loads/stores/amo).
@@ -111,6 +112,11 @@ pub struct RobDetail {
     pub was_delayed_by_scheme: bool,
     /// For loads and atomics: the load-queue slot it occupies.
     pub lq_slot: u32,
+    /// For stores: the store number.
+    pub sq_num: u32,
+    /// For loads and atomics: the store-queue tail at dispatch; the
+    /// stores older than the load are numbered below it.
+    pub sq_tail: u32,
 }
 
 const VACANT: RobEntry = RobEntry {
@@ -139,6 +145,8 @@ const VACANT_DETAIL: RobDetail = RobDetail {
     guard_root: None,
     was_delayed_by_scheme: false,
     lq_slot: 0,
+    sq_num: 0,
+    sq_tail: 0,
 };
 
 /// The reorder buffer: a bounded, seq-indexed window of in-flight
@@ -246,6 +254,8 @@ impl Rob {
         c.guard_root = None;
         c.was_delayed_by_scheme = false;
         c.lq_slot = 0;
+        c.sq_num = 0;
+        c.sq_tail = 0;
         seq
     }
 
@@ -415,6 +425,12 @@ mod tests {
         assert_eq!(rob.head().unwrap().seq, 1_000_003);
         assert_eq!(rob.detail(1_000_004).unwrap().pc, 8);
         assert!(rob.get(1_000_002).is_none());
+    }
+
+    #[test]
+    fn entries_keep_their_size() {
+        assert_eq!(std::mem::size_of::<RobEntry>(), 64);
+        assert_eq!(std::mem::size_of::<RobDetail>(), 104);
     }
 
     #[test]

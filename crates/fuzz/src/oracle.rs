@@ -6,6 +6,11 @@
 //! 2. **Scheme invariance** — all five secure schemes are *performance*
 //!    mechanisms: the architectural result must be identical across
 //!    them.
+//!
+//!    Oracles 1 and 2 run under both memory-dependence modes: loads
+//!    that wait for every older store address, and loads that speculate
+//!    past them through the store-set predictor and squash on a
+//!    violation.
 //! 3. **Snapshot/restore** — restoring the first checkpoint of a run
 //!    must reproduce the snapshot byte-for-byte, and the resumed run
 //!    must finish with a result equal to the uninterrupted run's.
@@ -18,7 +23,7 @@
 
 use recon::ReconConfig;
 use recon_asm::corpus::{DIGEST_ADDR, STATUS_ADDR};
-use recon_cpu::CoreConfig;
+use recon_cpu::{CoreConfig, MdpMode};
 use recon_isa::{ArchReg, Program, SparseMem, NUM_ARCH_REGS};
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
@@ -111,6 +116,8 @@ impl Failure {
 pub struct OracleConfig {
     /// Core configuration for detailed runs ([`CoreConfig::tiny`] by
     /// default: short queues surface structural hazards fastest).
+    /// Oracles 1 and 2 run it in both memory-dependence modes, whatever
+    /// its `mdp`.
     pub core: CoreConfig,
     /// Watchdog window for detailed runs. Generated programs commit
     /// steadily, so a small window keeps stall detection cheap.
@@ -216,12 +223,21 @@ fn detailed_budget(cfg: &OracleConfig) -> Budget {
     }
 }
 
+/// The scheme a failure names, with the memory-dependence mode when it
+/// is not the default.
+fn scheme_label(secure: SecureConfig, mdp: MdpMode) -> String {
+    match mdp {
+        MdpMode::Conservative => secure.label(),
+        MdpMode::Predictor => format!("{} (predictor MDP)", secure.label()),
+    }
+}
+
 fn run_detailed(
     program: &Program,
     cfg: &OracleConfig,
     secure: SecureConfig,
 ) -> Result<Observation, Failure> {
-    let label = secure.label();
+    let label = scheme_label(secure, cfg.core.mdp);
     let mut sys = make_system(program, cfg, secure);
     match sys.run_budgeted(MAX_DETAILED_CYCLES, &detailed_budget(cfg)) {
         Ok(_) => Ok(observe_system(&sys)),
@@ -248,21 +264,29 @@ fn run_detailed(
 pub fn check(program: &Program, cfg: &OracleConfig) -> Result<(), Failure> {
     let functional = observe_functional(program)?;
 
-    // Oracle 1 + 4 (baseline), then 2 + 4 (each secure scheme).
+    // Oracle 1 + 4 (baseline), then 2 + 4 (each secure scheme), in
+    // each memory-dependence mode.
     let schemes = SecureConfig::ALL;
-    let baseline = run_detailed(program, cfg, schemes[0])?;
-    if let Some(diff) = first_diff(&functional, &baseline) {
-        return Err(Failure::FunctionalMismatch(format!(
-            "functional vs detailed baseline: {diff}"
-        )));
-    }
-    for secure in &schemes[1..] {
-        let obs = run_detailed(program, cfg, *secure)?;
-        if let Some(diff) = first_diff(&baseline, &obs) {
-            return Err(Failure::SchemeDivergence {
-                scheme: secure.label(),
-                detail: diff,
-            });
+    for mdp in [MdpMode::Conservative, MdpMode::Predictor] {
+        let cfg = &OracleConfig {
+            core: CoreConfig { mdp, ..cfg.core },
+            ..*cfg
+        };
+        let baseline = run_detailed(program, cfg, schemes[0])?;
+        if let Some(diff) = first_diff(&functional, &baseline) {
+            return Err(Failure::FunctionalMismatch(format!(
+                "functional vs detailed baseline [{}]: {diff}",
+                scheme_label(schemes[0], mdp)
+            )));
+        }
+        for secure in &schemes[1..] {
+            let obs = run_detailed(program, cfg, *secure)?;
+            if let Some(diff) = first_diff(&baseline, &obs) {
+                return Err(Failure::SchemeDivergence {
+                    scheme: scheme_label(*secure, mdp),
+                    detail: diff,
+                });
+            }
         }
     }
 

@@ -396,16 +396,20 @@ impl System {
     ///
     /// With fetch paused nothing new dispatches, so in-flight branches
     /// and stores resolve, shadows retire, guards deactivate, and the
-    /// ROB/LSQ/store buffers empty. A core frozen out-of-fuel mid-window
-    /// cannot drain; the bound converts that into a `false` return
-    /// (checkpoint skipped) rather than a hang. Fetch is resumed before
-    /// returning either way.
+    /// ROB/LSQ/store buffers empty. A core frozen out-of-fuel commits
+    /// nothing more, so the drain stops and returns `false` (checkpoint
+    /// skipped) as soon as any core is out of fuel; the bound turns any
+    /// other failure to drain into a `false` return rather than a hang.
+    /// Fetch is resumed before returning either way.
     pub fn drain(&mut self, bound: u64) -> bool {
         for core in &mut self.cores {
             core.pause_fetch(true);
         }
         let mut spent = 0u64;
-        while !self.cores.iter().all(Core::pipeline_empty) && spent < bound {
+        while !self.cores.iter().all(Core::pipeline_empty)
+            && !self.cores.iter().any(Core::out_of_fuel)
+            && spent < bound
+        {
             self.tick();
             spent += 1;
             if let Some(event) = self.quiescent_until() {
@@ -417,7 +421,7 @@ impl System {
         for core in &mut self.cores {
             core.pause_fetch(false);
         }
-        self.cores.iter().all(Core::pipeline_empty)
+        self.cores.iter().all(Core::pipeline_empty) && !self.cores.iter().any(Core::out_of_fuel)
     }
 
     /// Serializes the complete architectural + persistent-metadata state
@@ -600,9 +604,9 @@ impl System {
     /// per-core fuel is kept) continues the run exactly: the resumed
     /// run's result is equal to the uninterrupted checkpointed run's.
     ///
-    /// A drain that fails to empty the pipelines within
-    /// [`DRAIN_BOUND_CYCLES`] (a core frozen out-of-fuel) skips that
-    /// checkpoint; the run itself continues unaffected.
+    /// A drain that fails (a core froze out-of-fuel, or the pipelines did
+    /// not empty within [`DRAIN_BOUND_CYCLES`]) skips that checkpoint;
+    /// the run itself continues unaffected.
     ///
     /// # Errors
     ///
