@@ -191,3 +191,44 @@ fn snapshots_reject_corruption_and_truncation() {
     let mut sys = fresh(w, secure);
     assert!(sys.restore_bytes(&extended).is_err());
 }
+
+#[test]
+fn snapshots_refuse_core_count_mismatches_in_both_sections() {
+    let (_, w) = &workloads()[0];
+    let secure = SecureConfig::nda();
+    let (_, snaps) = run_full(w, secure);
+    let bytes = &snaps[0].1;
+
+    // A system with fewer cores stops at the memory system's count.
+    let one = recon_workloads::Workload {
+        threads: w.threads[..1].to_vec(),
+        ..w.clone()
+    };
+    let e = fresh(&one, secure).restore_bytes(bytes).unwrap_err();
+    assert!(e.what.contains("snapshot has 4 cores, system has 1"), "{e}");
+
+    // The cores section's own count sits just before the first `CORE`
+    // tag; the memory-system section before it still checks out.
+    let at = bytes
+        .windows(4)
+        .position(|t| t == b"CORE")
+        .expect("a core section")
+        - 4;
+    let mut bad = bytes.clone();
+    bad[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+    let e = fresh(w, secure).restore_bytes(&bad).unwrap_err();
+    assert!(e.what.contains("snapshot has 3 cores, system has 4"), "{e}");
+}
+
+#[test]
+fn snapshots_refuse_a_section_checksum_mismatch() {
+    let (_, w) = &workloads()[0];
+    let secure = SecureConfig::nda();
+    let (_, snaps) = run_full(w, secure);
+    // Flip a bit of the cycle counter, just after the `SYSS` tag: it
+    // decodes, so only the data section's seal can catch it.
+    let mut bad = snaps[0].1.clone();
+    bad[4] ^= 1;
+    let e = fresh(w, secure).restore_bytes(&bad).unwrap_err();
+    assert!(e.what.contains("section 'data' checksum mismatch"), "{e}");
+}

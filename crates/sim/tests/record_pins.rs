@@ -24,6 +24,7 @@ use recon_mem::{MemConfig, MemStats};
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, Checkpoint};
 use recon_sim::{AuditReport, Budget, SimError, StallReport, System, SystemResult};
+use recon_workloads::gen::list::{self, ListParams};
 use recon_workloads::gen::parallel::{generate, ParKind, ParallelParams};
 
 /// `(length, FxHash)` of a byte string.
@@ -368,4 +369,61 @@ fn drained_four_core_snapshot_is_pinned() {
     );
     fresh.restore_bytes(&bytes).expect("restores");
     assert!(fresh.snapshot_bytes() == bytes, "restore re-encodes");
+}
+
+/// A one-core system recording its pipeline trace (into a small ring
+/// that has overflowed) and its load observations, so the snapshot
+/// carries `TRCL` events and the observation list the four-core pin
+/// leaves empty.
+fn traced_one_core() -> System {
+    let w = recon_workloads::Workload::single(list::generate(ListParams {
+        nodes: 64,
+        chains: 2,
+        visits: 64,
+        cond_lines: 4,
+        payload_slots: 16,
+        seed: 1,
+    }));
+    let core = CoreConfig {
+        trace_capacity: 256,
+        ..CoreConfig::tiny()
+    };
+    System::new(
+        &w,
+        core,
+        MemConfig::scaled(),
+        SecureConfig::stt_recon(),
+        recon::ReconConfig::default(),
+    )
+}
+
+#[test]
+fn drained_traced_one_core_snapshot_is_pinned() {
+    let mut sys = traced_one_core();
+    sys.cores_mut()[0].record_trace(true);
+    sys.cores_mut()[0].record_observations(true);
+    let budget = Budget {
+        max_cycles: Some(2_000),
+        ..Budget::default()
+    };
+    sys.run_budgeted(10_000_000, &budget)
+        .expect_err("the cycle cap stops the run");
+    assert!(
+        sys.drain(recon_sim::system::DRAIN_BOUND_CYCLES),
+        "the pipeline drains"
+    );
+    assert!(sys.cores()[0].trace_dropped() > 0, "the ring overflowed");
+    let bytes = sys.snapshot_bytes();
+    assert_eq!(
+        pin(&bytes),
+        (203_010, 15_166_585_478_193_693_213),
+        "traced snapshot"
+    );
+
+    let mut fresh = traced_one_core();
+    fresh.restore_bytes(&bytes).expect("restores");
+    assert!(fresh.snapshot_bytes() == bytes, "restore re-encodes");
+    let core = &mut fresh.cores_mut()[0];
+    assert!(!core.take_trace().is_empty(), "the ring holds events");
+    assert!(!core.take_observations().is_empty(), "loads were observed");
 }
