@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use recon::{LoadPairTable, ReconConfig};
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, SnapError};
 use recon_isa::{AluKind, ArchReg, DataMem, DecodedProgram, Inst, Program, SparseMem};
 use recon_mem::MemorySystem;
 use recon_secure::{GuardTable, SecureConfig, Seq};
@@ -41,7 +41,7 @@ use crate::trace::{TraceKind, TraceLog};
 
 /// A speculatively observable memory access (for the Table 1 analysis
 /// and the `recon-verify` attacker observation model).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Observation {
     /// Cycle the access probed the hierarchy (its timing is visible
     /// from that point).
@@ -847,107 +847,67 @@ impl Core {
             && self.shadows.is_empty()
     }
 
-    /// Serializes the core's architectural and persistent-metadata state.
+    /// Visits the core's architectural and persistent-metadata state.
     ///
     /// Must be called with the pipeline drained ([`Core::pipeline_empty`]):
     /// at that boundary the ROB/IQ/LSQ/SB/shadows hold nothing, so no
     /// speculative state exists to capture — only the register file,
     /// predictors, guard table, LPT, statistics, and frontend cursor.
     ///
+    /// A read restores into a core freshly constructed from the *same*
+    /// configuration (same program, core config, secure scheme, and
+    /// ReCon config) — configuration is deliberately not stored in
+    /// snapshots; it is re-derived from the run setup and only the
+    /// mutable state is loaded.
+    ///
+    /// # Errors
+    ///
+    /// A read fails on a truncated or corrupt stream. On error the core
+    /// is left partially restored and must be discarded.
+    ///
     /// # Panics
     ///
-    /// Panics (debug builds) if the pipeline is not drained.
-    pub fn save_snap(&self, w: &mut SnapWriter) {
+    /// Panics if a read finds in-flight instructions (a write checks
+    /// the same in debug builds).
+    pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        assert!(
+            !c.reads() || self.pipeline_empty(),
+            "restore requires an idle (freshly constructed) core"
+        );
         debug_assert!(
             self.pipeline_empty(),
             "core snapshot requires a drained pipeline"
         );
-        w.tag(b"CORE");
-        w.u64(self.fetch_pc as u64);
-        w.u64(self.fetch_stalled_until);
-        w.bool(self.fetch_halted);
-        self.rename.save_snap(w);
-        w.u64(self.rob.next_seq());
-        self.bpred.save_snap(w);
-        self.guards.save_snap(w);
-        self.lpt.save_snap(w);
-        self.mdp.save_snap(w);
-        w.bool(self.halted);
-        w.u64(self.fuel);
-        w.bool(self.out_of_fuel);
-        let mut stats = self.stats;
-        for v in own_counters(&mut stats) {
-            w.u64(*v);
+        c.tag(b"CORE")?;
+        c.usize(&mut self.fetch_pc)?;
+        c.u64(&mut self.fetch_stalled_until)?;
+        c.bool(&mut self.fetch_halted)?;
+        self.rename.codec(c)?;
+        let mut next_seq = self.rob.next_seq();
+        c.u64(&mut next_seq)?;
+        if c.reads() {
+            self.rob.set_next_seq(next_seq);
         }
-        w.bool(self.record_observations);
-        w.u64(self.observations.len() as u64);
-        for o in &self.observations {
-            w.u64(o.cycle);
-            w.u64(o.pc as u64);
-            w.u64(o.addr);
-            w.u32(o.latency);
-            w.bool(o.speculative);
+        self.bpred.codec(c)?;
+        self.guards.codec(c)?;
+        self.lpt.codec(c)?;
+        self.mdp.codec(c)?;
+        c.bool(&mut self.halted)?;
+        c.u64(&mut self.fuel)?;
+        c.bool(&mut self.out_of_fuel)?;
+        own_counters(&mut self.stats).try_for_each(|v| c.u64(v))?;
+        c.bool(&mut self.record_observations)?;
+        c.seq64(&mut self.observations, |c, o| {
+            c.u64(&mut o.cycle)?;
+            c.usize(&mut o.pc)?;
+            c.u64(&mut o.addr)?;
+            c.u32(&mut o.latency)?;
+            c.bool(&mut o.speculative)
+        })?;
+        self.trace.codec(c)?;
+        if c.reads() {
+            self.fetch_paused = false;
         }
-        self.trace.save_snap(w);
-    }
-
-    /// Restores state captured by [`Core::save_snap`] into this core.
-    ///
-    /// The core must be freshly constructed from the *same* configuration
-    /// (same program, core config, secure scheme, and ReCon config) —
-    /// configuration is deliberately not stored in snapshots; it is
-    /// re-derived from the run setup and only the mutable state is
-    /// loaded.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a truncated or corrupt stream. On error the core is left
-    /// partially restored and must be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a core with in-flight instructions.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        assert!(
-            self.pipeline_empty(),
-            "restore requires an idle (freshly constructed) core"
-        );
-        r.expect_tag(b"CORE")?;
-        self.fetch_pc = r.u64()? as usize;
-        self.fetch_stalled_until = r.u64()?;
-        self.fetch_halted = r.bool()?;
-        self.rename = Rename::load_snap(r)?;
-        let next_seq = r.u64()?;
-        self.rob.set_next_seq(next_seq);
-        self.bpred = BranchPredictor::load_snap(r)?;
-        self.guards = GuardTable::load_snap(r)?;
-        self.lpt = LoadPairTable::load_snap(r)?;
-        self.mdp = StoreSets::load_snap(r)?;
-        self.halted = r.bool()?;
-        self.fuel = r.u64()?;
-        self.out_of_fuel = r.bool()?;
-        for v in own_counters(&mut self.stats) {
-            *v = r.u64()?;
-        }
-        self.record_observations = r.bool()?;
-        let obs_count = r.u64()?;
-        self.observations = Vec::new();
-        for _ in 0..obs_count {
-            let cycle = r.u64()?;
-            let pc = r.u64()? as usize;
-            let addr = r.u64()?;
-            let latency = r.u32()?;
-            let speculative = r.bool()?;
-            self.observations.push(Observation {
-                cycle,
-                pc,
-                addr,
-                latency,
-                speculative,
-            });
-        }
-        self.trace = TraceLog::load_snap(r)?;
-        self.fetch_paused = false;
         Ok(())
     }
 

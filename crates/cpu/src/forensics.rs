@@ -122,16 +122,7 @@ impl Record for CoreStallInfo {
         c.seq(&mut self.queues, |c, q| q.codec(c))?;
         c.u64(&mut self.shadows)?;
         c.u64(&mut self.guards_active)?;
-        // Unlike the dense options above, the head is written only when
-        // present.
-        let mut present = self.head.is_some();
-        c.bool(&mut present)?;
-        if present {
-            self.head
-                .get_or_insert_with(HeadForensics::default)
-                .codec(c)?;
-        }
-        Ok(())
+        c.sparse(&mut self.head, |c, head| head.codec(c))
     }
 }
 

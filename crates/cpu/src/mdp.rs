@@ -8,7 +8,7 @@
 //! (§4.5.2: the implicit channels become prediction-based and the
 //! predictor is trained only by non-speculative outcomes).
 
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, SnapError};
 use recon_secure::Seq;
 
 /// Store-set id.
@@ -109,56 +109,25 @@ impl StoreSets {
         }
     }
 
-    /// Serializes both tables. LFST entries are serialized verbatim even
-    /// though the pipeline is drained at checkpoint time: a stale
+    /// Visits both tables. LFST entries are kept verbatim even though
+    /// the pipeline is drained at checkpoint time: a stale
     /// last-fetched-store entry is state an uninterrupted run would also
     /// carry, so dropping it would change replay.
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"MDPT");
-        w.u32(self.ssit.len() as u32);
-        for e in &self.ssit {
-            match e {
-                Some(id) => {
-                    w.bool(true);
-                    w.u32(u32::from(*id));
-                }
-                None => w.bool(false),
-            }
-        }
-        w.u32(self.lfst.len() as u32);
-        for e in &self.lfst {
-            match e {
-                Some(seq) => {
-                    w.bool(true);
-                    w.u64(*seq);
-                }
-                None => w.bool(false),
-            }
-        }
-    }
-
-    /// Reconstructs a predictor from [`StoreSets::save_snap`] bytes.
     ///
     /// # Errors
     ///
     /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<StoreSets, SnapError> {
-        r.expect_tag(b"MDPT")?;
-        let ssit_len = r.u32()? as usize;
-        let mut ssit = Vec::with_capacity(ssit_len.min(4096));
-        for _ in 0..ssit_len {
-            ssit.push(if r.bool()? {
-                Some(r.u32()? as SsId)
-            } else {
-                None
-            });
-        }
-        let lfst_len = r.u32()? as usize;
-        let mut lfst = Vec::with_capacity(lfst_len.min(4096));
-        for _ in 0..lfst_len {
-            lfst.push(if r.bool()? { Some(r.u64()?) } else { None });
-        }
-        Ok(StoreSets { ssit, lfst })
+    pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"MDPT")?;
+        c.seq(&mut self.ssit, |c, e| {
+            c.sparse(e, |c, id| {
+                let mut wide = u32::from(*id);
+                c.u32(&mut wide)?;
+                *id = wide as SsId;
+                Ok(())
+            })
+        })?;
+        c.seq(&mut self.lfst, |c, e| c.sparse(e, Codec::u64))
     }
 }
 

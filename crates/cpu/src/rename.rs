@@ -1,7 +1,7 @@
 //! Register renaming: map table, free list, and the physical register
 //! file (values + ready bits).
 
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, SnapError};
 use recon_isa::{ArchReg, NUM_ARCH_REGS};
 use std::collections::VecDeque;
 
@@ -202,58 +202,21 @@ impl Rename {
         Some(format!("r{arch}=p{preg} value bit {bit}"))
     }
 
-    /// Serializes the map table, the free list **in order** (allocation
+    /// Visits the map table, the free list **in order** (allocation
     /// order determines future renames, so it is architectural state for
     /// replay purposes), and the physical register file.
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"RNAM");
-        for &m in &self.map {
-            w.u32(m);
-        }
-        w.u32(self.free.len() as u32);
-        for &p in &self.free {
-            w.u32(p);
-        }
-        w.u32(self.values.len() as u32);
-        for &v in &self.values {
-            w.u64(v);
-        }
-        for &r in &self.ready {
-            w.bool(r);
-        }
-    }
-
-    /// Reconstructs rename state from [`Rename::save_snap`] bytes.
     ///
     /// # Errors
     ///
     /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Rename, SnapError> {
-        r.expect_tag(b"RNAM")?;
-        let mut map = [0; NUM_ARCH_REGS];
-        for m in map.iter_mut() {
-            *m = r.u32()?;
-        }
-        let free_len = r.u32()? as usize;
-        let mut free = VecDeque::with_capacity(free_len.min(4096));
-        for _ in 0..free_len {
-            free.push_back(r.u32()?);
-        }
-        let num_pregs = r.u32()? as usize;
-        let mut values = Vec::with_capacity(num_pregs.min(4096));
-        for _ in 0..num_pregs {
-            values.push(r.u64()?);
-        }
-        let mut ready = Vec::with_capacity(num_pregs.min(4096));
-        for _ in 0..num_pregs {
-            ready.push(r.bool()?);
-        }
-        Ok(Rename {
-            map,
-            free,
-            values,
-            ready,
-        })
+    pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"RNAM")?;
+        self.map.iter_mut().try_for_each(|m| c.u32(m))?;
+        let mut free = Vec::from(std::mem::take(&mut self.free));
+        c.seq(&mut free, Codec::u32)?;
+        self.free = free.into();
+        c.seq(&mut self.values, Codec::u64)?;
+        c.items(&mut self.ready, self.values.len(), Codec::bool)
     }
 }
 

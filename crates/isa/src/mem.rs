@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::hash::FxHashMap;
 use crate::program::MemImage;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Codec, SnapError};
 
 /// Word-granular data memory as seen by the functional semantics.
 ///
@@ -372,6 +372,14 @@ impl SparseMem {
         self.pages.get(&idx)
     }
 
+    /// The frame of page `idx`, if resident, for writing in place.
+    fn frame_mut(&mut self, idx: u64) -> Option<&mut Frame> {
+        match &mut self.hot {
+            Some(hot) if self.hot_page == idx => Some(hot),
+            _ => self.pages.get_mut(&idx),
+        }
+    }
+
     /// All resident frames, in map order plus the hot slot.
     fn frames(&self) -> impl Iterator<Item = (u64, &Frame)> {
         self.pages
@@ -425,44 +433,39 @@ impl SparseMem {
         }
     }
 
-    /// Serializes resident pages in ascending page order (canonical
+    /// Visits the resident pages in ascending page order (canonical
     /// bytes: the same contents always encode identically, regardless
     /// of hash-map iteration order, which page is hot, or which image
-    /// pages are still pristine).
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"SMEM");
-        let mut indices: Vec<u64> = self.frames().map(|(idx, _)| idx).collect();
-        indices.sort_unstable();
-        w.u64(indices.len() as u64);
-        for idx in indices {
-            w.u64(idx);
-            let frame = self.frame(idx).expect("resident page");
-            for word in self.contents(frame).iter() {
-                w.u64(*word);
-            }
-        }
-    }
-
-    /// Reconstructs a memory from [`SparseMem::save_snap`] bytes.
+    /// pages are still pristine). A read replaces this memory by the
+    /// stored pages.
     ///
     /// # Errors
     ///
     /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<SparseMem, SnapError> {
-        r.expect_tag(b"SMEM")?;
-        let count = r.u64()? as usize;
-        let mut pages = FxHashMap::default();
-        for _ in 0..count {
-            let idx = r.u64()?;
-            let mut page = Box::new([0u64; PAGE_WORDS]);
-            for word in page.iter_mut() {
-                *word = r.u64()?;
+    pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"SMEM")?;
+        let mut indices: Vec<u64> = if c.reads() {
+            *self = SparseMem::default();
+            Vec::new()
+        } else {
+            self.frames().map(|(idx, _)| idx).collect()
+        };
+        indices.sort_unstable();
+        c.seq64(&mut indices, |c, idx| {
+            c.u64(idx)?;
+            if c.reads() {
+                let page = Frame::Owned(Box::new([0u64; PAGE_WORDS]));
+                self.pages.insert(*idx, page);
             }
-            pages.insert(idx, Frame::Owned(page));
-        }
-        Ok(SparseMem {
-            pages,
-            ..SparseMem::default()
+            let mut built;
+            let page = match self.frame_mut(*idx).expect("resident page") {
+                Frame::Owned(page) => &mut **page,
+                &mut Frame::Pristine(run) => {
+                    built = self.image().build(run);
+                    &mut built
+                }
+            };
+            page.iter_mut().try_for_each(|word| c.u64(word))
         })
     }
 
@@ -657,16 +660,17 @@ mod tests {
         m.write(0x1000, 2);
         m.write(0xFFFF_FFFF_FFFF_F008, 3);
         let mut w = crate::snap::SnapWriter::new();
-        m.save_snap(&mut w);
+        m.codec(&mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = crate::snap::SnapReader::new(&bytes);
-        let restored = SparseMem::load_snap(&mut r).unwrap();
+        let mut restored = SparseMem::new();
+        restored.codec(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored, m);
         // Canonical bytes: a clone (fresh hash-map iteration order)
         // serializes identically.
         let mut w2 = crate::snap::SnapWriter::new();
-        restored.save_snap(&mut w2);
+        restored.codec(&mut w2).unwrap();
         assert_eq!(w2.into_bytes(), bytes);
     }
 
@@ -714,16 +718,16 @@ mod tests {
         let mut m = SparseMem::new();
         m.write(0x8, 1);
         m.write(0x1000, 2);
-        let snap_of = |mem: &SparseMem| {
+        let snap_of = |mem: &mut SparseMem| {
             let mut w = crate::snap::SnapWriter::new();
-            mem.save_snap(&mut w);
+            mem.codec(&mut w).unwrap();
             w.into_bytes()
         };
-        let first = snap_of(&m);
+        let first = snap_of(&mut m);
         m.read(0x8); // rotate the hot slot
-        assert_eq!(snap_of(&m), first);
+        assert_eq!(snap_of(&mut m), first);
         m.read(0x1000);
-        assert_eq!(snap_of(&m), first);
+        assert_eq!(snap_of(&mut m), first);
     }
 
     #[test]

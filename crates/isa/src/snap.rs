@@ -7,21 +7,28 @@
 //! [`SnapReader`]. The encoding is deliberately boring: no varints, no
 //! alignment padding, no self-description. Determinism is the whole
 //! point — the same state must always produce the same bytes, so every
-//! `save_snap` implementation is required to emit collections in a
-//! canonical (sorted) order.
+//! body visits collections in a canonical (sorted) order.
 //!
-//! Section tags (`tag`/`expect_tag`) are 4-byte markers sprinkled
-//! between major components. They carry no data; they exist so that a
-//! reader that has drifted out of sync fails *immediately* with a
-//! named section instead of silently misinterpreting downstream bytes.
+//! Section tags ([`Codec::tag`]) are 4-byte markers sprinkled between
+//! major components. They carry no data; they exist so that a reader
+//! that has drifted out of sync fails *immediately* with a named
+//! section instead of silently misinterpreting downstream bytes.
 //!
-//! ## One codec per record
+//! ## One codec body per format
 //!
-//! A persisted outcome record ([`Record`]) describes its encoding once,
-//! in one `codec` body that visits every field through a [`Codec`]. A
-//! [`SnapWriter`] runs that body by writing each field, a
-//! [`SnapReader`] by reading into it, so the writer and the reader of a
-//! record cannot disagree.
+//! Every format is described once, in one `codec` body that visits each
+//! field through a [`Codec`]. A [`SnapWriter`] runs that body by
+//! writing each field, a [`SnapReader`] by reading into it, so the
+//! writer and the reader cannot disagree; the two `Codec` impls are the
+//! only place a scalar is written or read. A body checks what it reads
+//! where it reads it, and does what only a read must do (rebuilding,
+//! clearing) behind [`Codec::reads`].
+//!
+//! Persisted outcome records ([`Record`]) run their body over a clone
+//! when written. Machine state — the functional memory, caches,
+//! directory, predictors, LPT and the rest of a checkpoint — runs its
+//! body over `&mut self` in both directions, so the write pass of a
+//! snapshot clones nothing.
 //!
 //! ## The record envelope
 //!
@@ -65,7 +72,8 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// Serializes state into a deterministic flat byte stream.
+/// Serializes state into a deterministic flat byte stream through its
+/// [`Codec`] methods.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -84,65 +92,15 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The bytes written so far, without consuming the writer — used by
-    /// writers that seal sections with a checksum over what they just
-    /// emitted.
+    /// The bytes written so far, without consuming the writer.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed byte blob.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Writes a 4-byte section marker (see module docs).
-    pub fn tag(&mut self, t: &[u8; 4]) {
-        self.buf.extend_from_slice(t);
-    }
 }
 
-/// Decodes a byte stream produced by [`SnapWriter`].
+/// Decodes a byte stream produced by [`SnapWriter`] through its
+/// [`Codec`] methods.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -156,94 +114,35 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
-    /// Current byte offset.
-    #[must_use]
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
     /// Whether every byte has been consumed.
     #[must_use]
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 
-    fn err(&self, what: impl Into<String>) -> SnapError {
-        SnapError {
-            what: what.into(),
-            offset: self.pos,
-        }
-    }
-
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapError> {
         if self.buf.len() - self.pos < n {
-            return Err(self.err(format!(
-                "unexpected end of snapshot reading {what} ({n} bytes wanted, {} left)",
-                self.buf.len() - self.pos
-            )));
+            return Err(self.short(n, what));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1, "u8")?[0])
+    #[cold]
+    fn short(&self, n: usize, what: &str) -> SnapError {
+        self.fail(format!(
+            "unexpected end of snapshot reading {what} ({n} bytes wanted, {} left)",
+            self.buf.len() - self.pos
+        ))
     }
 
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, SnapError> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a bool; any byte other than 0/1 is an error.
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.err(format!("invalid bool byte {other:#x}"))),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let len = self.u32()? as usize;
-        let b = self.take(len, "string body")?;
-        String::from_utf8(b.to_vec()).map_err(|_| self.err("string is not valid UTF-8"))
-    }
-
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len, "byte blob")?.to_vec())
-    }
-
-    /// Consumes a 4-byte section marker, failing loudly on mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Names both the expected and the found tag, so a desynchronized
-    /// stream is diagnosed at the section boundary where it happened.
-    pub fn expect_tag(&mut self, t: &[u8; 4]) -> Result<(), SnapError> {
-        let found = self.take(4, "section tag")?;
-        if found != t {
-            return Err(self.err(format!(
-                "section tag mismatch: expected {:?}, found {:?}",
-                String::from_utf8_lossy(t),
-                String::from_utf8_lossy(found)
-            )));
-        }
-        Ok(())
+    /// The next `N` bytes as an array.
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapError> {
+        let b = self.take(N, what)?;
+        Ok(b.try_into().expect("take returns N bytes"))
     }
 }
 
@@ -252,13 +151,23 @@ impl<'a> SnapReader<'a> {
 /// the reader runs out of bytes.
 const SEQ_PREALLOC_CAP: usize = 64;
 
-/// One pass over a record's fields, in either direction: a
+/// One pass over a value's fields, in either direction: a
 /// [`SnapWriter`] writes each visited field, a [`SnapReader`] reads
 /// into it (see the module docs). Reading fails on a truncated or
 /// corrupt stream; writing never fails.
 pub trait Codec {
+    /// Whether this pass reads into the visited fields (rather than
+    /// writing them): what only a read must do sits behind it.
+    fn reads(&self) -> bool;
+    /// Bytes written or read so far.
+    fn offset(&self) -> usize;
+    /// The bytes written or read since offset `start`.
+    fn since(&self, start: usize) -> &[u8];
+
     /// A 4-byte section marker, checked on read.
     fn tag(&mut self, t: &[u8; 4]) -> Result<(), SnapError>;
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError>;
     /// A little-endian u32.
     fn u32(&mut self, v: &mut u32) -> Result<(), SnapError>;
     /// A little-endian u64.
@@ -269,6 +178,23 @@ pub trait Codec {
     fn str(&mut self, v: &mut String) -> Result<(), SnapError>;
     /// A length-prefixed byte blob.
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapError>;
+
+    /// A refusal at the current offset.
+    fn fail(&self, what: impl Into<String>) -> SnapError {
+        SnapError {
+            what: what.into(),
+            offset: self.offset(),
+        }
+    }
+
+    /// A usize, stored as a u64.
+    #[inline]
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapError> {
+        let mut wide = *v as u64;
+        self.u64(&mut wide)?;
+        *v = usize::try_from(wide).map_err(|_| self.fail(format!("{wide} exceeds usize")))?;
+        Ok(())
+    }
 
     /// A dense optional value: a presence flag, then the value — or its
     /// default when absent, so the field has one width either way.
@@ -285,17 +211,34 @@ pub trait Codec {
         Ok(())
     }
 
-    /// A sequence: its u32 length, then each item. A reader fills an
-    /// empty `items`, preallocating at most a small cap however large
-    /// the length claims to be.
-    fn seq<T: Default>(
+    /// A sparse optional value: a presence flag, then the value only
+    /// when present.
+    #[inline]
+    fn sparse<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        value: impl FnOnce(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let mut present = v.is_some();
+        self.bool(&mut present)?;
+        if !present {
+            *v = None;
+            return Ok(());
+        }
+        value(self, v.get_or_insert_with(T::default))
+    }
+
+    /// `len` items with no length prefix (the caller stores or knows
+    /// the count). A reader grows or cuts `items` to `len`,
+    /// preallocating at most a small cap however large `len` claims to
+    /// be.
+    #[inline]
+    fn items<T: Default>(
         &mut self,
         items: &mut Vec<T>,
+        len: usize,
         mut item: impl FnMut(&mut Self, &mut T) -> Result<(), SnapError>,
     ) -> Result<(), SnapError> {
-        let mut len = items.len() as u32;
-        self.u32(&mut len)?;
-        let len = len as usize;
         items.truncate(len);
         items.reserve(len.saturating_sub(items.len()).min(SEQ_PREALLOC_CAP));
         for i in 0..len {
@@ -306,63 +249,160 @@ pub trait Codec {
         }
         Ok(())
     }
+
+    /// A sequence: its u32 length, then its [`Codec::items`].
+    fn seq<T: Default>(
+        &mut self,
+        items: &mut Vec<T>,
+        item: impl FnMut(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let mut len = items.len() as u32;
+        self.u32(&mut len)?;
+        self.items(items, len as usize, item)
+    }
+
+    /// A sequence with a u64 length.
+    fn seq64<T: Default>(
+        &mut self,
+        items: &mut Vec<T>,
+        item: impl FnMut(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let mut len = items.len();
+        self.usize(&mut len)?;
+        self.items(items, len, item)
+    }
 }
 
 impl Codec for SnapWriter {
+    #[inline]
+    fn reads(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn offset(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn since(&self, start: usize) -> &[u8] {
+        &self.buf[start..]
+    }
+
+    #[inline]
     fn tag(&mut self, t: &[u8; 4]) -> Result<(), SnapError> {
-        SnapWriter::tag(self, t);
+        self.buf.extend_from_slice(t);
         Ok(())
     }
 
+    #[inline]
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
+        self.buf.push(*v);
+        Ok(())
+    }
+
+    #[inline]
     fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
-        SnapWriter::u32(self, *v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
+    #[inline]
     fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
-        SnapWriter::u64(self, *v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
+    #[inline]
     fn bool(&mut self, v: &mut bool) -> Result<(), SnapError> {
-        SnapWriter::bool(self, *v);
+        self.buf.push(u8::from(*v));
         Ok(())
     }
 
     fn str(&mut self, v: &mut String) -> Result<(), SnapError> {
-        SnapWriter::str(self, v);
+        self.u32(&mut (v.len() as u32))?;
+        self.buf.extend_from_slice(v.as_bytes());
         Ok(())
     }
 
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapError> {
-        SnapWriter::bytes(self, v);
+        self.u32(&mut (v.len() as u32))?;
+        self.buf.extend_from_slice(v);
         Ok(())
     }
 }
 
 impl Codec for SnapReader<'_> {
+    #[inline]
+    fn reads(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn offset(&self) -> usize {
+        self.pos
+    }
+
+    fn since(&self, start: usize) -> &[u8] {
+        &self.buf[start..self.pos]
+    }
+
+    /// Names both the expected and the found tag on a mismatch, so a
+    /// desynchronized stream is diagnosed at the section boundary where
+    /// it happened.
     fn tag(&mut self, t: &[u8; 4]) -> Result<(), SnapError> {
-        self.expect_tag(t)
+        let found = self.take(4, "section tag")?;
+        if found != t {
+            return Err(self.fail(format!(
+                "section tag mismatch: expected {:?}, found {:?}",
+                String::from_utf8_lossy(t),
+                String::from_utf8_lossy(found)
+            )));
+        }
+        Ok(())
     }
 
+    #[inline]
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
+        *v = self.array::<1>("u8")?[0];
+        Ok(())
+    }
+
+    #[inline]
     fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
-        SnapReader::u32(self).map(|x| *v = x)
+        *v = u32::from_le_bytes(self.array("u32")?);
+        Ok(())
     }
 
+    #[inline]
     fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
-        SnapReader::u64(self).map(|x| *v = x)
+        *v = u64::from_le_bytes(self.array("u64")?);
+        Ok(())
     }
 
+    /// Any byte other than 0/1 is an error.
+    #[inline]
     fn bool(&mut self, v: &mut bool) -> Result<(), SnapError> {
-        SnapReader::bool(self).map(|x| *v = x)
+        *v = match self.array::<1>("u8")?[0] {
+            0 => false,
+            1 => true,
+            other => return Err(self.fail(format!("invalid bool byte {other:#x}"))),
+        };
+        Ok(())
     }
 
     fn str(&mut self, v: &mut String) -> Result<(), SnapError> {
-        SnapReader::str(self).map(|x| *v = x)
+        let mut len = 0;
+        self.u32(&mut len)?;
+        let b = self.take(len as usize, "string body")?;
+        *v = String::from_utf8(b.to_vec()).map_err(|_| self.fail("string is not valid UTF-8"))?;
+        Ok(())
     }
 
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapError> {
-        SnapReader::bytes(self).map(|x| *v = x)
+        let mut len = 0;
+        self.u32(&mut len)?;
+        *v = self.take(len as usize, "byte blob")?.to_vec();
+        Ok(())
     }
 }
 
@@ -396,7 +436,7 @@ pub trait Record: Clone + Default {
         let mut r = SnapReader::new(bytes);
         let v = Self::load(&mut r)?;
         if !r.is_exhausted() {
-            return Err(r.err("trailing bytes after the record"));
+            return Err(r.fail("trailing bytes after the record"));
         }
         Ok(v)
     }
@@ -440,15 +480,18 @@ pub fn open<'a>(
     max_len: usize,
 ) -> Result<(u64, &'a [u8], &'a [u8]), SnapError> {
     let mut r = SnapReader::new(bytes);
-    r.expect_tag(magic)?;
-    let digest = r.u64()?;
-    let len = r.u32()? as usize;
+    let (mut digest, mut len, mut check) = (0, 0, 0);
+    r.tag(magic)?;
+    r.u64(&mut digest)?;
+    r.u32(&mut len)?;
+    let len = len as usize;
     if len > max_len {
-        return Err(r.err(format!("record length {len} exceeds the cap {max_len}")));
+        return Err(r.fail(format!("record length {len} exceeds the cap {max_len}")));
     }
     let payload = r.take(len, "record payload")?;
-    if r.u64()? != checksum(digest, payload) {
-        return Err(r.err("record checksum mismatch (corrupt record)"));
+    r.u64(&mut check)?;
+    if check != checksum(digest, payload) {
+        return Err(r.fail("record checksum mismatch (corrupt record)"));
     }
     Ok((digest, payload, &bytes[r.offset()..]))
 }
@@ -457,47 +500,90 @@ pub fn open<'a>(
 mod tests {
     use super::*;
 
+    /// Every scalar kind, sparse option and sequence width once.
+    #[derive(Clone, Default, PartialEq, Debug)]
+    struct Scalars {
+        byte: u8,
+        word: u32,
+        wide: u64,
+        yes: bool,
+        no: bool,
+        name: String,
+        blob: Vec<u8>,
+        count: usize,
+        some: Option<u64>,
+        none: Option<u64>,
+        long: Vec<u32>,
+    }
+
+    impl Record for Scalars {
+        fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+            c.tag(b"TEST")?;
+            c.u8(&mut self.byte)?;
+            c.u32(&mut self.word)?;
+            c.u64(&mut self.wide)?;
+            c.bool(&mut self.yes)?;
+            c.bool(&mut self.no)?;
+            c.str(&mut self.name)?;
+            c.bytes(&mut self.blob)?;
+            c.usize(&mut self.count)?;
+            c.sparse(&mut self.some, Codec::u64)?;
+            c.sparse(&mut self.none, Codec::u64)?;
+            c.seq64(&mut self.long, Codec::u32)
+        }
+    }
+
     #[test]
     fn round_trip_scalars() {
-        let mut w = SnapWriter::new();
-        w.tag(b"TEST");
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.bool(true);
-        w.bool(false);
-        w.str("hello");
-        w.bytes(&[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        r.expect_tag(b"TEST").unwrap();
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
-        assert!(r.is_exhausted());
+        let v = Scalars {
+            byte: 7,
+            word: 0xDEAD_BEEF,
+            wide: u64::MAX,
+            yes: true,
+            no: false,
+            name: "hello".into(),
+            blob: vec![1, 2, 3],
+            count: 9,
+            some: Some(5),
+            none: None,
+            long: vec![4],
+        };
+        let mut want = b"TEST".to_vec();
+        want.push(7);
+        want.extend(0xDEAD_BEEF_u32.to_le_bytes());
+        want.extend(u64::MAX.to_le_bytes());
+        want.extend([1, 0]);
+        want.extend(5u32.to_le_bytes());
+        want.extend(b"hello");
+        want.extend(3u32.to_le_bytes());
+        want.extend([1, 2, 3]);
+        want.extend(9u64.to_le_bytes());
+        want.push(1);
+        want.extend(5u64.to_le_bytes());
+        want.push(0);
+        want.extend(1u64.to_le_bytes());
+        want.extend(4u32.to_le_bytes());
+        assert_eq!(v.to_bytes(), want);
+        assert_eq!(Scalars::from_bytes(&want), Ok(v));
     }
 
     #[test]
     fn truncated_stream_errors() {
         let mut w = SnapWriter::new();
-        w.u64(1);
+        w.u64(&mut 1).unwrap();
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..5]);
-        let e = r.u64().unwrap_err();
+        let e = r.u64(&mut 0).unwrap_err();
         assert!(e.to_string().contains("unexpected end"), "{e}");
     }
 
     #[test]
     fn tag_mismatch_names_both_tags() {
         let mut w = SnapWriter::new();
-        w.tag(b"AAAA");
+        w.tag(b"AAAA").unwrap();
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let e = r.expect_tag(b"BBBB").unwrap_err();
+        let e = r.tag(b"BBBB").unwrap_err();
         assert!(e.to_string().contains("AAAA"), "{e}");
         assert!(e.to_string().contains("BBBB"), "{e}");
     }
@@ -505,16 +591,16 @@ mod tests {
     #[test]
     fn bad_bool_errors() {
         let mut r = SnapReader::new(&[2]);
-        assert!(r.bool().is_err());
+        assert!(r.bool(&mut false).is_err());
     }
 
     #[test]
     fn string_length_beyond_buffer_errors() {
         let mut w = SnapWriter::new();
-        w.u32(1_000_000);
+        w.u32(&mut 1_000_000).unwrap();
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert!(r.str().is_err());
+        assert!(r.str(&mut String::new()).is_err());
     }
 
     #[derive(Clone, Default, PartialEq, Debug)]
@@ -552,20 +638,20 @@ mod tests {
 
     #[test]
     fn one_codec_writes_what_the_writer_methods_write() {
-        let mut w = SnapWriter::new();
-        w.tag(b"SMPL");
-        w.u64(7);
-        w.str("seven");
-        w.bool(true);
-        w.bool(true);
-        w.bool(false);
-        w.u64(0);
-        w.u32(2);
-        w.u32(1);
-        w.str("one");
-        w.u32(2);
-        w.str("two");
-        assert_eq!(sample().to_bytes(), w.into_bytes());
+        let mut want = b"SMPL".to_vec();
+        want.extend(7u64.to_le_bytes());
+        want.extend(5u32.to_le_bytes());
+        want.extend(b"seven");
+        // The dense options: flag then value, the default when absent.
+        want.extend([1, 1, 0]);
+        want.extend(0u64.to_le_bytes());
+        want.extend(2u32.to_le_bytes());
+        for (k, v) in [(1u32, "one"), (2, "two")] {
+            want.extend(k.to_le_bytes());
+            want.extend(3u32.to_le_bytes());
+            want.extend(v.as_bytes());
+        }
+        assert_eq!(sample().to_bytes(), want);
         assert_eq!(Sample::from_bytes(&sample().to_bytes()), Ok(sample()));
     }
 
@@ -584,7 +670,7 @@ mod tests {
     #[test]
     fn a_huge_sequence_length_fails_without_preallocating_it() {
         let mut w = SnapWriter::new();
-        w.u32(u32::MAX);
+        w.u32(&mut { u32::MAX }).unwrap();
         let bytes = w.into_bytes();
         let mut items: Vec<u64> = Vec::new();
         let r = SnapReader::new(&bytes).seq(&mut items, Codec::u64);

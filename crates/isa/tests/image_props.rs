@@ -77,7 +77,7 @@ fn assert_matches(img: &MemImage, model: &BTreeMap<u64, u64>, what: &str, seed: 
 
 fn snap_bytes(mem: &SparseMem) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    mem.save_snap(&mut w);
+    mem.clone().codec(&mut w).expect("writing cannot fail");
     w.into_bytes()
 }
 
@@ -220,7 +220,7 @@ impl Checked {
         }
     }
 
-    /// `==` both ways, `resident_pages`, `save_snap` bytes and `peek`
+    /// `==` both ways, `resident_pages`, snapshot bytes and `peek`
     /// agree with the eager reference and the model.
     fn check(&self, what: &str, seed: u64) {
         let (mem, eager) = (&self.mem, &self.eager);
@@ -317,7 +317,8 @@ fn clones_and_restored_snapshots_are_independent_memories() {
 
         let bytes = snap_bytes(&m.mem);
         let mut r = SnapReader::new(&bytes);
-        let restored = SparseMem::load_snap(&mut r).expect("round trip");
+        let mut restored = SparseMem::new();
+        restored.codec(&mut r).expect("round trip");
         assert!(r.is_exhausted(), "seed {seed}: trailing bytes");
         let mut restored = Checked {
             mem: restored,

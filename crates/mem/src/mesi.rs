@@ -112,6 +112,16 @@ impl SharerSet {
         self.0 == 0
     }
 
+    /// The set as a bit vector (bit *i* = core *i*).
+    pub(crate) fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// The set of a [`SharerSet::bits`] vector.
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SharerSet(bits)
+    }
+
     /// Iterates over core ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let bits = self.0;

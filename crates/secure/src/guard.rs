@@ -20,7 +20,7 @@
 //! past `g`, every register guarded by `g` becomes free simultaneously,
 //! exactly like STT's untaint broadcast.
 
-use recon_isa::snap::{SnapError, SnapReader, SnapWriter};
+use recon_isa::snap::{Codec, SnapError};
 
 /// Sequence number of a dynamic instruction (monotonic per core).
 pub type Seq = u64;
@@ -138,36 +138,16 @@ impl GuardTable {
             .count()
     }
 
-    /// Serializes every guard slot in index order. Stale (inactive)
-    /// guards are serialized verbatim: they are part of the
-    /// deterministic state an uninterrupted run would also carry.
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.tag(b"GRDT");
-        w.u64(self.guards.len() as u64);
-        for g in &self.guards {
-            match g {
-                Some(root) => {
-                    w.bool(true);
-                    w.u64(*root);
-                }
-                None => w.bool(false),
-            }
-        }
-    }
-
-    /// Reconstructs a table from [`GuardTable::save_snap`] bytes.
+    /// Visits every guard slot in index order. Stale (inactive) guards
+    /// are kept verbatim: they are part of the deterministic state an
+    /// uninterrupted run would also carry.
     ///
     /// # Errors
     ///
     /// Propagates decode errors from a truncated or corrupt stream.
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<GuardTable, SnapError> {
-        r.expect_tag(b"GRDT")?;
-        let count = r.u64()? as usize;
-        let mut guards = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            guards.push(if r.bool()? { Some(r.u64()?) } else { None });
-        }
-        Ok(GuardTable { guards })
+    pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"GRDT")?;
+        c.seq64(&mut self.guards, |c, g| c.sparse(g, Codec::u64))
     }
 }
 

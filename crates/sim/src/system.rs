@@ -108,6 +108,27 @@ impl Record for SystemResult {
     }
 }
 
+/// Seals the snapshot section that began at `start` with an `SCHK`
+/// checksum over its bytes: a writer appends it, a reader checks it and
+/// names the section on a mismatch. `start` moves past the seal.
+fn seal(c: &mut impl Codec, start: &mut usize, name: &str) -> Result<(), SnapError> {
+    let end = c.offset();
+    let mut h = FxHasher::default();
+    h.write(c.since(*start));
+    let sum = h.finish();
+    let mut stored = sum;
+    c.tag(b"SCHK")?;
+    c.u64(&mut stored)?;
+    if stored != sum {
+        return Err(SnapError {
+            what: format!("snapshot section '{name}' checksum mismatch (corrupt state)"),
+            offset: end,
+        });
+    }
+    *start = c.offset();
+    Ok(())
+}
+
 /// A multicore system executing one [`Workload`].
 #[derive(Debug)]
 pub struct System {
@@ -299,9 +320,10 @@ impl System {
     /// workload ending with equal digests produced the same program
     /// outcome — the campaign's masked-fault criterion.
     #[must_use]
-    pub fn arch_digest(&self) -> u64 {
+    pub fn arch_digest(&mut self) -> u64 {
         let mut w = SnapWriter::new();
-        self.data.save_snap(&mut w);
+        let written = self.data.codec(&mut w);
+        debug_assert!(written.is_ok(), "writing cannot fail");
         let mut h = FxHasher::default();
         h.write(w.as_slice());
         for core in &self.cores {
@@ -440,27 +462,10 @@ impl System {
     /// cannot see, e.g. state damaged before the envelope was written —
     /// is rejected at restore and names the corrupted section.
     #[must_use]
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let seal = |w: &mut SnapWriter, start: &mut usize| {
-            let mut h = FxHasher::default();
-            h.write(&w.as_slice()[*start..]);
-            w.tag(b"SCHK");
-            w.u64(h.finish());
-            *start = w.len();
-        };
+    pub fn snapshot_bytes(&mut self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.tag(b"SYSS");
-        let mut start = w.len();
-        w.u64(self.cycle);
-        self.data.save_snap(&mut w);
-        seal(&mut w, &mut start);
-        self.mem.save_snap(&mut w);
-        seal(&mut w, &mut start);
-        w.u32(self.cores.len() as u32);
-        for core in &self.cores {
-            core.save_snap(&mut w);
-        }
-        seal(&mut w, &mut start);
+        let written = self.codec(&mut w);
+        debug_assert!(written.is_ok(), "writing cannot fail");
         w.into_bytes()
     }
 
@@ -474,47 +479,36 @@ impl System {
     /// shape (core count, cache geometry) does not match this system.
     /// On error the system is partially restored and must be discarded.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let check = |r: &mut SnapReader<'_>, start: &mut usize, name: &str| {
-            let end = r.offset();
-            r.expect_tag(b"SCHK")?;
-            let stored = r.u64()?;
-            let mut h = FxHasher::default();
-            h.write(&bytes[*start..end]);
-            if h.finish() != stored {
-                return Err(SnapError {
-                    what: format!("snapshot section '{name}' checksum mismatch (corrupt state)"),
-                    offset: end,
-                });
-            }
-            *start = r.offset();
-            Ok(())
-        };
         let mut r = SnapReader::new(bytes);
-        r.expect_tag(b"SYSS")?;
-        let mut start = r.offset();
-        self.cycle = r.u64()?;
-        self.data = recon_isa::SparseMem::load_snap(&mut r)?;
-        check(&mut r, &mut start, "data")?;
-        self.mem.load_snap(&mut r)?;
-        check(&mut r, &mut start, "mem")?;
-        let n = r.u32()? as usize;
-        if n != self.cores.len() {
-            return Err(SnapError {
-                what: format!("snapshot has {n} cores, system has {}", self.cores.len()),
-                offset: r.offset(),
-            });
-        }
-        for core in &mut self.cores {
-            core.load_snap(&mut r)?;
-        }
-        check(&mut r, &mut start, "cores")?;
+        self.codec(&mut r)?;
         if !r.is_exhausted() {
-            return Err(SnapError {
-                what: "trailing bytes after system snapshot".to_string(),
-                offset: r.offset(),
-            });
+            return Err(r.fail("trailing bytes after system snapshot"));
         }
         Ok(())
+    }
+
+    /// The one body of [`System::snapshot_bytes`] and
+    /// [`System::restore_bytes`].
+    fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
+        c.tag(b"SYSS")?;
+        let mut start = c.offset();
+        c.u64(&mut self.cycle)?;
+        self.data.codec(c)?;
+        seal(c, &mut start, "data")?;
+        self.mem.codec(c)?;
+        seal(c, &mut start, "mem")?;
+        let mut n = self.cores.len() as u32;
+        c.u32(&mut n)?;
+        if n as usize != self.cores.len() {
+            return Err(c.fail(format!(
+                "snapshot has {n} cores, system has {}",
+                self.cores.len()
+            )));
+        }
+        for core in &mut self.cores {
+            core.codec(c)?;
+        }
+        seal(c, &mut start, "cores")
     }
 
     /// Advances every core one cycle. Returns `true` while any core is
