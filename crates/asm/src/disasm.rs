@@ -13,15 +13,6 @@ use recon_isa::Inst;
 
 use crate::text::AsmProgram;
 
-/// Signed hex offset: `+0x10`, `-0x8`, `+0x0`.
-fn fmt_offset(offset: i64) -> String {
-    if offset < 0 {
-        format!("-{:#x}", offset.unsigned_abs())
-    } else {
-        format!("+{offset:#x}")
-    }
-}
-
 /// Renders `p` as canonical assembly text.
 #[must_use]
 pub fn disassemble(p: &AsmProgram) -> String {
@@ -55,33 +46,14 @@ pub fn disassemble(p: &AsmProgram) -> String {
         if let Some(name) = targets.get(&i) {
             let _ = writeln!(out, "{name}:");
         }
-        // Memory operands are formatted here rather than via `Inst`'s
-        // `Display`, which prints negative offsets as two's-complement
-        // hex (not re-assemblable).
+        // `Inst`'s `Display` is the assembler's syntax, except that it
+        // prints a branch or jump target as `@index`.
         match *inst {
             Inst::Branch { kind, a, b, target } => {
                 let _ = writeln!(out, "    {kind} {a}, {b}, {}", targets[&target]);
             }
             Inst::Jump { target } => {
                 let _ = writeln!(out, "    j {}", targets[&target]);
-            }
-            Inst::Load { dst, base, offset } => {
-                let _ = writeln!(out, "    ld {dst}, [{base}{}]", fmt_offset(offset));
-            }
-            Inst::Store { val, base, offset } => {
-                let _ = writeln!(out, "    st {val}, [{base}{}]", fmt_offset(offset));
-            }
-            Inst::AmoAdd {
-                dst,
-                base,
-                offset,
-                add,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "    amoadd {dst}, [{base}{}], {add}",
-                    fmt_offset(offset)
-                );
             }
             ref other => {
                 let _ = writeln!(out, "    {other}");

@@ -7,7 +7,9 @@
 //! pointer-chasing memory benchmark) with self-checking epilogues.
 //!
 //! The assembler accepts a line-oriented language whose instruction
-//! syntax matches what `Inst`'s `Display` impl prints, so disassembled
+//! syntax is what `Inst`'s `Display` impl prints, with one exception:
+//! a branch or jump names a label where `Display` prints its `@index`
+//! target. The disassembler supplies those labels, so disassembled
 //! programs re-assemble. See [`text`] for the grammar and [`corpus`]
 //! for the corpus conventions (digest/status addresses, the reserved
 //! gadget registers, and the `;@gadget` splice marker used by

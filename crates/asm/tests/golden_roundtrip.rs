@@ -83,3 +83,61 @@ fn canonical_form_reassembles_under_all_alu_ops() {
     src.push_str("    ldx r4, [r1+r2*8]\n    halt\n");
     roundtrip("all-alu-ops", &src);
 }
+
+/// `Inst`'s `Display` is the assembler's syntax: every non-branch form
+/// prints as text that assembles back to the same instruction,
+/// including the extreme memory offsets.
+#[test]
+fn display_is_the_assembler_syntax() {
+    use recon_isa::{AluKind, ArchReg, Inst};
+
+    let (r0, r7, r31) = (ArchReg::new(0), ArchReg::new(7), ArchReg::new(31));
+    let mut forms = vec![Inst::Nop, Inst::Halt];
+    for imm in [0, 1, 0x7f, u64::MAX] {
+        forms.push(Inst::LoadImm { dst: r7, imm });
+        for kind in AluKind::ALL {
+            forms.push(Inst::AluImm {
+                kind,
+                dst: r31,
+                a: r0,
+                imm,
+            });
+        }
+    }
+    for kind in AluKind::ALL {
+        forms.push(Inst::Alu {
+            kind,
+            dst: r7,
+            a: r31,
+            b: r0,
+        });
+    }
+    forms.push(Inst::LoadIdx {
+        dst: r0,
+        base: r7,
+        index: r31,
+    });
+    for offset in [0, 8, -8, 0x7ff8, i64::MIN, i64::MAX] {
+        forms.push(Inst::Load {
+            dst: r7,
+            base: r31,
+            offset,
+        });
+        forms.push(Inst::Store {
+            val: r31,
+            base: r7,
+            offset,
+        });
+        forms.push(Inst::AmoAdd {
+            dst: r0,
+            base: r7,
+            offset,
+            add: r31,
+        });
+    }
+    for inst in forms {
+        let p = assemble(&format!("{inst}\nhalt"))
+            .unwrap_or_else(|e| panic!("'{inst}' does not assemble: {e}"));
+        assert_eq!(p.program.code[0], inst, "'{inst}' reads back differently");
+    }
+}

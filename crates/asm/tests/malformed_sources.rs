@@ -102,6 +102,12 @@ const MALFORMED: &[(&str, &str, (usize, usize), &str)] = &[
         "'ld' expects 2 operands",
     ),
     (
+        "multibyte-mem-operand",
+        "    ld r1, [é]\n    halt\n",
+        (1, 13),
+        "unknown register or alias 'é'",
+    ),
+    (
         "bad-ldx-operand",
         "    ldx r1, [r2+r3*4]\n    halt\n",
         (1, 13),

@@ -28,7 +28,7 @@ use recon_serve::job::experiment_for;
 use recon_sim::ckpt::{self, CkptContext};
 use recon_sim::report::Table;
 use recon_sim::{jobs_from_env, Budget, Experiment, SimError, System, SystemResult};
-use recon_workloads::{did_you_mean, Benchmark, Scale, Suite, ThreadSpec, Workload};
+use recon_workloads::{did_you_mean, Benchmark, Scale, Suite, Workload};
 
 fn scale() -> Scale {
     Scale::from_env()
@@ -233,18 +233,7 @@ fn cmd_asm(file: &str, rest: &[&str]) -> Result<ExitCode, String> {
     let Some(secure) = run else {
         return Ok(ExitCode::SUCCESS);
     };
-    let threads: Vec<ThreadSpec> = p
-        .entries
-        .iter()
-        .map(|e| ThreadSpec {
-            entry: e.entry,
-            seeds: e.seeds.clone(),
-        })
-        .collect();
-    let workload = Workload {
-        program: p.program,
-        threads,
-    };
+    let workload = Workload::from(p);
     let suite = if workload.num_threads() > 1 {
         Suite::Parsec
     } else {

@@ -31,8 +31,6 @@ pub enum AsmError {
     UnboundLabel {
         /// Allocation index of the label (order of `new_label` calls).
         index: usize,
-        /// Human-readable name, if the label was made with [`Asm::named_label`].
-        name: Option<String>,
     },
     /// The assembled program failed [`Program::validate`].
     Invalid(ProgramError),
@@ -41,13 +39,7 @@ pub enum AsmError {
 impl core::fmt::Display for AsmError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            AsmError::UnboundLabel {
-                index,
-                name: Some(name),
-            } => write!(f, "label '{name}' (L{index}) used but never bound"),
-            AsmError::UnboundLabel { index, name: None } => {
-                write!(f, "label L{index} used but never bound")
-            }
+            AsmError::UnboundLabel { index } => write!(f, "label L{index} used but never bound"),
             AsmError::Invalid(e) => write!(f, "assembled program invalid: {e}"),
         }
     }
@@ -75,8 +67,6 @@ pub struct Asm {
     /// For each instruction, the pending label target, if it used one.
     patches: Vec<(usize, Label)>,
     bound: Vec<Option<usize>>,
-    /// Parallel to `bound`: an optional human-readable name per label.
-    names: Vec<Option<String>>,
     /// The memory image, built as [`Asm::data`] defines its words.
     image: ImageWriter,
 }
@@ -91,25 +81,7 @@ impl Asm {
     /// Allocates a fresh, unbound label.
     pub fn new_label(&mut self) -> Label {
         self.bound.push(None);
-        self.names.push(None);
         Label(self.bound.len() - 1)
-    }
-
-    /// Allocates a fresh, unbound label carrying a human-readable name.
-    ///
-    /// The name appears in [`AsmError::UnboundLabel`] diagnostics and in the
-    /// panic message of a double [`Asm::bind`], which makes errors in
-    /// corpus-sized programs actionable.
-    pub fn named_label(&mut self, name: impl Into<String>) -> Label {
-        self.bound.push(None);
-        self.names.push(Some(name.into()));
-        Label(self.bound.len() - 1)
-    }
-
-    /// The name given to `label` at allocation, if any.
-    #[must_use]
-    pub fn label_name(&self, label: Label) -> Option<&str> {
-        self.names[label.0].as_deref()
     }
 
     /// Binds `label` to the *next* instruction emitted.
@@ -119,14 +91,7 @@ impl Asm {
     /// Panics if the label is already bound.
     pub fn bind(&mut self, label: Label) {
         let slot = &mut self.bound[label.0];
-        assert!(
-            slot.is_none(),
-            "label {} bound twice",
-            match &self.names[label.0] {
-                Some(name) => format!("'{name}' (L{})", label.0),
-                None => format!("L{}", label.0),
-            }
-        );
+        assert!(slot.is_none(), "label L{} bound twice", label.0);
         *slot = Some(self.code.len());
     }
 
@@ -398,10 +363,7 @@ impl Asm {
     pub fn assemble(mut self) -> Result<Program, AsmError> {
         for &(at, label) in &self.patches {
             let Some(index) = self.bound[label.0] else {
-                return Err(AsmError::UnboundLabel {
-                    index: label.0,
-                    name: self.names[label.0].clone(),
-                });
+                return Err(AsmError::UnboundLabel { index: label.0 });
             };
             match &mut self.code[at] {
                 Inst::Branch { target, .. } | Inst::Jump { target } => *target = index,
@@ -470,42 +432,8 @@ mod tests {
         a.halt();
         assert_eq!(
             a.assemble().unwrap_err(),
-            AsmError::UnboundLabel {
-                index: 0,
-                name: None
-            }
+            AsmError::UnboundLabel { index: 0 }
         );
-    }
-
-    #[test]
-    fn unbound_named_label_reports_its_name() {
-        let mut a = Asm::new();
-        let l = a.named_label("epilogue");
-        assert_eq!(a.label_name(l), Some("epilogue"));
-        a.jump(l);
-        a.halt();
-        let err = a.assemble().unwrap_err();
-        assert_eq!(
-            err,
-            AsmError::UnboundLabel {
-                index: 0,
-                name: Some("epilogue".into())
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "label 'epilogue' (L0) used but never bound"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "'loop_top' (L0) bound twice")]
-    fn double_bind_panic_names_the_label() {
-        let mut a = Asm::new();
-        let l = a.named_label("loop_top");
-        a.bind(l);
-        a.nop();
-        a.bind(l);
     }
 
     #[test]

@@ -41,6 +41,22 @@ impl AluKind {
         AluKind::Sltu,
     ];
 
+    /// The register-register mnemonic; the immediate form appends `i`.
+    #[must_use]
+    pub const fn mnemonic(self) -> &'static str {
+        match self {
+            AluKind::Add => "add",
+            AluKind::Sub => "sub",
+            AluKind::Mul => "mul",
+            AluKind::And => "and",
+            AluKind::Or => "or",
+            AluKind::Xor => "xor",
+            AluKind::Shl => "shl",
+            AluKind::Shr => "shr",
+            AluKind::Sltu => "sltu",
+        }
+    }
+
     /// Applies the operation to two 64-bit values.
     #[must_use]
     pub fn apply(self, a: u64, b: u64) -> u64 {
@@ -60,18 +76,7 @@ impl AluKind {
 
 impl fmt::Display for AluKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AluKind::Add => "add",
-            AluKind::Sub => "sub",
-            AluKind::Mul => "mul",
-            AluKind::And => "and",
-            AluKind::Or => "or",
-            AluKind::Xor => "xor",
-            AluKind::Shl => "shl",
-            AluKind::Shr => "shr",
-            AluKind::Sltu => "sltu",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -97,6 +102,17 @@ impl BranchKind {
         BranchKind::Geu,
     ];
 
+    /// The branch mnemonic.
+    #[must_use]
+    pub const fn mnemonic(self) -> &'static str {
+        match self {
+            BranchKind::Eq => "beq",
+            BranchKind::Ne => "bne",
+            BranchKind::Ltu => "bltu",
+            BranchKind::Geu => "bgeu",
+        }
+    }
+
     /// Evaluates the branch condition.
     #[must_use]
     pub fn taken(self, a: u64, b: u64) -> bool {
@@ -111,13 +127,7 @@ impl BranchKind {
 
 impl fmt::Display for BranchKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BranchKind::Eq => "beq",
-            BranchKind::Ne => "bne",
-            BranchKind::Ltu => "bltu",
-            BranchKind::Geu => "bgeu",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -332,15 +342,28 @@ impl Inst {
     }
 }
 
+/// A memory operand as the assembler reads it: `[base+0x10]`,
+/// `[base-0x8]`.
+struct MemOperand(ArchReg, i64);
+
+impl fmt::Display for MemOperand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sign = if self.1 < 0 { '-' } else { '+' };
+        write!(f, "[{}{sign}{:#x}]", self.0, self.1.unsigned_abs())
+    }
+}
+
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Inst::LoadImm { dst, imm } => write!(f, "li {dst}, {imm:#x}"),
             Inst::Alu { kind, dst, a, b } => write!(f, "{kind} {dst}, {a}, {b}"),
             Inst::AluImm { kind, dst, a, imm } => write!(f, "{kind}i {dst}, {a}, {imm:#x}"),
-            Inst::Load { dst, base, offset } => write!(f, "ld {dst}, [{base}{offset:+#x}]"),
+            Inst::Load { dst, base, offset } => write!(f, "ld {dst}, {}", MemOperand(base, offset)),
             Inst::LoadIdx { dst, base, index } => write!(f, "ldx {dst}, [{base}+{index}*8]"),
-            Inst::Store { val, base, offset } => write!(f, "st {val}, [{base}{offset:+#x}]"),
+            Inst::Store { val, base, offset } => {
+                write!(f, "st {val}, {}", MemOperand(base, offset))
+            }
             Inst::Branch { kind, a, b, target } => write!(f, "{kind} {a}, {b}, @{target}"),
             Inst::Jump { target } => write!(f, "j @{target}"),
             Inst::AmoAdd {
@@ -348,9 +371,7 @@ impl fmt::Display for Inst {
                 base,
                 offset,
                 add,
-            } => {
-                write!(f, "amoadd {dst}, [{base}{offset:+#x}], {add}")
-            }
+            } => write!(f, "amoadd {dst}, {}, {add}", MemOperand(base, offset)),
             Inst::Nop => f.write_str("nop"),
             Inst::Halt => f.write_str("halt"),
         }

@@ -238,18 +238,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Renders the program as readable assembly, one instruction per line,
-    /// prefixed with its index.
-    #[must_use]
-    pub fn disassemble(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::new();
-        for (i, inst) in self.code.iter().enumerate() {
-            let _ = writeln!(out, "{i:4}: {inst}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -347,14 +335,6 @@ mod tests {
             p.validate(),
             Err(ProgramError::MisalignedImage { addr: 0x3 })
         );
-    }
-
-    #[test]
-    fn disassemble_lists_every_instruction() {
-        let p = halted(vec![Inst::Nop]);
-        let text = p.disassemble();
-        assert!(text.contains("0: nop"));
-        assert!(text.contains("1: halt"));
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! listener, a capped pool of handler threads fed through a bounded
 //! backlog (a connection beyond both gets the service's `503` at the
 //! accept loop), the keep-alive loop with its per-connection timeouts
-//! and its `400` on malformed framing, the `404`/`405` fallback, every
+//! and its `400` on malformed framing, the `404`/`405` fallback, the
+//! `500` for a route that panics (its handler thread lives on), every
 //! response write, and the self-connect that wakes the accept loop
 //! when the service stops. A service only routes: [`Service::route`]
 //! maps a request to a [`Reply`] value, and the front writes it.
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -464,12 +466,18 @@ fn serve_connection(
         // Decided before routing, so a request read before the service
         // began to stop is still answered keep-alive.
         let close = req.wants_close() || service.stopping();
-        let reply = service
-            .route(&req)
-            .unwrap_or_else(|| match req.method.as_str() {
+        // A panicking route costs its exchange and connection, not the
+        // handler thread, which no one would replace.
+        let reply = match catch_unwind(AssertUnwindSafe(|| service.route(&req))) {
+            Ok(Some(reply)) => reply,
+            Ok(None) => match req.method.as_str() {
                 "GET" | "POST" => Reply::error(404, "not_found", &req.path),
                 _ => Reply::error(405, "method_not_allowed", &req.method),
-            });
+            },
+            Err(_) => {
+                Reply::error(500, "internal_error", "the request's handler panicked").closing()
+            }
+        };
         if reply.write(&mut writer, close)? {
             return Ok(());
         }
@@ -557,5 +565,42 @@ mod tests {
         }
         let mut r = BufReader::new(TimesOut);
         assert!(read_request(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_panicking_route_answers_500_and_keeps_its_handler() {
+        struct Panics;
+        impl Service for Panics {
+            fn route(&self, req: &Request) -> Option<Reply> {
+                assert_ne!(req.path, "/boom", "route panics on /boom");
+                Some(Reply::json(200, "{}"))
+            }
+            fn stopping(&self) -> bool {
+                false
+            }
+            fn overloaded(&self) -> Reply {
+                Reply::error(503, "overloaded", "busy")
+            }
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let timeouts = (Duration::from_secs(5), Duration::from_secs(5));
+        // One handler thread: the second exchange needs the same one.
+        let front = Front::start("panics", listener, Arc::new(Panics), 1, timeouts).unwrap();
+        let exchange = |path: &str| {
+            let mut stream = TcpStream::connect(front.addr()).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut answer = String::new();
+            io::Read::read_to_string(&mut stream, &mut answer).unwrap();
+            answer
+        };
+        let boom = exchange("/boom");
+        assert!(
+            boom.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+            "{boom}"
+        );
+        assert!(boom.contains("Connection: close\r\n"), "{boom}");
+        assert!(boom.contains("\"error\":\"internal_error\""), "{boom}");
+        let ok = exchange("/ok");
+        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
     }
 }

@@ -924,18 +924,7 @@ fn execute_asm(spec: &JobSpec, budget: &Budget) -> Result<JobOutput, JobError> {
     let scheme = spec.scheme.expect("validated");
     let p = recon_asm::assemble(src)
         .map_err(|e| JobError::Invalid(format!("source does not assemble: {e}")))?;
-    let threads = p
-        .entries
-        .iter()
-        .map(|e| recon_workloads::ThreadSpec {
-            entry: e.entry,
-            seeds: e.seeds.clone(),
-        })
-        .collect::<Vec<_>>();
-    let workload = recon_workloads::Workload {
-        program: p.program,
-        threads,
-    };
+    let workload = recon_workloads::Workload::from(p);
     let exp = if workload.num_threads() > 1 {
         experiment_for(Suite::Parsec)
     } else {

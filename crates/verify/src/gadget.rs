@@ -399,18 +399,7 @@ fn embedded_in(host: &str, payload: &str) -> Workload {
         .expect("corpus hosts carry a gadget marker");
     let p = recon_asm::assemble(&src)
         .unwrap_or_else(|e| panic!("spliced {host} does not assemble: {e}"));
-    let threads = p
-        .entries
-        .iter()
-        .map(|e| ThreadSpec {
-            entry: e.entry,
-            seeds: e.seeds.clone(),
-        })
-        .collect();
-    Workload {
-        program: p.program,
-        threads,
-    }
+    Workload::from(p)
 }
 
 /// The image slots every embedded gadget needs, as `.data` directives:

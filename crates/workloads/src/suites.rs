@@ -26,7 +26,7 @@ use crate::gen::list::{self, ListParams};
 use crate::gen::parallel::{self, ParKind, ParallelParams};
 use crate::gen::stencil::{self, StencilParams};
 use crate::gen::stream::{self, StreamParams};
-use crate::workload::{Benchmark, Suite, ThreadSpec, Workload};
+use crate::workload::{Benchmark, Suite, Workload};
 
 /// Workload sizing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -357,31 +357,15 @@ pub fn parsec(scale: Scale) -> Vec<Benchmark> {
 
 /// One corpus program as a benchmark at `scale`.
 fn corpus_bench(e: &recon_asm::corpus::CorpusEntry, scale: Scale) -> Benchmark {
-    let p = e.assemble();
-    let threads = p
-        .entries
-        .iter()
-        .map(|spec| {
-            let mut seeds: Vec<_> = spec
-                .seeds
-                .iter()
-                .copied()
-                .filter(|&(r, _)| r != recon_asm::corpus::PASS_REG)
-                .collect();
-            seeds.push((recon_asm::corpus::PASS_REG, scale.factor()));
-            ThreadSpec {
-                entry: spec.entry,
-                seeds,
-            }
-        })
-        .collect();
+    let mut workload = Workload::from(e.assemble());
+    for t in &mut workload.threads {
+        t.seeds.retain(|&(r, _)| r != recon_asm::corpus::PASS_REG);
+        t.seeds.push((recon_asm::corpus::PASS_REG, scale.factor()));
+    }
     Benchmark {
         name: e.name,
         suite: Suite::Corpus,
-        workload: Workload {
-            program: p.program,
-            threads,
-        },
+        workload,
     }
 }
 

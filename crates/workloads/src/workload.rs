@@ -118,6 +118,24 @@ impl Workload {
     }
 }
 
+impl From<recon_asm::AsmProgram> for Workload {
+    /// One thread per `.entry` of the assembled program, with its seeds.
+    fn from(p: recon_asm::AsmProgram) -> Self {
+        let threads = p
+            .entries
+            .into_iter()
+            .map(|e| ThreadSpec {
+                entry: e.entry,
+                seeds: e.seeds,
+            })
+            .collect();
+        Workload {
+            program: p.program,
+            threads,
+        }
+    }
+}
+
 /// A named benchmark stand-in.
 #[derive(Clone, Debug)]
 pub struct Benchmark {

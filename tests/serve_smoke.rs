@@ -110,6 +110,39 @@ fn deadline_job_answers_408_and_does_not_poison_the_pool() {
 }
 
 #[test]
+fn multibyte_asm_source_answers_400_and_keeps_the_handlers() {
+    // As many bad submissions as handler threads: each must be refused
+    // with the assembler's diagnostic, and the node must still answer.
+    let server = Server::start(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        handler_cap: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
+    for _ in 0..2 {
+        let resp = client::submit_job(
+            addr,
+            r#"{"kind":"asm","scheme":"stt","source":"ld r1, [é]\nhalt\n"}"#,
+        )
+        .unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body
+                .contains("line 1:9: unknown register or alias 'é'"),
+            "{}",
+            resp.body
+        );
+    }
+    let health = client::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(health.status, 200);
+
+    let resp = client::request(addr, "POST", "/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    server.wait();
+}
+
+#[test]
 fn flooded_one_slot_queue_backpressures_with_429() {
     let server = start(1, 1);
     let addr = server.addr();
