@@ -1284,7 +1284,23 @@ fn split_jobs<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, usize), String> {
     Ok((rest, jobs))
 }
 
+/// Ends the process quietly with exit 0 when a write to stdout finds it
+/// closed (`recon asm f --dump | head -1`), as a Unix filter does,
+/// instead of the panic `println!` raises on the failed write. Every
+/// other panic reports as before.
+fn quiet_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 fn main() -> ExitCode {
+    quiet_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     dispatch(&args).unwrap_or_else(|e| fail(&e))

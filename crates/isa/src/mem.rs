@@ -1,9 +1,10 @@
 //! Data memory abstraction and a paged flat-store implementation.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::hash::Hasher;
+use std::sync::{Arc, OnceLock};
 
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHasher};
 use crate::program::MemImage;
 use crate::snap::{Codec, SnapError};
 
@@ -38,7 +39,7 @@ type PageMap = [u64; PAGE_WORDS / 64];
 /// so [`SparseMem`]s read untouched image pages without building them.
 /// Canonical: every listed page defines a word, so equal layouts are
 /// equal images.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub(crate) struct ImagePages {
     /// Page numbers, ascending.
     pages: Vec<u64>,
@@ -56,7 +57,23 @@ pub(crate) struct ImagePages {
     /// word; it is kept for [`Program::validate`](crate::Program::validate)
     /// to reject.
     pub(crate) misaligned: Option<u64>,
+    /// The [`digest`](Self::digest), once a snapshot has asked for it.
+    digest: OnceLock<u64>,
 }
+
+impl PartialEq for ImagePages {
+    /// Equal words and the same misaligned address: the page starts and
+    /// the last address follow from the words, and the digest is only
+    /// computed or not.
+    fn eq(&self, other: &Self) -> bool {
+        self.pages == other.pages
+            && self.maps == other.maps
+            && self.values == other.values
+            && self.misaligned == other.misaligned
+    }
+}
+
+impl Eq for ImagePages {}
 
 impl ImagePages {
     /// Appends the word at `addr`, or overwrites the last word if `addr`
@@ -68,6 +85,7 @@ impl ImagePages {
             self.misaligned = Some(self.misaligned.map_or(addr, |a| a.min(addr)));
             return true;
         }
+        self.digest.take();
         if !self.values.is_empty() && addr <= self.last {
             if addr < self.last {
                 return false;
@@ -186,6 +204,30 @@ impl ImagePages {
         }
         page
     }
+
+    /// Whether page `idx` holds exactly what the image defines there
+    /// (and the image defines a word on it).
+    fn holds(&self, idx: u64, page: &Page) -> bool {
+        self.pages
+            .binary_search(&idx)
+            .is_ok_and(|run| *page == self.build(run as u32))
+    }
+
+    /// An FxHash of the word count and every `(address, value)`,
+    /// computed on first use and kept. Snapshots of the memories built
+    /// from the image store it, to be restored only into memories built
+    /// from an image with equal words.
+    pub(crate) fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = FxHasher::default();
+            h.write_usize(self.values.len());
+            for (addr, value) in self.iter() {
+                h.write_u64(addr);
+                h.write_u64(value);
+            }
+            h.finish()
+        })
+    }
 }
 
 impl core::fmt::Debug for ImagePages {
@@ -261,8 +303,11 @@ enum Frame {
 /// then on. Systems built from one workload keep no copy of the pages
 /// they only read. None of this is visible: equality,
 /// [`peek`](SparseMem::peek),
-/// [`resident_pages`](SparseMem::resident_pages), `clone` and the
-/// snapshot bytes are as if every image page were built up front.
+/// [`resident_pages`](SparseMem::resident_pages) and `clone` are as if
+/// every image page were built up front. A snapshot is relative to the
+/// image: it holds the image's digest and only the pages the image does
+/// not hold as they are, so it restores into a memory built from the
+/// same image (see [`codec`](SparseMem::codec)).
 ///
 /// ```
 /// use recon_isa::{DataMem, SparseMem};
@@ -327,16 +372,23 @@ impl SparseMem {
     /// in the image's words, and built only by its first write.
     #[must_use]
     pub fn from_image(image: &MemImage) -> Self {
-        let words = &image.words;
         if image.is_empty() {
             return SparseMem::new();
         }
-        SparseMem {
-            pages: (0..)
+        SparseMem::pristine(Some(Arc::clone(&image.words)))
+    }
+
+    /// A memory holding every page of `image`, none built.
+    fn pristine(image: Option<Arc<ImagePages>>) -> Self {
+        let pages = image.as_deref().map_or_else(FxHashMap::default, |words| {
+            (0..)
                 .zip(&words.pages)
                 .map(|(run, &idx)| (idx, Frame::Pristine(run)))
-                .collect(),
-            image: Some(Arc::clone(words)),
+                .collect()
+        });
+        SparseMem {
+            pages,
+            image,
             ..SparseMem::default()
         }
     }
@@ -433,39 +485,65 @@ impl SparseMem {
         }
     }
 
-    /// Visits the resident pages in ascending page order (canonical
-    /// bytes: the same contents always encode identically, regardless
-    /// of hash-map iteration order, which page is hot, or which image
-    /// pages are still pristine). A read replaces this memory by the
-    /// stored pages.
+    /// Visits the digest of this memory's image, then, in ascending page
+    /// order, every resident page the image does not hold as it is: each
+    /// page outside the image, and each image page written to other
+    /// words. The bytes are canonical: the same contents always encode
+    /// identically, regardless of hash-map iteration order, which page
+    /// is hot, or which image pages are built. A read keeps this
+    /// memory's own image, with every image page as the image defines
+    /// it, and replaces the rest by the stored pages.
     ///
     /// # Errors
     ///
-    /// Propagates decode errors from a truncated or corrupt stream.
+    /// A read fails if the stored digest is not this memory's image's
+    /// (the snapshot is of a memory built from another image), if page
+    /// numbers repeat or descend, if a stored page is as the image
+    /// defines it, or on a truncated or corrupt stream.
     pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
-        c.tag(b"SMEM")?;
+        c.tag(b"SME2")?;
+        let image = self.image.clone();
+        let holds = |idx, page: &Page| image.as_ref().is_some_and(|i| i.holds(idx, page));
+        let own = image.as_deref().map_or(0, ImagePages::digest);
+        let mut digest = own;
+        c.u64(&mut digest)?;
+        if digest != own {
+            return Err(c.fail(format!(
+                "image digest {digest:#018x} does not match this memory's image {own:#018x}"
+            )));
+        }
         let mut indices: Vec<u64> = if c.reads() {
-            *self = SparseMem::default();
+            *self = SparseMem::pristine(self.image.take());
             Vec::new()
         } else {
-            self.frames().map(|(idx, _)| idx).collect()
+            self.frames()
+                .filter(|(idx, frame)| match frame {
+                    Frame::Pristine(_) => false,
+                    Frame::Owned(page) => !holds(*idx, page),
+                })
+                .map(|(idx, _)| idx)
+                .collect()
         };
         indices.sort_unstable();
+        let mut last = None;
         c.seq64(&mut indices, |c, idx| {
             c.u64(idx)?;
+            if let Some(last) = last.filter(|&last| *idx <= last) {
+                return Err(c.fail(format!("page {idx:#x} does not ascend past page {last:#x}")));
+            }
+            last = Some(*idx);
             if c.reads() {
                 let page = Frame::Owned(Box::new([0u64; PAGE_WORDS]));
                 self.pages.insert(*idx, page);
             }
-            let mut built;
-            let page = match self.frame_mut(*idx).expect("resident page") {
-                Frame::Owned(page) => &mut **page,
-                &mut Frame::Pristine(run) => {
-                    built = self.image().build(run);
-                    &mut built
-                }
+            let Some(Frame::Owned(page)) = self.frame_mut(*idx) else {
+                unreachable!("a stored page is owned");
             };
-            page.iter_mut().try_for_each(|word| c.u64(word))
+            page.iter_mut().try_for_each(|word| c.u64(word))?;
+            if c.reads() && holds(*idx, page) {
+                return Err(c.fail(format!("stored page {idx:#x} is as the image defines it")));
+            }
+            Ok(())
         })
     }
 
@@ -672,6 +750,99 @@ mod tests {
         let mut w2 = crate::snap::SnapWriter::new();
         restored.codec(&mut w2).unwrap();
         assert_eq!(w2.into_bytes(), bytes);
+    }
+
+    fn snap(mem: &mut SparseMem) -> Vec<u8> {
+        let mut w = crate::snap::SnapWriter::new();
+        mem.codec(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    fn restore(mem: &mut SparseMem, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = crate::snap::SnapReader::new(bytes);
+        mem.codec(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(())
+    }
+
+    /// The bytes of a stored page: its number and its 512 words.
+    const PAGE_BYTES: usize = 8 + 8 * PAGE_WORDS;
+    /// The first stored page: after the `SME2` tag, the image digest
+    /// and the page count.
+    const FIRST_PAGE: usize = 4 + 8 + 8;
+
+    #[test]
+    fn snapshots_hold_only_what_differs_from_the_image() {
+        let img: MemImage = [(0x10, 7), (0x2008, 8), (0x4000, 9)].into_iter().collect();
+        let mut m = SparseMem::from_image(&img);
+        assert_eq!(snap(&mut m).len(), FIRST_PAGE, "no page differs");
+        m.write(0x10, 7); // built, but as the image defines it
+        m.write(0x2008, 1); // differs
+        m.write(0x9000, 2); // outside the image
+        let bytes = snap(&mut m);
+        assert_eq!(bytes.len(), FIRST_PAGE + 2 * PAGE_BYTES);
+        let page = |i: usize| &bytes[FIRST_PAGE + i * PAGE_BYTES..][..8];
+        assert_eq!(
+            (page(0), page(1)),
+            (&2u64.to_le_bytes()[..], &9u64.to_le_bytes()[..])
+        );
+
+        // A read keeps the restoring memory's image pages, and drops
+        // what it wrote past them.
+        let mut back = SparseMem::from_image(&img);
+        back.write(0x4000, 5);
+        back.write(0xA000, 6);
+        restore(&mut back, &bytes).unwrap();
+        assert_eq!(back, m);
+        assert!(pristine(&back, 0) && pristine(&back, 4));
+        assert_eq!(back.resident_pages(), 4);
+        assert_eq!(snap(&mut back), bytes, "a restore re-encodes to its bytes");
+    }
+
+    #[test]
+    fn an_image_digest_that_does_not_match_is_refused() {
+        let img: MemImage = [(0x10, 7)].into_iter().collect();
+        let other: MemImage = [(0x10, 8)].into_iter().collect();
+        let bytes = snap(&mut SparseMem::from_image(&img));
+        let e = restore(&mut SparseMem::from_image(&other), &bytes).unwrap_err();
+        assert!(e.what.contains("does not match this memory's image"), "{e}");
+        let e = restore(&mut SparseMem::new(), &bytes).unwrap_err();
+        assert!(e.what.contains("image 0x0000000000000000"), "{e}");
+        let mut twin = SparseMem::from_image(&[(0x10, 7)].into_iter().collect());
+        restore(&mut twin, &bytes).expect("an image with equal words");
+    }
+
+    #[test]
+    fn page_numbers_that_do_not_ascend_are_refused() {
+        let mut m = SparseMem::new();
+        m.write(0x1000, 1);
+        m.write(0x3000, 3);
+        let mut bytes = snap(&mut m);
+        let second = FIRST_PAGE + PAGE_BYTES;
+        for (first, then) in [(3u64, 3u64), (3, 1)] {
+            bytes[FIRST_PAGE..FIRST_PAGE + 8].copy_from_slice(&first.to_le_bytes());
+            bytes[second..second + 8].copy_from_slice(&then.to_le_bytes());
+            let e = restore(&mut SparseMem::new(), &bytes).unwrap_err();
+            let want = format!("page {then:#x} does not ascend past page {first:#x}");
+            assert!(e.what.contains(&want), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_stored_page_as_the_image_defines_it_is_refused() {
+        let img: MemImage = [(0x10, 7)].into_iter().collect();
+        let mut m = SparseMem::from_image(&img);
+        m.write(0x10, 8);
+        let mut bytes = snap(&mut m);
+        let word = FIRST_PAGE + 8 + 8 * 2;
+        assert_eq!(bytes[word..word + 8], 8u64.to_le_bytes());
+        bytes[word..word + 8].copy_from_slice(&7u64.to_le_bytes());
+        let e = restore(&mut SparseMem::from_image(&img), &bytes).unwrap_err();
+        assert!(
+            e.what
+                .contains("stored page 0x0 is as the image defines it"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -81,6 +81,17 @@ fn snap_bytes(mem: &SparseMem) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// `into` after reading a snapshot of `mem`; the snapshot must be read
+/// whole and re-encode to the same bytes.
+fn restored(mem: &SparseMem, mut into: SparseMem, what: &str) -> SparseMem {
+    let bytes = snap_bytes(mem);
+    let mut r = SnapReader::new(&bytes);
+    into.codec(&mut r).expect(what);
+    assert!(r.is_exhausted(), "{what}: trailing bytes");
+    assert_eq!(snap_bytes(&into), bytes, "{what}: re-encoded");
+    into
+}
+
 #[test]
 fn set_in_any_order_matches_a_map_model() {
     for seed in 0..48u64 {
@@ -153,11 +164,14 @@ fn from_image_equals_word_by_word_writes() {
             written.resident_pages(),
             "seed {seed}: resident pages"
         );
+        // A snapshot is relative to the memory's image: each restores
+        // into a memory of its own image, equal to the other memory.
+        let what = format!("seed {seed}: restored");
         assert_eq!(
-            snap_bytes(&built),
-            snap_bytes(&written),
-            "seed {seed}: bytes"
+            restored(&built, SparseMem::from_image(&img), &what),
+            written
         );
+        assert_eq!(restored(&written, SparseMem::new(), &what), built);
         for (a, v) in img.iter() {
             assert_eq!(built.peek(a), v, "seed {seed}: peek {a:#x}");
         }
@@ -220,7 +234,7 @@ impl Checked {
         }
     }
 
-    /// `==` both ways, `resident_pages`, snapshot bytes and `peek`
+    /// `==` both ways, `resident_pages`, snapshot round trips and `peek`
     /// agree with the eager reference and the model.
     fn check(&self, what: &str, seed: u64) {
         let (mem, eager) = (&self.mem, &self.eager);
@@ -231,11 +245,11 @@ impl Checked {
             eager.resident_pages(),
             "seed {seed} ({what}): resident pages"
         );
-        assert_eq!(
-            snap_bytes(mem),
-            snap_bytes(eager),
-            "seed {seed} ({what}): bytes"
-        );
+        // A restore keeps the restoring memory's image (here a clone's,
+        // with all else reset) and adds the pages that differ from it.
+        let round = format!("seed {seed} ({what}): restored");
+        assert!(restored(mem, mem.clone(), &round) == *eager, "{round}");
+        assert!(restored(eager, SparseMem::new(), &round) == *mem, "{round}");
         for (&a, &v) in &self.model {
             assert_eq!(mem.peek(a), v, "seed {seed} ({what}): peek {a:#x}");
             let next = a.wrapping_add(8);
@@ -317,7 +331,7 @@ fn clones_and_restored_snapshots_are_independent_memories() {
 
         let bytes = snap_bytes(&m.mem);
         let mut r = SnapReader::new(&bytes);
-        let mut restored = SparseMem::new();
+        let mut restored = SparseMem::from_image(&img);
         restored.codec(&mut r).expect("round trip");
         assert!(r.is_exhausted(), "seed {seed}: trailing bytes");
         let mut restored = Checked {

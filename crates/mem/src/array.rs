@@ -379,19 +379,31 @@ impl CacheArray {
         ))
     }
 
-    /// Visits every way of every set in array order, including LRU
-    /// timestamps and the stale tags and states of invalid ways, so
-    /// replacement decisions replay identically after a restore.
-    /// Geometry is *not* stored: only its dimensions, which a read
-    /// checks against this array's configured geometry.
+    /// Whether `slot` was never filled: its key and LRU tick are zero (a
+    /// fill stamps a tick of at least 1, and it stays), and so is every
+    /// field a read restores, since a read conceals an invalid slot.
+    fn is_blank(&self, slot: usize) -> bool {
+        self.keys[slot] == 0 && self.last_use[slot] == 0
+    }
+
+    /// Visits the LRU clock, the array's dimensions and then every slot
+    /// that is not [blank](Self::is_blank), in ascending order: its index,
+    /// valid flag, tag, MESI state, mask and LRU timestamp. Invalid ways
+    /// that were once filled are visited with their stale tags, states
+    /// and timestamps, so replacement decisions replay identically after
+    /// a restore. A read blanks the array first. Geometry is *not*
+    /// stored: only its dimensions, which a read checks against this
+    /// array's configured geometry.
     ///
     /// # Errors
     ///
     /// Fails if the stored dimensions disagree with this array's (the
     /// run was checkpointed under a different cache configuration), a
-    /// tag is wider than any address yields, or the stream is corrupt.
+    /// slot index is past the array, repeats or descends, a stored slot
+    /// is blank, a tag is wider than any address yields, or the stream
+    /// is corrupt.
     pub fn codec(&mut self, c: &mut impl Codec) -> Result<(), SnapError> {
-        c.tag(b"CARR")?;
+        c.tag(b"CAR2")?;
         c.u64(&mut self.tick)?;
         let (mut sets, mut ways) = (self.geom.num_sets() as u32, self.geom.ways() as u32);
         c.u32(&mut sets)?;
@@ -403,7 +415,34 @@ impl CacheArray {
                 self.geom.ways()
             )));
         }
-        for slot in 0..self.keys.len() {
+        let mut slots: Vec<u32> = if c.reads() {
+            self.keys.fill(0);
+            self.last_use.fill(0);
+            self.masks.clear();
+            Vec::new()
+        } else {
+            (0..self.keys.len() as u32)
+                .filter(|&slot| !self.is_blank(slot as usize))
+                .collect()
+        };
+        // The lowest index the next stored slot may have.
+        let mut next = 0;
+        c.seq(&mut slots, |c, slot| {
+            c.u32(slot)?;
+            let slot = *slot as usize;
+            if slot >= self.keys.len() {
+                return Err(c.fail(format!(
+                    "cache slot {slot} is past the array's {} slots",
+                    self.keys.len()
+                )));
+            }
+            if slot < next {
+                return Err(c.fail(format!(
+                    "cache slot {slot} does not ascend past slot {}",
+                    next - 1
+                )));
+            }
+            next = slot + 1;
             let k = self.keys[slot];
             let mut valid = key_valid(k);
             let mut tag = key_tag(k);
@@ -422,13 +461,16 @@ impl CacheArray {
             c.u64(&mut self.last_use[slot])?;
             if c.reads() {
                 self.keys[slot] = key(tag, state, valid);
+                if self.is_blank(slot) {
+                    return Err(c.fail(format!("stored cache slot {slot} is blank")));
+                }
                 // Invalid slots stay concealed in the packed array so
                 // revealed_words() counts only resident lines.
                 let mask = if valid { mask } else { 0 };
                 self.masks.set(slot, RevealMask::from_bits(mask));
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -591,9 +633,14 @@ mod tests {
         w.into_bytes()
     }
 
-    /// Slot 0's tag: after the `CARR` tag, the LRU tick, the two
-    /// dimensions and the slot's valid flag.
-    const SLOT0_TAG: usize = 4 + 8 + 4 + 4 + 1;
+    /// The first stored slot's index: after the `CAR2` tag, the LRU
+    /// tick, the two dimensions and the count of stored slots.
+    const FIRST_SLOT: usize = 4 + 8 + 4 + 4 + 4;
+    /// Bytes a stored slot takes: index, valid flag, tag, MESI state,
+    /// mask and LRU timestamp.
+    const SLOT_BYTES: usize = 4 + 1 + 8 + 1 + 1 + 8;
+    /// Slot 0's tag: after its index and valid flag.
+    const SLOT0_TAG: usize = FIRST_SLOT + 4 + 1;
 
     fn load_small(geom: CacheGeometry, bytes: &[u8]) -> Result<CacheArray, SnapError> {
         let mut a = CacheArray::new(geom);
@@ -625,5 +672,79 @@ mod tests {
         bytes[SLOT0_TAG + 8] = 4;
         let e = load_small(small().geometry(), &bytes).unwrap_err();
         assert!(e.what.contains("invalid MESI byte 0x4"), "{e}");
+    }
+
+    #[test]
+    fn only_slots_ever_filled_are_stored() {
+        assert_eq!(small_snapshot().len(), FIRST_SLOT + SLOT_BYTES);
+        let mut c = small();
+        c.fill(0x040, Mesi::Shared, RevealMask::all_concealed());
+        c.fill(0x0C0, Mesi::Modified, RevealMask::from_bits(0b11));
+        c.invalidate(0x040);
+        let mut w = SnapWriter::new();
+        c.codec(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), FIRST_SLOT + 2 * SLOT_BYTES, "slots 2 and 3");
+        let slot = |i: usize| &bytes[FIRST_SLOT + i * SLOT_BYTES..][..4];
+        assert_eq!(
+            (slot(0), slot(1)),
+            (&2u32.to_le_bytes()[..], &3u32.to_le_bytes()[..])
+        );
+
+        // A read blanks what it does not store, and re-encodes to the
+        // same bytes.
+        let mut back = small();
+        back.fill(0x000, Mesi::Exclusive, RevealMask::all_revealed());
+        back.codec(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.state_of(0x000), None);
+        assert_eq!(back.state_of(0x0C0), Some(Mesi::Modified));
+        assert_eq!(back.revealed_words(), 2);
+        let mut w = SnapWriter::new();
+        back.codec(&mut w).unwrap();
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    /// A snapshot of [`small`] holding lines in slots 0 and 1.
+    fn two_slot_snapshot() -> Vec<u8> {
+        let mut c = small();
+        c.fill(0x000, Mesi::Modified, RevealMask::from_bits(0b0101));
+        c.fill(0x080, Mesi::Shared, RevealMask::all_concealed());
+        let mut w = SnapWriter::new();
+        c.codec(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_slot_index_past_the_array_is_refused() {
+        let mut bytes = small_snapshot();
+        bytes[FIRST_SLOT..FIRST_SLOT + 4].copy_from_slice(&4u32.to_le_bytes());
+        let e = load_small(small().geometry(), &bytes).unwrap_err();
+        assert!(
+            e.what.contains("cache slot 4 is past the array's 4 slots"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn slot_indices_that_do_not_ascend_are_refused() {
+        let mut bytes = two_slot_snapshot();
+        let second = FIRST_SLOT + SLOT_BYTES;
+        assert_eq!(bytes[second..second + 4], 1u32.to_le_bytes());
+        for (index, past) in [(0u32, 0u32), (1, 1)] {
+            bytes[FIRST_SLOT..FIRST_SLOT + 4].copy_from_slice(&past.to_le_bytes());
+            bytes[second..second + 4].copy_from_slice(&index.to_le_bytes());
+            let e = load_small(small().geometry(), &bytes).unwrap_err();
+            let want = format!("cache slot {index} does not ascend past slot {past}");
+            assert!(e.what.contains(&want), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_stored_blank_slot_is_refused() {
+        let mut bytes = small_snapshot();
+        // Clear the slot's valid flag, tag, state, mask and timestamp.
+        bytes[FIRST_SLOT + 4..FIRST_SLOT + SLOT_BYTES].fill(0);
+        let e = load_small(small().geometry(), &bytes).unwrap_err();
+        assert!(e.what.contains("stored cache slot 0 is blank"), "{e}");
     }
 }

@@ -1455,11 +1455,12 @@ mod tests {
         assert_eq!(m.dir.len(), 1, "one directory entry");
         let mut bytes = snapshot(&mut m);
         // The entry's state byte follows the `MSYS` tag, the core count,
-        // every array, the directory length and the entry's line.
-        let cfg = MemConfig::scaled();
-        let array =
-            |g: crate::geometry::CacheGeometry| 4 + 8 + 4 + 4 + g.num_sets() * g.ways() * 19;
-        let at = 8 + array(cfg.l1) + array(cfg.l2) + array(cfg.llc) + 8 + 8;
+        // every array, the directory length and the entry's line. An
+        // array stores its tag, clock, dimensions and slot count, then
+        // 23 bytes for each slot ever filled: here, each resident line.
+        let array = |a: &CacheArray| 4 + 8 + 4 + 4 + 4 + a.occupancy() * 23;
+        let c = &m.cores[0];
+        let at = 8 + array(&c.l1) + array(&c.l2) + array(&m.llc) + 8 + 8;
         assert_eq!(bytes[at], 2, "the entry is owned");
         bytes[at] = 3;
         let e = sys(1).codec(&mut SnapReader::new(&bytes)).unwrap_err();

@@ -174,6 +174,101 @@ fn corrupt_checkpoints_are_dropped_never_trusted() {
     assert_eq!(r, reference);
 }
 
+/// The freshly built `sys`'s snapshot in the layout checkpoints had
+/// before the `SME2` and `CAR2` sections: `SMEM` listing every resident
+/// page in full, and `CARR` listing every slot of every cache array.
+/// The cores section is the same in both layouts and is copied.
+fn fresh_snapshot_in_the_old_layout(sys: &mut System, w: &Workload) -> Vec<u8> {
+    use std::hash::Hasher as _;
+    let new = sys.snapshot_bytes();
+    let seal = |out: &mut Vec<u8>, start: usize| {
+        let mut h = recon_isa::hash::FxHasher::default();
+        h.write(&out[start..]);
+        out.extend_from_slice(b"SCHK");
+        out.extend_from_slice(&h.finish().to_le_bytes());
+    };
+    let u32_at = |at: usize| u32::from_le_bytes(new[at..at + 4].try_into().unwrap());
+
+    // `SYSS`, the cycle and the functional memory: every image page.
+    let mut out = new[..12].to_vec();
+    let mut pages: Vec<u64> = w.program.image.iter().map(|(a, _)| a >> 12).collect();
+    pages.dedup();
+    out.extend_from_slice(b"SMEM");
+    out.extend_from_slice(&(pages.len() as u64).to_le_bytes());
+    for page in pages {
+        out.extend_from_slice(&page.to_le_bytes());
+        for word in 0..512 {
+            let value = w.program.image.get(page << 12 | word << 3).unwrap_or(0);
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+    }
+    seal(&mut out, 4);
+
+    // The memory system: each empty array with all its slots, then the
+    // directory, counters and clock as they are.
+    let mut at = 12 + 4 + 8 + 8 + 12;
+    assert_eq!(&new[at..at + 4], b"MSYS");
+    let start = out.len();
+    out.extend_from_slice(&new[at..at + 8]);
+    let arrays = 2 * u32_at(at + 4) as usize + 1;
+    at += 8;
+    for _ in 0..arrays {
+        assert_eq!(&new[at..at + 4], b"CAR2");
+        assert_eq!(u32_at(at + 20), 0, "a fresh array stores no slot");
+        out.extend_from_slice(b"CARR");
+        out.extend_from_slice(&new[at + 4..at + 20]);
+        let slots = u32_at(at + 12) as usize * u32_at(at + 16) as usize;
+        out.resize(out.len() + 19 * slots, 0);
+        at += 24;
+    }
+    let end = at + new[at..].windows(4).position(|t| t == b"SCHK").unwrap();
+    out.extend_from_slice(&new[at..end]);
+    seal(&mut out, start);
+    out.extend_from_slice(&new[end + 12..]);
+    out
+}
+
+#[test]
+fn a_checkpoint_in_the_old_layout_is_dropped_and_the_job_reruns() {
+    let dir = scratch("old-layout");
+    let e = exp();
+    let w = tiny_workload(ParKind::ProducerConsumer);
+    let secure = SecureConfig::stt_recon();
+    let mut sys = System::new(&w, e.core, e.mem, secure, e.recon);
+    let old = fresh_snapshot_in_the_old_layout(&mut sys, &w);
+    let err = System::new(&w, e.core, e.mem, secure, e.recon)
+        .restore_bytes(&old)
+        .unwrap_err();
+    assert!(
+        err.what
+            .contains("section tag mismatch: expected \"SME2\", found \"SMEM\""),
+        "{err}"
+    );
+
+    let digest = ckpt::config_digest(&["old-layout-test"]);
+    let planted = ckpt::Checkpoint {
+        config_digest: digest,
+        cycle: 0,
+        meta: Vec::new(),
+        state: old,
+    };
+    ckpt::write(&dir, &planted).expect("plant checkpoint");
+    let ctx = CkptContext::new(dir.clone(), CADENCE);
+    let (r, info) =
+        ckpt::run_with_checkpoints(&e, &w, secure, &Budget::default(), &ctx, &[], digest);
+    assert_eq!(info.dropped_corrupt, 1, "{info:?}");
+    assert!(info.resumed_from_cycle.is_none(), "{info:?}");
+    let budget = Budget {
+        checkpoint_every_cycles: Some(CADENCE),
+        ..Budget::default()
+    };
+    let reference = sys
+        .run_budgeted_checkpointed(e.max_cycles, &budget, |_, _| {})
+        .expect("reference completes");
+    assert_eq!(r.expect("reruns from scratch"), reference);
+    assert_eq!(rck_files(&dir), 0);
+}
+
 #[test]
 fn gc_bounds_disk_while_running() {
     let dir = scratch("gc");

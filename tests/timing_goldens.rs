@@ -446,21 +446,21 @@ const GOLDEN_PARSEC: &[(&str, u64)] = &[
 ];
 const GOLDEN_MONITORED: &[(&str, u64)] = &[
     ("producer-consumer unsafe", 0x99d453b3a8d87467),
-    ("producer-consumer unsafe rck1", 0x228c60d5f8a6eff3),
+    ("producer-consumer unsafe rck1", 0x289fd4508bb45e24),
     ("producer-consumer NDA", 0xb8ac300850db019c),
-    ("producer-consumer NDA rck1", 0x10736ba1bfbece2b),
+    ("producer-consumer NDA rck1", 0xf6fa08900236ae47),
     ("producer-consumer NDA+ReCon", 0xeee5297c42a8ad94),
-    ("producer-consumer NDA+ReCon rck1", 0xc264de2a1a835d80),
+    ("producer-consumer NDA+ReCon rck1", 0xa26b1a74e0b6b5e4),
     ("producer-consumer STT", 0xb8ac300850db019c),
-    ("producer-consumer STT rck1", 0x10736ba1bfbece2b),
+    ("producer-consumer STT rck1", 0xf6fa08900236ae47),
     ("producer-consumer STT+ReCon", 0x221bc6de6954ead1),
-    ("producer-consumer STT+ReCon rck1", 0xaed72c45bf4137a4),
+    ("producer-consumer STT+ReCon rck1", 0x57298ccf306e63f7),
     ("mcf unsafe", 0xeed643879dc98e5f),
-    ("mcf unsafe rck1", 0xb3a3b6f64a2a85cf),
+    ("mcf unsafe rck1", 0xb97dac4c86a16527),
     ("mcf NDA", 0x08713988a726cf05),
-    ("mcf NDA rck1", 0x97a325781ac708a6),
+    ("mcf NDA rck1", 0x6b677c6d7170d141),
     ("mcf STT+ReCon", 0x078bdaa65c77d7bd),
-    ("mcf STT+ReCon rck1", 0x245b9db1c9fe4740),
+    ("mcf STT+ReCon rck1", 0x2fa2a7d5110d79a7),
 ];
 const GOLDEN_PREDICTOR: &[(&str, u64)] = &[
     ("unsafe", 0xdafcb5a1cc30a0bc),
