@@ -27,7 +27,7 @@
 //!   it never collides with the verify gadget library's probe/secret
 //!   arrays (at `0x10_0000`+) or the digest/status words.
 
-use recon_isa::exec::{step, ArchState, ExecError};
+use recon_isa::exec::{run_with, ArchState, ExecError};
 use recon_isa::{ArchReg, SparseMem};
 
 use crate::text::{assemble, AsmProgram};
@@ -189,7 +189,7 @@ impl SelfCheck {
 pub fn run_self_check(
     p: &AsmProgram,
     passes: Option<u64>,
-    max_steps: usize,
+    max_steps: u64,
 ) -> Result<SelfCheck, ExecError> {
     let mut mem = SparseMem::from_image(&p.program.image);
     let entry = &p.entries[0];
@@ -200,14 +200,7 @@ pub fn run_self_check(
     if let Some(n) = passes {
         state.write(PASS_REG, n);
     }
-    let mut steps = 0u64;
-    for _ in 0..max_steps {
-        if state.halted {
-            break;
-        }
-        step(&p.program, &mut state, &mut mem)?;
-        steps += 1;
-    }
+    let steps = run_with(&p.program, &mut state, &mut mem, max_steps, |_| {})?;
     Ok(SelfCheck {
         digest: mem.peek(DIGEST_ADDR),
         status: mem.peek(STATUS_ADDR),

@@ -51,7 +51,7 @@ const CASES: &[&[&str]] = &[
     &["chaos", "--clients", "0"],
     &["chaos", "--nodes", "2", "--bogus", "1"],
     &["chaos", "--nodes", "2", "--seed"],
-    &["chaos", "--nodes", "2", "--min-speedup", "-1"],
+    &["chaos", "--nodes", "2", "--min-speedup", "2"],
     &["bench-serve", "--clients", "0"],
     // Hints and cross-flag checks.
     &["run", "spec2017", "mcf", "stt", "--fast-foward", "1000"],
@@ -80,7 +80,7 @@ const CASES: &[&[&str]] = &[
     &["serve", "--worker", "2"],
     &["gateway", "--vnode", "8"],
     &["chaos", "--seeds", "1"],
-    &["chaos", "--nodes", "2", "--min-speedpu", "2"],
+    &["chaos", "--nodes", "2", "--requsts", "2"],
     &[
         "run", "spec2017", "mcf", "stt", "--audit", "64", "--audit", "128",
     ],

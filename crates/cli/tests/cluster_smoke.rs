@@ -15,11 +15,9 @@ fn mini_storm_survives_a_kill_and_proves_a_cross_node_resume() {
         clients: 2,
         requests: 3,
         node_workers: 1,
-        throughput_requests: 8,
         watch_fuel: 6_000_000,
         node_exe: PathBuf::from(env!("CARGO_BIN_EXE_recon")),
         out: None,
-        min_speedup: None,
     };
     let report = run_cluster_storm(&config).expect("cluster storm runs");
 
@@ -40,7 +38,4 @@ fn mini_storm_survives_a_kill_and_proves_a_cross_node_resume() {
         "the cross-node resume must be byte-identical: {report:?}"
     );
     assert!(report.pass(), "{report:?}");
-    // Both throughput samples answered everything (their client loops
-    // assert 0 lost / 0 mismatched internally).
-    assert_eq!(report.throughput.len(), 2);
 }

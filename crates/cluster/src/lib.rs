@@ -21,7 +21,8 @@
 //!   and drives a checkpoint migration from a draining node to its ring
 //!   successor, while `recon_serve::storm`'s driver, aimed at the
 //!   gateway, asserts 0 lost / 0 mismatched / byte-identical against
-//!   single-node expected output. It publishes `BENCH_cluster.json`.
+//!   single-node expected output. It publishes that verdict as
+//!   `BENCH_cluster.json`.
 //!
 //! Migration itself lives on the nodes (`POST /drain` ships the newest
 //! RCK1 checkpoint per unfinished job to the ring successor's

@@ -27,16 +27,9 @@
 //!    choreography picks the drained job's digest so that neither its
 //!    primary nor its successor is the kill victim; the metric deltas
 //!    are unambiguous.
-//! 3. **Throughput phase** — fresh single-worker nodes serve a burst
-//!    of tiny unique-digest jobs at node counts 1 and N, with the
-//!    chaos plane injecting a deterministic 1..=40ms worker sleep per
-//!    job: a model of an I/O-bound service, where *worker occupancy*
-//!    (not CPU) is the scarce resource and therefore the thing the
-//!    ring shards. The same client pool drives both samples, queues
-//!    are deep enough to never reject (no retry noise), and the
-//!    aggregate requests-per-second per node count lands in
-//!    `BENCH_cluster.json`. (CPU-bound jobs cannot scale past the
-//!    physical core count on a one-core host; see EXPERIMENTS.md.)
+//!
+//! The report ([`ClusterStormReport`], `BENCH_cluster.json`) holds the
+//! two phases' counts and their pass/fail verdict.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -48,8 +41,7 @@ use recon_serve::client::{self, Connection, RetryPolicy};
 use recon_serve::job::JobSpec;
 use recon_serve::json::parse;
 use recon_serve::storm::{
-    report_json, run_client, scratch_dir, spawn_clients, storm_plan, Expected, Tally,
-    STORM_CKPT_EVERY,
+    report_json, run_client, scratch_dir, spawn_clients, storm_plan, Expected, STORM_CKPT_EVERY,
 };
 
 use crate::gateway::{Gateway, GatewayConfig};
@@ -68,8 +60,6 @@ pub struct ClusterStormConfig {
     pub requests: usize,
     /// Worker threads per node.
     pub node_workers: usize,
-    /// Jobs per client in the throughput phase.
-    pub throughput_requests: usize,
     /// Fuel for the kill- and drain-watched jobs. Long enough that the
     /// job is mid-run when its first checkpoint lands (the kill/drain
     /// trigger); the smoke test shrinks it to keep CI fast.
@@ -78,9 +68,6 @@ pub struct ClusterStormConfig {
     pub node_exe: PathBuf,
     /// Report path (`None` skips the file).
     pub out: Option<String>,
-    /// Minimum N-node over 1-node throughput gain to require (`None`
-    /// reports without gating).
-    pub min_speedup: Option<f64>,
 }
 
 impl Default for ClusterStormConfig {
@@ -91,26 +78,11 @@ impl Default for ClusterStormConfig {
             clients: 3,
             requests: 4,
             node_workers: 1,
-            throughput_requests: 40,
             watch_fuel: 40_000_000,
             node_exe: PathBuf::from("recon"),
             out: Some("BENCH_cluster.json".to_string()),
-            min_speedup: None,
         }
     }
-}
-
-/// One node-count sample from the throughput phase.
-#[derive(Clone, Debug)]
-pub struct ThroughputPoint {
-    /// Nodes behind the gateway.
-    pub nodes: usize,
-    /// Jobs served.
-    pub jobs: u64,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
-    /// Aggregate requests per second.
-    pub rps: f64,
 }
 
 /// Aggregated results of one cluster storm.
@@ -155,10 +127,6 @@ pub struct ClusterStormReport {
     pub gateway_reroutes: u64,
     /// Results replicated to ring replicas by the gateway.
     pub replications: u64,
-    /// Throughput samples (node count 1 and N).
-    pub throughput: Vec<ThroughputPoint>,
-    /// N-node over 1-node aggregate throughput.
-    pub speedup: f64,
     /// Wall-clock for the whole storm, in seconds.
     pub wall_seconds: f64,
 }
@@ -181,21 +149,6 @@ impl ClusterStormReport {
     /// Renders the report as the `BENCH_cluster.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let throughput: String = self
-            .throughput
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                format!(
-                    "{}\n    {{\"nodes\": {}, \"jobs\": {}, \"wall_seconds\": {:.6}, \"rps\": {:.2}}}",
-                    if i > 0 { "," } else { "" },
-                    p.nodes,
-                    p.jobs,
-                    p.wall_seconds,
-                    p.rps
-                )
-            })
-            .collect();
         report_json(&[
             ("seed", &self.seed),
             ("nodes", &self.nodes),
@@ -216,8 +169,6 @@ impl ClusterStormReport {
             ("reroutes", &self.reroutes),
             ("gateway_reroutes", &self.gateway_reroutes),
             ("replications", &self.replications),
-            ("throughput", &format!("[{throughput}\n  ]")),
-            ("speedup", &format!("{:.3}", self.speedup)),
             ("pass", &self.pass()),
             ("wall_seconds", &format!("{:.6}", self.wall_seconds)),
         ])
@@ -237,7 +188,7 @@ impl ClusterStormReport {
 struct NodeProc {
     name: String,
     addr: SocketAddr,
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     child: Child,
 }
 
@@ -257,13 +208,12 @@ fn free_port() -> io::Result<u16> {
 fn spawn_child(
     exe: &std::path::Path,
     port: u16,
-    dir: Option<&PathBuf>,
+    dir: &std::path::Path,
     workers: usize,
     queue_cap: usize,
-    chaos: Option<&str>,
 ) -> io::Result<Child> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("serve")
+    Command::new(exe)
+        .arg("serve")
         .arg("--addr")
         .arg(format!("127.0.0.1:{port}"))
         .arg("--workers")
@@ -274,19 +224,14 @@ fn spawn_child(
         .arg("32")
         .arg("--node")
         .arg(format!("127.0.0.1:{port}"))
+        .arg("--cache-dir")
+        .arg(dir)
+        .arg("--checkpoint-every")
+        .arg(STORM_CKPT_EVERY.to_string())
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(dir) = dir {
-        cmd.arg("--cache-dir")
-            .arg(dir)
-            .arg("--checkpoint-every")
-            .arg(STORM_CKPT_EVERY.to_string());
-    }
-    if let Some(spec) = chaos {
-        cmd.arg("--chaos").arg(spec);
-    }
-    cmd.spawn()
+        .stderr(Stdio::null())
+        .spawn()
 }
 
 /// Spawns a node and waits until `/healthz` answers. `port` pins the
@@ -295,10 +240,9 @@ fn spawn_child(
 fn spawn_node(
     exe: &std::path::Path,
     port: Option<u16>,
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     workers: usize,
     queue_cap: usize,
-    chaos: Option<&str>,
 ) -> io::Result<NodeProc> {
     let mut last = None;
     for _ in 0..10 {
@@ -306,7 +250,7 @@ fn spawn_node(
             Some(p) => p,
             None => free_port()?,
         };
-        let mut child = spawn_child(exe, p, dir.as_ref(), workers, queue_cap, chaos)?;
+        let mut child = spawn_child(exe, p, &dir, workers, queue_cap)?;
         let addr = SocketAddr::from(([127, 0, 0, 1], p));
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -504,14 +448,7 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     let mut fleet: Vec<NodeProc> = Vec::with_capacity(n);
     for i in 0..n {
         let dir = scratch_dir(&format!("cluster-{}-node{i}", config.seed))?;
-        fleet.push(spawn_node(
-            &config.node_exe,
-            None,
-            Some(dir),
-            workers,
-            queue_cap,
-            None,
-        )?);
+        fleet.push(spawn_node(&config.node_exe, None, dir, workers, queue_cap)?);
     }
     let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
     let ring = HashRing::new(&names, DEFAULT_VNODES);
@@ -555,7 +492,7 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     // Wait for the victim's first checkpoint of the watched job, then
     // SIGKILL it mid-run and restart it on the same port and directory.
     let vi = by_name(&fleet, &victim);
-    let victim_dir = fleet[vi].dir.clone().expect("kill nodes have dirs");
+    let victim_dir = fleet[vi].dir.clone();
     let victim_port = fleet[vi].addr.port();
     await_checkpoint(&victim_dir, kill_digest);
     fleet[vi].kill();
@@ -564,10 +501,9 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     fleet[vi] = spawn_node(
         &config.node_exe,
         Some(victim_port),
-        Some(victim_dir),
+        victim_dir,
         workers,
         queue_cap,
-        None,
     )?;
     report.restarts = 1;
 
@@ -604,8 +540,7 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
             let _ = conn.request("POST", "/jobs", Some(&json));
         })
     };
-    let primary_dir = fleet[pi].dir.clone().expect("drain nodes have dirs");
-    await_checkpoint(&primary_dir, drain.digest);
+    await_checkpoint(&fleet[pi].dir, drain.digest);
     let drain_body = format!("{{\"to\":\"{}\"}}", fleet[si].name);
     let drain_resp = client::request(fleet[pi].addr, "POST", "/drain", Some(&drain_body))?;
     if drain_resp.status == 200 {
@@ -660,140 +595,14 @@ pub fn run_cluster_storm(config: &ClusterStormConfig) -> io::Result<ClusterStorm
     gateway.wait();
     for node in &mut fleet {
         node.kill();
-        if let Some(dir) = &node.dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let _ = std::fs::remove_dir_all(&node.dir);
     }
 
-    progress(start, "storm fleet torn down; measuring throughput");
-
-    // ---- Throughput phase. --------------------------------------------
-    for &count in &[1usize, n] {
-        let (point, t) = throughput_phase(config, count)?;
-        progress(
-            start,
-            &format!(
-                "throughput @{count} node(s): {} jobs in {:.2}s",
-                point.jobs, point.wall_seconds
-            ),
-        );
-        report.mismatches += t.mismatches;
-        report.lost += t.lost;
-        report.throughput.push(point);
-    }
-    report.speedup = match (report.throughput.first(), report.throughput.last()) {
-        (Some(one), Some(many)) if one.rps > 0.0 => many.rps / one.rps,
-        _ => 0.0,
-    };
+    progress(start, "storm fleet torn down");
 
     report.wall_seconds = start.elapsed().as_secs_f64();
     if let Some(path) = &config.out {
         report.write_json(path)?;
     }
     Ok(report)
-}
-
-/// Measures service-time-bound aggregate throughput at one node count:
-/// single-worker nodes with chaos-injected worker latency and tiny
-/// fuel-starved jobs, so the bottleneck is worker occupancy — the
-/// resource the ring shards — not CPU. Returns the sample and the
-/// clients' tally, whose losses and mismatches count against the storm.
-fn throughput_phase(
-    config: &ClusterStormConfig,
-    count: usize,
-) -> io::Result<(ThroughputPoint, Tally)> {
-    // Offered concurrency must be able to saturate the *largest* fleet
-    // measured, and must be identical at every node count — otherwise
-    // the sweep compares client pools, not fleets.
-    let clients = 8 * config.nodes.max(2);
-    let per_client = config.throughput_requests.max(1);
-
-    // Unique digests via unique fuel; each expected body is a direct
-    // plan-free execution (these nodes have no cache directory, so they
-    // execute plan-free too). ~1k instructions each: negligible setup.
-    let slices = (0..clients)
-        .map(|c| {
-            (0..per_client)
-                .map(|r| {
-                    // Unique digests via the fuel's low bits only: every
-                    // job stays fuel-starved (~1k cycles), so the phase
-                    // measures admission, not simulation.
-                    let uniq = (c * per_client + r) as u64;
-                    let json = format!(
-                        r#"{{"kind":"run","suite":"spec2017","bench":"xalancbmk","scheme":"stt","fuel":{}}}"#,
-                        1000 + uniq
-                    );
-                    Expected::direct(json, None)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Worker-latency injection via the chaos plane: each job occupies
-    // its node's single worker for a deterministic 1..=40ms sleep
-    // (near-zero CPU), modeling an I/O-bound service. Worker-seconds
-    // are then the scarce resource the ring shards — the regime where
-    // adding nodes helps even on a single-core host. The queue is deep
-    // enough to never reject, so the measurement has no retry noise,
-    // and latency injection never alters payload bytes, so the
-    // 0-lost/0-mismatched gates still hold.
-    let chaos = format!("{},latency=1000,max-latency-ms=40", config.seed);
-    let queue_cap = clients * per_client + 8;
-    let mut fleet: Vec<NodeProc> = Vec::with_capacity(count);
-    for _ in 0..count {
-        fleet.push(spawn_node(
-            &config.node_exe,
-            None,
-            None,
-            1,
-            queue_cap,
-            Some(&chaos),
-        )?);
-    }
-    let names: Vec<String> = fleet.iter().map(|p| p.name.clone()).collect();
-    let gateway = Gateway::start(&GatewayConfig {
-        addr: "127.0.0.1:0".to_string(),
-        nodes: names,
-        handler_cap: clients + 4,
-        // Backpressure patience tuned small: the jobs are sub-millisecond,
-        // so honoring a full second of Retry-After would measure the
-        // hint, not the service.
-        retry: RetryPolicy {
-            max_attempts: 400,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(20),
-            retry_after_cap: Duration::from_millis(20),
-            seed: config.seed,
-            fail_fast_refused: true,
-        },
-        ..GatewayConfig::default()
-    })?;
-    let gw_addr = gateway.addr();
-
-    let start = Instant::now();
-    let t = spawn_clients(gw_addr, slices, &client_policy(config.seed), CLIENT_TIMEOUT).join();
-    let wall = start.elapsed().as_secs_f64();
-    let ok = t.ok + t.deadline;
-
-    let rejected: u64 = fleet
-        .iter()
-        .map(|p| node_metric(p.addr, "recon_jobs_rejected_total"))
-        .sum();
-    println!(
-        "cluster storm [throughput] {count} node(s): {ok} jobs, {rejected} admission rejections"
-    );
-
-    let _ = client::request(gw_addr, "POST", "/shutdown", None);
-    gateway.wait();
-    for node in &mut fleet {
-        node.kill();
-    }
-
-    let point = ThroughputPoint {
-        nodes: count,
-        jobs: ok,
-        wall_seconds: wall,
-        rps: if wall > 0.0 { ok as f64 / wall } else { 0.0 },
-    };
-    Ok((point, t))
 }

@@ -1694,14 +1694,13 @@ mod tests {
 
     fn check_against_golden(program: &Program, secure: SecureConfig) {
         let (_, _, data) = run_program(program.clone(), secure, 200_000);
-        let (_, golden_state) = recon_isa::run_collect(program, 1_000_000).unwrap();
         let mut golden_mem = SparseMem::from_image(&program.image);
-        recon_isa::run_with(program, &mut golden_mem, 1_000_000, |_| {}).unwrap();
+        let mut golden = recon_isa::ArchState::at_entry(program);
+        recon_isa::run_with(program, &mut golden, &mut golden_mem, 1_000_000, |_| {}).unwrap();
         // Compare every word the golden run touched.
         for (addr, _) in program.image.iter() {
             assert_eq!(data.peek(addr), golden_mem.peek(addr), "word {addr:#x}");
         }
-        let _ = golden_state;
     }
 
     #[test]

@@ -76,9 +76,11 @@ pub fn analyze_program_budgeted(
     max_steps: usize,
 ) -> Result<(LeakReport, bool), recon_isa::ExecError> {
     let mut mem = recon_isa::SparseMem::from_image(&program.image);
+    let mut state = recon_isa::ArchState::at_entry(program);
     let mut la = LeakageAnalysis::new();
-    let (n, halted) =
-        recon_isa::exec::run_with_status(program, &mut mem, max_steps, |rec| la.observe(rec))?;
+    let n = recon_isa::run_with(program, &mut state, &mut mem, max_steps as u64, |rec| {
+        la.observe(rec);
+    })?;
     Ok((
         LeakReport {
             touched_words: la.touched_words(),
@@ -86,7 +88,7 @@ pub fn analyze_program_budgeted(
             pair_leaked: la.pair_leaked_ever(),
             instructions: n,
         },
-        halted,
+        state.halted,
     ))
 }
 

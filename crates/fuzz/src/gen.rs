@@ -434,13 +434,9 @@ pub fn generate(rng: &mut impl Rng, params: &GenParams) -> Program {
 fn expected_digest(program: &Program) -> u64 {
     let mut mem = recon_isa::SparseMem::from_image(&program.image);
     let mut state = recon_isa::ArchState::at_entry(program);
-    for _ in 0..crate::oracle::MAX_FUNC_STEPS {
-        if state.halted {
-            break;
-        }
-        recon_isa::exec::step(program, &mut state, &mut mem)
-            .expect("generated body must execute cleanly");
-    }
+    let max_steps = crate::oracle::MAX_FUNC_STEPS;
+    recon_isa::run_with(program, &mut state, &mut mem, max_steps, |_| {})
+        .expect("generated body must execute cleanly");
     assert!(state.halted, "generated body must terminate");
     state.read(RDIGEST)
 }
@@ -449,7 +445,7 @@ fn expected_digest(program: &Program) -> u64 {
 mod tests {
     use super::*;
     use recon_isa::rng::SplitMix64;
-    use recon_isa::SparseMem;
+    use recon_isa::{ArchState, SparseMem};
 
     #[test]
     fn generated_programs_validate_and_self_check() {
@@ -458,10 +454,10 @@ mod tests {
             let p = generate(&mut rng, &GenParams::default());
             p.validate().unwrap();
             let mut mem = SparseMem::from_image(&p.image);
-            let (_, halted) =
-                recon_isa::run_with_status(&p, &mut mem, crate::oracle::MAX_FUNC_STEPS, |_| {})
-                    .unwrap();
-            assert!(halted, "seed {seed} must terminate");
+            let mut state = ArchState::at_entry(&p);
+            let max_steps = crate::oracle::MAX_FUNC_STEPS;
+            recon_isa::run_with(&p, &mut state, &mut mem, max_steps, |_| {}).unwrap();
+            assert!(state.halted, "seed {seed} must terminate");
             assert_eq!(
                 mem.peek(STATUS_ADDR),
                 STATUS_PASS,
@@ -487,7 +483,9 @@ mod tests {
         let mut rng = SplitMix64::new(99);
         let p = generate(&mut rng, &GenParams::default());
         let mut mem = SparseMem::from_image(&p.image);
-        recon_isa::run_with_status(&p, &mut mem, crate::oracle::MAX_FUNC_STEPS, |rec| {
+        let mut state = ArchState::at_entry(&p);
+        let max_steps = crate::oracle::MAX_FUNC_STEPS;
+        recon_isa::run_with(&p, &mut state, &mut mem, max_steps, |rec| {
             if let recon_isa::MemEffect::Store { addr, .. } = rec.mem {
                 assert!(
                     addr >= DATA_BASE || addr == DIGEST_ADDR || addr == STATUS_ADDR,

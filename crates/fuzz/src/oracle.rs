@@ -34,7 +34,7 @@ use crate::gen::{DATA_BASE, DATA_WORDS, TABLE_BASE, TABLE_WORDS};
 
 /// Step bound for functional execution of a generated program; far
 /// above what any generated program legitimately needs.
-pub const MAX_FUNC_STEPS: usize = 200_000;
+pub const MAX_FUNC_STEPS: u64 = 200_000;
 
 /// Cycle bound for one detailed run of a generated program.
 pub const MAX_DETAILED_CYCLES: u64 = 2_000_000;
@@ -161,13 +161,8 @@ fn observed_addrs() -> impl Iterator<Item = u64> {
 fn observe_functional(program: &Program) -> Result<Observation, Failure> {
     let mut mem = SparseMem::from_image(&program.image);
     let mut state = recon_isa::ArchState::at_entry(program);
-    for _ in 0..MAX_FUNC_STEPS {
-        if state.halted {
-            break;
-        }
-        recon_isa::exec::step(program, &mut state, &mut mem)
-            .map_err(|e| Failure::Functional(format!("functional fault: {e}")))?;
-    }
+    recon_isa::run_with(program, &mut state, &mut mem, MAX_FUNC_STEPS, |_| {})
+        .map_err(|e| Failure::Functional(format!("functional fault: {e}")))?;
     if !state.halted {
         return Err(Failure::Functional(format!(
             "did not halt within {MAX_FUNC_STEPS} functional steps"

@@ -1,4 +1,4 @@
-//! Pre-decoded instruction streams and the fast functional engine.
+//! Pre-decoded instruction streams and the functional fast-forward.
 //!
 //! Decoding in this ISA is cheap but not free: the out-of-order core
 //! used to call [`Inst::dst`], [`Inst::srcs`], [`Inst::is_load`], … on
@@ -8,16 +8,15 @@
 //! results in a dense `Vec<DecodedInst>`, so fetch becomes one indexed
 //! read of a flat record.
 //!
-//! The same stream feeds [`run_decoded`], the *fast functional engine*:
-//! a straight-line interpreter over architectural state (register file
-//! plus [`DataMem`]) with no ROB, rename, predictor, or
-//! cache model — the execution mode `recon run --fast-forward` uses to
-//! skip warmup instructions at two orders of magnitude above detailed
-//! simulation speed. Its semantics are, instruction for instruction,
-//! those of [`exec::step`](crate::exec::step); the equivalence is
-//! enforced by tests here and at the system level.
+//! The same stream is the fetch path of [`run_decoded`], the
+//! functional fast-forward: register file plus [`DataMem`], with no ROB,
+//! rename, predictor, or cache model — the execution mode
+//! `recon run --fast-forward` uses to skip warmup instructions at two
+//! orders of magnitude above detailed simulation speed. It runs the one
+//! instruction-semantics body of [`exec`](crate::exec) through the same
+//! loop as [`run_with`](crate::run_with); only the fetch differs.
 
-use crate::exec::{ArchState, ExecError};
+use crate::exec::{run_fetched, ArchState, ExecError};
 use crate::inst::Inst;
 use crate::mem::DataMem;
 use crate::program::Program;
@@ -67,8 +66,8 @@ impl DecodedInst {
 
 /// A whole program decoded into a dense stream, indexed by instruction
 /// address. Built once per [`Program`] and shared by every consumer
-/// (typically behind an `Arc`): the out-of-order front-end fetches from
-/// it, and the fast functional engine interprets it directly.
+/// (typically behind an `Arc`): the out-of-order front-end and the
+/// functional fast-forward both fetch from it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DecodedProgram {
     insts: Vec<DecodedInst>,
@@ -114,11 +113,10 @@ impl DecodedProgram {
 /// starting from (and updating) an existing [`ArchState`] — the
 /// resumable fast-forward engine.
 ///
-/// Unlike [`run_with`](crate::run_with) this takes the caller's state
-/// instead of starting at the entry point, builds no per-step records,
-/// and touches nothing but the register file and `mem`. Returns the
-/// number of instructions executed; execution stops early when the
-/// program halts (including a halt *before* the first step).
+/// This is [`run_with`](crate::run_with) fetching from the decoded
+/// stream and dropping every record. Returns the number of instructions
+/// executed; execution stops early when the program halts (including a
+/// halt *before* the first step).
 ///
 /// # Errors
 ///
@@ -130,85 +128,22 @@ pub fn run_decoded<M: DataMem>(
     mem: &mut M,
     max_steps: u64,
 ) -> Result<u64, ExecError> {
-    let mut n = 0u64;
-    while n < max_steps && !state.halted {
-        let pc = state.pc;
-        let Some(d) = decoded.insts.get(pc) else {
-            return Err(ExecError::PcOutOfRange { pc });
-        };
-        let mut next_pc = pc + 1;
-        match d.inst {
-            Inst::LoadImm { dst, imm } => state.write(dst, imm),
-            Inst::Alu { kind, dst, a, b } => {
-                let v = kind.apply(state.read(a), state.read(b));
-                state.write(dst, v);
-            }
-            Inst::AluImm { kind, dst, a, imm } => {
-                let v = kind.apply(state.read(a), imm);
-                state.write(dst, v);
-            }
-            Inst::Load { dst, base, offset } => {
-                let addr = aligned(state.read(base), offset, pc)?;
-                let v = mem.read(addr);
-                state.write(dst, v);
-            }
-            Inst::LoadIdx { dst, base, index } => {
-                let offset = state.read(index).wrapping_shl(3) as i64;
-                let addr = aligned(state.read(base), offset, pc)?;
-                let v = mem.read(addr);
-                state.write(dst, v);
-            }
-            Inst::Store { val, base, offset } => {
-                let addr = aligned(state.read(base), offset, pc)?;
-                mem.write(addr, state.read(val));
-            }
-            Inst::AmoAdd {
-                dst,
-                base,
-                offset,
-                add,
-            } => {
-                let addr = aligned(state.read(base), offset, pc)?;
-                let old = mem.read(addr);
-                mem.write(addr, old.wrapping_add(state.read(add)));
-                state.write(dst, old);
-            }
-            Inst::Branch { kind, a, b, target } => {
-                if kind.taken(state.read(a), state.read(b)) {
-                    next_pc = target;
-                }
-            }
-            Inst::Jump { target } => next_pc = target,
-            Inst::Nop => {}
-            Inst::Halt => {
-                state.halted = true;
-                next_pc = pc;
-            }
-        }
-        state.pc = next_pc;
-        n += 1;
-    }
-    Ok(n)
-}
-
-#[inline]
-fn aligned(base: u64, offset: i64, at: usize) -> Result<u64, ExecError> {
-    let addr = base.wrapping_add(offset as u64);
-    if !addr.is_multiple_of(8) {
-        return Err(ExecError::Misaligned { at, addr });
-    }
-    Ok(addr)
+    run_fetched(
+        |pc| decoded.insts.get(pc).map(|d| d.inst),
+        state,
+        mem,
+        max_steps,
+        |_| {},
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::exec::{run_collect, step};
-    use crate::inst::AluKind;
+    use crate::exec::{run_collect, run_with};
     use crate::reg::names::*;
     use crate::reg::NUM_ARCH_REGS;
-    use crate::rng::{Rng as _, SplitMix64};
     use crate::SparseMem;
 
     fn pointer_loop_program() -> Program {
@@ -226,6 +161,22 @@ mod tests {
         a.amoadd(R5, R1, 24, R2);
         a.halt();
         a.assemble().unwrap()
+    }
+
+    /// Runs the one functional loop through either fetch path: the
+    /// decoded stream ([`run_decoded`]) or `Program::code` ([`run_with`]).
+    fn run(
+        p: &Program,
+        decoded: bool,
+        state: &mut ArchState,
+        mem: &mut SparseMem,
+        max_steps: u64,
+    ) -> Result<u64, ExecError> {
+        if decoded {
+            run_decoded(&DecodedProgram::decode(p), state, mem, max_steps)
+        } else {
+            run_with(p, state, mem, max_steps, |_| {})
+        }
     }
 
     #[test]
@@ -250,44 +201,21 @@ mod tests {
     }
 
     #[test]
-    fn fast_engine_matches_step_semantics_exactly() {
-        let p = pointer_loop_program();
-        let d = DecodedProgram::decode(&p);
-
-        // Reference: the per-step golden model.
-        let mut ref_mem = SparseMem::from_image(&p.image);
-        let mut ref_state = ArchState::at_entry(&p);
-        let mut steps = 0u64;
-        while !ref_state.halted {
-            step(&p, &mut ref_state, &mut ref_mem).unwrap();
-            steps += 1;
-        }
-
-        // Fast engine, run to completion.
-        let mut mem = SparseMem::from_image(&p.image);
-        let mut state = ArchState::at_entry(&p);
-        let n = run_decoded(&d, &mut state, &mut mem, u64::MAX).unwrap();
-        assert_eq!(n, steps);
-        assert_eq!(state, ref_state);
-        assert_eq!(mem, ref_mem);
-    }
-
-    #[test]
     fn fast_engine_resumes_mid_program() {
         let p = pointer_loop_program();
-        let d = DecodedProgram::decode(&p);
-        let (_, whole) = run_collect(&p, 10_000).unwrap();
-
-        // Split the run at an arbitrary point: the state threads through.
-        let mut mem = SparseMem::from_image(&p.image);
-        let mut state = ArchState::at_entry(&p);
-        let a = run_decoded(&d, &mut state, &mut mem, 37).unwrap();
-        assert_eq!(a, 37);
-        assert!(!state.halted);
-        let b = run_decoded(&d, &mut state, &mut mem, u64::MAX).unwrap();
-        assert!(state.halted);
-        assert_eq!(state, whole);
-        assert!(a + b > 37);
+        let (trace, whole) = run_collect(&p, 10_000).unwrap();
+        for decoded in [false, true] {
+            // Split the run at an arbitrary point: the state threads through.
+            let mut mem = SparseMem::from_image(&p.image);
+            let mut state = ArchState::at_entry(&p);
+            let a = run(&p, decoded, &mut state, &mut mem, 37).unwrap();
+            assert_eq!(a, 37);
+            assert!(!state.halted);
+            let b = run(&p, decoded, &mut state, &mut mem, u64::MAX).unwrap();
+            assert!(state.halted);
+            assert_eq!(state, whole, "decoded fetch: {decoded}");
+            assert_eq!(a + b, trace.len() as u64);
+        }
     }
 
     #[test]
@@ -295,84 +223,38 @@ mod tests {
         let mut a = Asm::new();
         a.halt();
         let p = a.assemble().unwrap();
-        let d = DecodedProgram::decode(&p);
-        let mut mem = SparseMem::new();
-        let mut state = ArchState::at_entry(&p);
-        assert_eq!(run_decoded(&d, &mut state, &mut mem, 10).unwrap(), 1);
-        assert!(state.halted);
-        assert_eq!(state.pc, 0, "halt freezes the pc");
-        assert_eq!(run_decoded(&d, &mut state, &mut mem, 10).unwrap(), 0);
+        for decoded in [false, true] {
+            let mut mem = SparseMem::new();
+            let mut state = ArchState::at_entry(&p);
+            assert_eq!(run(&p, decoded, &mut state, &mut mem, 10).unwrap(), 1);
+            assert!(state.halted);
+            assert_eq!(state.pc, 0, "halt freezes the pc");
+            assert_eq!(run(&p, decoded, &mut state, &mut mem, 10).unwrap(), 0);
+        }
     }
 
     #[test]
     fn fast_engine_reports_the_same_errors() {
-        let p = Program::new(vec![Inst::Nop]);
-        let d = DecodedProgram::decode(&p);
-        let mut mem = SparseMem::new();
-        let mut state = ArchState::at_entry(&p);
-        assert_eq!(
-            run_decoded(&d, &mut state, &mut mem, 10).unwrap_err(),
-            ExecError::PcOutOfRange { pc: 1 }
-        );
-
         let mut a = Asm::new();
         a.li(R1, 0x101).load(R2, R1, 0).halt();
-        let p = a.assemble().unwrap();
-        let d = DecodedProgram::decode(&p);
-        let mut state = ArchState::at_entry(&p);
-        assert_eq!(
-            run_decoded(&d, &mut state, &mut mem, 10).unwrap_err(),
-            ExecError::Misaligned { at: 1, addr: 0x101 }
-        );
-    }
-
-    #[test]
-    fn fast_engine_matches_golden_model_on_randomized_programs() {
-        // Exercise every opcode against run_collect over a spread of
-        // seeds (deterministic: the generator is seeded).
-        for seed in 0..8u64 {
-            let mut rng = SplitMix64::new(0x5eed ^ seed);
-            let mut a = Asm::new();
-            for i in 0..64u64 {
-                a.data(0x1000 + i * 8, rng.next_u64());
+        let misaligned = a.assemble().unwrap();
+        let cases = [
+            (
+                Program::new(vec![Inst::Nop]),
+                ExecError::PcOutOfRange { pc: 1 },
+            ),
+            (misaligned, ExecError::Misaligned { at: 1, addr: 0x101 }),
+        ];
+        for (p, want) in cases {
+            assert_eq!(run_collect(&p, 10).unwrap_err(), want);
+            for decoded in [false, true] {
+                let mut mem = SparseMem::new();
+                let mut state = ArchState::at_entry(&p);
+                assert_eq!(
+                    run(&p, decoded, &mut state, &mut mem, 10).unwrap_err(),
+                    want
+                );
             }
-            a.li(R1, 0x1000).li(R2, 8).li(R3, 0);
-            for _ in 0..40 {
-                match rng.next_u64() % 6 {
-                    0 => {
-                        a.andi(R4, R4, 0x1f8).load(R5, R1, 0);
-                    }
-                    1 => {
-                        a.andi(R4, R4, 63).loadidx(R5, R1, R4);
-                    }
-                    2 => {
-                        a.store(R5, R1, 8);
-                    }
-                    3 => {
-                        a.add(R4, R4, R2).xor(R5, R5, R4);
-                    }
-                    4 => {
-                        a.amoadd(R6, R1, 16, R2);
-                    }
-                    _ => {
-                        a.alu(AluKind::Sltu, R6, R4, R5).addi(R3, R3, 1);
-                    }
-                }
-            }
-            a.halt();
-            let p = a.assemble().unwrap();
-            let (_, want) = run_collect(&p, 100_000).unwrap();
-            let d = DecodedProgram::decode(&p);
-            let mut mem = SparseMem::from_image(&p.image);
-            let mut state = ArchState::at_entry(&p);
-            run_decoded(&d, &mut state, &mut mem, u64::MAX).unwrap();
-            assert_eq!(state, want, "seed {seed}");
-            let mut ref_mem = SparseMem::from_image(&p.image);
-            let mut ref_state = ArchState::at_entry(&p);
-            while !ref_state.halted {
-                step(&p, &mut ref_state, &mut ref_mem).unwrap();
-            }
-            assert_eq!(mem, ref_mem, "seed {seed}");
         }
     }
 
@@ -385,12 +267,16 @@ mod tests {
         }
         a.halt();
         let p = a.assemble().unwrap();
-        let d = DecodedProgram::decode(&p);
-        let mut mem = SparseMem::new();
-        let mut state = ArchState::at_entry(&p);
-        run_decoded(&d, &mut state, &mut mem, u64::MAX).unwrap();
-        for r in 1..NUM_ARCH_REGS {
-            assert_eq!(state.read(ArchReg::new(r)), (r as u64) << 32 | 0xabcd);
+        for decoded in [false, true] {
+            let mut mem = SparseMem::new();
+            let mut state = ArchState::at_entry(&p);
+            for _ in 0..NUM_ARCH_REGS {
+                run(&p, decoded, &mut state, &mut mem, 1).unwrap();
+            }
+            assert!(state.halted);
+            for r in 1..NUM_ARCH_REGS {
+                assert_eq!(state.read(ArchReg::new(r)), (r as u64) << 32 | 0xabcd);
+            }
         }
     }
 }

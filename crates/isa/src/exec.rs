@@ -1,17 +1,22 @@
 //! Functional (architectural) semantics: the golden model.
 //!
-//! The out-of-order core, the DIFT tool, and the tests all execute the
-//! same [`step`] semantics; the core only adds *timing* on top. A key
-//! property-test invariant of the reproduction is that every security
-//! scheme produces the identical architectural result as this model.
+//! One `match` over [`Inst`] holds the semantics. [`step`] runs it for
+//! one instruction; [`run_with`] loops it from a caller's state, and
+//! [`run_decoded`](crate::run_decoded) is that loop fetching from the
+//! pre-decoded stream. The DIFT tool, fast-forward, `recon verify`'s
+//! sequential reference, the fuzz oracles and the tests all run it; the
+//! out-of-order core adds *timing* on top. A key property-test
+//! invariant of the reproduction is that every security scheme produces
+//! the identical architectural result as this model.
 
 use crate::inst::Inst;
 use crate::mem::DataMem;
 use crate::program::Program;
 use crate::reg::{ArchReg, NUM_ARCH_REGS};
 
-/// Architectural register file + program counter.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Architectural register file + program counter. The default is
+/// [`ArchState::at_pc`]`(0)`.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ArchState {
     regs: [u64; NUM_ARCH_REGS],
     /// Current instruction index.
@@ -32,9 +37,8 @@ impl ArchState {
     #[must_use]
     pub fn at_pc(pc: usize) -> Self {
         ArchState {
-            regs: [0; NUM_ARCH_REGS],
             pc,
-            halted: false,
+            ..Self::default()
         }
     }
 
@@ -48,16 +52,6 @@ impl ArchState {
     pub fn write(&mut self, r: ArchReg, value: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = value;
-        }
-    }
-}
-
-impl Default for ArchState {
-    fn default() -> Self {
-        ArchState {
-            regs: [0; NUM_ARCH_REGS],
-            pc: 0,
-            halted: false,
         }
     }
 }
@@ -156,6 +150,7 @@ impl core::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+#[inline]
 fn effective_addr(base: u64, offset: i64, at: usize) -> Result<u64, ExecError> {
     let addr = base.wrapping_add(offset as u64);
     if !addr.is_multiple_of(8) {
@@ -179,6 +174,25 @@ pub fn step<M: DataMem>(
     let Some(&inst) = program.code.get(pc) else {
         return Err(ExecError::PcOutOfRange { pc });
     };
+    execute(inst, state, mem)
+}
+
+/// The instruction semantics: executes `inst`, already fetched from
+/// `state.pc`, and advances the pc. Every functional path — [`step`],
+/// [`run_with`] and [`run_decoded`](crate::run_decoded) — runs this one
+/// body; inlined into a caller that ignores the record, the record's
+/// construction folds away.
+///
+/// # Errors
+///
+/// Returns [`ExecError::Misaligned`] on a misaligned access.
+#[inline]
+fn execute<M: DataMem>(
+    inst: Inst,
+    state: &mut ArchState,
+    mem: &mut M,
+) -> Result<StepRecord, ExecError> {
+    let pc = state.pc;
     let mut record = StepRecord {
         index: pc,
         inst,
@@ -261,6 +275,49 @@ pub fn step<M: DataMem>(
     Ok(record)
 }
 
+/// Runs up to `max_steps` instructions from `state` (the caller's,
+/// resumed where it stands), fetching each through `fetch` and handing
+/// its record to `f`. Stops early once the program halts, including a
+/// halt before the first step; the caller reads `state.halted` to tell
+/// a halt from an exhausted budget.
+#[inline]
+pub(crate) fn run_fetched<M: DataMem>(
+    fetch: impl Fn(usize) -> Option<Inst>,
+    state: &mut ArchState,
+    mem: &mut M,
+    max_steps: u64,
+    mut f: impl FnMut(&StepRecord),
+) -> Result<u64, ExecError> {
+    let mut n = 0;
+    while n < max_steps && !state.halted {
+        let pc = state.pc;
+        let inst = fetch(pc).ok_or(ExecError::PcOutOfRange { pc })?;
+        f(&execute(inst, state, mem)?);
+        n += 1;
+    }
+    Ok(n)
+}
+
+/// Runs `program` from `state` for up to `max_steps` instructions,
+/// invoking `f` for each committed one, without materializing the trace
+/// (for long workloads). Returns the number executed; `state.halted`
+/// tells whether the program halted or the budget ran out first, which
+/// callers with deadlines (`recon serve` analyze jobs) surface as a
+/// partial result.
+///
+/// # Errors
+///
+/// Propagates any [`ExecError`] from [`step`].
+pub fn run_with<M: DataMem>(
+    program: &Program,
+    state: &mut ArchState,
+    mem: &mut M,
+    max_steps: u64,
+    f: impl FnMut(&StepRecord),
+) -> Result<u64, ExecError> {
+    run_fetched(|pc| program.code.get(pc).copied(), state, mem, max_steps, f)
+}
+
 /// Runs a program to completion (or `max_steps`), collecting the trace.
 ///
 /// Returns the trace and the final architectural state. The program's
@@ -276,57 +333,10 @@ pub fn run_collect(
     let mut mem = crate::SparseMem::from_image(&program.image);
     let mut state = ArchState::at_entry(program);
     let mut trace = Vec::new();
-    for _ in 0..max_steps {
-        if state.halted {
-            break;
-        }
-        trace.push(step(program, &mut state, &mut mem)?);
-    }
+    run_with(program, &mut state, &mut mem, max_steps as u64, |r| {
+        trace.push(*r);
+    })?;
     Ok((trace, state))
-}
-
-/// Runs a program, invoking `f` for each committed instruction, without
-/// materializing the trace (for long workloads).
-///
-/// Returns the number of instructions executed.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from [`step`].
-pub fn run_with<M: DataMem>(
-    program: &Program,
-    mem: &mut M,
-    max_steps: usize,
-    f: impl FnMut(&StepRecord),
-) -> Result<u64, ExecError> {
-    run_with_status(program, mem, max_steps, f).map(|(n, _)| n)
-}
-
-/// As [`run_with`], but also reports whether the program actually
-/// halted — `false` means the step budget expired first, which callers
-/// with deadlines (`recon serve` analyze jobs) surface as a partial
-/// result instead of silently passing it off as complete.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from [`step`].
-pub fn run_with_status<M: DataMem>(
-    program: &Program,
-    mem: &mut M,
-    max_steps: usize,
-    mut f: impl FnMut(&StepRecord),
-) -> Result<(u64, bool), ExecError> {
-    let mut state = ArchState::at_entry(program);
-    let mut n = 0;
-    for _ in 0..max_steps {
-        if state.halted {
-            break;
-        }
-        let r = step(program, &mut state, mem)?;
-        f(&r);
-        n += 1;
-    }
-    Ok((n, state.halted))
 }
 
 #[cfg(test)]
@@ -487,15 +497,16 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
         let mut mem = crate::SparseMem::from_image(&p.image);
-        let mut loads = 0;
-        let n = run_with(&p, &mut mem, 1000, |r| {
-            if r.inst.is_load() {
-                loads += 1;
-            }
-        })
-        .unwrap();
-        assert_eq!(n, 1 + 4 + 1);
-        assert_eq!(loads, 0);
+        let mut st = ArchState::at_entry(&p);
+        let mut branches = 0;
+        let mut count = |r: &StepRecord| branches += u64::from(r.taken.is_some());
+        // A budget that runs out leaves the state resumable, not halted.
+        assert_eq!(run_with(&p, &mut st, &mut mem, 3, &mut count).unwrap(), 3);
+        assert!(!st.halted);
+        let n = run_with(&p, &mut st, &mut mem, 1000, &mut count).unwrap();
+        assert_eq!(3 + n, 1 + 4 + 1);
+        assert!(st.halted);
+        assert_eq!(branches, 2);
     }
 
     #[test]

@@ -48,9 +48,7 @@ pub mod snap;
 
 pub use asm::{Asm, AsmError, Label};
 pub use decoded::{run_decoded, DecodedInst, DecodedProgram};
-pub use exec::{
-    run_collect, run_with, run_with_status, ArchState, ExecError, MemEffect, StepRecord,
-};
+pub use exec::{run_collect, run_with, ArchState, ExecError, MemEffect, StepRecord};
 pub use inst::{AluKind, BranchKind, Inst};
 pub use mem::{DataMem, SparseMem};
 pub use program::{MemImage, Program, ProgramError};

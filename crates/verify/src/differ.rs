@@ -12,7 +12,7 @@
 //! mechanism targets (§3).
 
 use recon::ReconConfig;
-use recon_isa::exec::{step, ArchState, MemEffect};
+use recon_isa::exec::{run_with, ArchState, MemEffect};
 use recon_isa::SparseMem;
 use recon_secure::SecureConfig;
 use recon_sim::{Budget, SimError, System, SystemResult};
@@ -167,26 +167,26 @@ pub fn sequential_trace(workload: &Workload) -> Vec<Vec<(u8, u64)>> {
         .threads
         .iter()
         .map(|t| {
-            let mut state = ArchState::at_entry(&workload.program);
-            state.pc = t.entry;
+            let mut state = ArchState::at_pc(t.entry);
             for &(reg, v) in &t.seeds {
                 state.write(reg, v);
             }
             let mut mem = SparseMem::from_image(&workload.program.image);
             let mut out = Vec::new();
-            let mut steps = 0u64;
-            while !state.halted {
-                let rec = step(&workload.program, &mut state, &mut mem)
-                    .expect("gadget executes sequentially");
-                match rec.mem {
+            run_with(
+                &workload.program,
+                &mut state,
+                &mut mem,
+                10_000_000,
+                |rec| match rec.mem {
                     MemEffect::Load { addr, .. } => out.push((0, addr)),
                     MemEffect::Store { addr, .. } => out.push((1, addr)),
                     MemEffect::Amo { addr, .. } => out.push((2, addr)),
                     MemEffect::None => {}
-                }
-                steps += 1;
-                assert!(steps < 10_000_000, "sequential run diverged");
-            }
+                },
+            )
+            .expect("gadget executes sequentially");
+            assert!(state.halted, "sequential run diverged");
             out
         })
         .collect()

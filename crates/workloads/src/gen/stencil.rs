@@ -67,7 +67,7 @@ pub fn generate(p: StencilParams) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recon_isa::{run_collect, SparseMem};
+    use recon_isa::{run_collect, ArchState, SparseMem};
 
     #[test]
     fn computes_three_point_sums() {
@@ -77,7 +77,8 @@ mod tests {
         };
         let p = generate(prm);
         let mut mem = SparseMem::from_image(&p.image);
-        recon_isa::run_with(&p, &mut mem, 1_000_000, |_| {}).unwrap();
+        let mut state = ArchState::at_entry(&p);
+        recon_isa::run_with(&p, &mut state, &mut mem, 1_000_000, |_| {}).unwrap();
         let dst = STREAM_BASE + 8 * 8 + 64;
         // b[1] = a[0]+a[1]+a[2] = 0+1+2 = 3.
         assert_eq!(mem.peek(dst + 8), 3);
