@@ -25,10 +25,10 @@ fn cluster_storm_report_golden() {
         successor_migrations_in: 1,
         successor_resumes: 1,
         migrated_byte_identical: true,
-        reroutes: 3,
-        gateway_reroutes: 4,
-        replications: 8,
-        wall_seconds: 5.860851,
+        reroutes: 4,
+        gateway_reroutes: 5,
+        replications: 6,
+        wall_seconds: 1.253486,
     };
     // Byte-for-byte golden: any schema change must regenerate the file.
     assert_eq!(report.to_json(), COMMITTED);

@@ -458,6 +458,9 @@ fn serve_connection(
     // timeout); a framing error gets a best-effort 400 and a close —
     // the front never hangs on, or propagates, malformed bytes.
     loop {
+        if !next_request_arrives(&reader, service, read_timeout)? {
+            return Ok(());
+        }
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()),
@@ -486,6 +489,43 @@ fn serve_connection(
             return Ok(());
         }
     }
+}
+
+/// How long an idle connection waits for a request's first byte before
+/// it looks at whether the service is stopping again.
+const IDLE_SLICE: Duration = Duration::from_millis(50);
+
+/// Waits, in [`IDLE_SLICE`]s up to `read_timeout`, for the first byte of
+/// the next request. `false` ends the connection: the peer closed it,
+/// sat idle past the read timeout, or sat idle while the service began
+/// to stop, so idle keep-alive clients do not hold a stopping front
+/// open. A request already sent is read and answered under the full
+/// read timeout.
+fn next_request_arrives(
+    reader: &BufReader<TcpStream>,
+    service: &impl Service,
+    read_timeout: Duration,
+) -> io::Result<bool> {
+    if !reader.buffer().is_empty() {
+        return Ok(true);
+    }
+    let stream = reader.get_ref();
+    let start = std::time::Instant::now();
+    let arrived = loop {
+        let slice = read_timeout.saturating_sub(start.elapsed()).min(IDLE_SLICE);
+        if slice.is_zero() {
+            break false;
+        }
+        stream.set_read_timeout(Some(slice))?;
+        match stream.peek(&mut [0]) {
+            Ok(n) => break n > 0,
+            Err(e) if is_timeout(&e) && service.stopping() => break false,
+            Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
+    Ok(arrived)
 }
 
 #[cfg(test)]
@@ -606,5 +646,41 @@ mod tests {
         assert!(boom.contains("\"error\":\"internal_error\""), "{boom}");
         let ok = exchange("/ok");
         assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+    }
+
+    #[test]
+    fn an_idle_keep_alive_client_does_not_hold_a_stopping_front_open() {
+        struct Stops(AtomicBool);
+        impl Service for Stops {
+            fn route(&self, _: &Request) -> Option<Reply> {
+                Some(Reply::json(200, "{}"))
+            }
+            fn stopping(&self) -> bool {
+                self.0.load(Ordering::SeqCst)
+            }
+            fn overloaded(&self) -> Reply {
+                Reply::error(503, "overloaded", "busy")
+            }
+        }
+        let service = Arc::new(Stops(AtomicBool::new(false)));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let timeouts = (Duration::from_secs(5), Duration::from_secs(5));
+        let front = Front::start("idle", listener, Arc::clone(&service), 1, timeouts).unwrap();
+        // One keep-alive exchange, then the client sits idle with the
+        // connection open.
+        let mut stream = TcpStream::connect(front.addr()).unwrap();
+        write!(stream, "GET / HTTP/1.1\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        assert!(status.starts_with("HTTP/1.1 200 OK"), "{status}");
+        service.0.store(true, Ordering::SeqCst);
+        let stopped = std::time::Instant::now();
+        front.join();
+        let took = stopped.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "joined {took:?} after stopping"
+        );
     }
 }

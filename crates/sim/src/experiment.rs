@@ -10,7 +10,7 @@ use crate::error::{Budget, SimError};
 use crate::system::{System, SystemResult};
 
 /// Shared experiment parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Experiment {
     /// Core configuration (Table 2 defaults).
     pub core: CoreConfig,

@@ -41,6 +41,8 @@ pub use error::{Budget, DeadlineReason, SimError, DEFAULT_WATCHDOG_CYCLES};
 pub use experiment::{
     geomean, mean, overhead_from_norm_ipc, overhead_reduction, Experiment, SchemeMatrix,
 };
-pub use runner::{jobs_from_env, parallel_map, run_batch, run_batch_with, BatchResults, JobTiming};
+pub use runner::{
+    jobs_from_env, parallel_map, run_batch, run_batch_with, run_cells, BatchResults, JobTiming,
+};
 pub use stall::StallReport;
 pub use system::{System, SystemResult};

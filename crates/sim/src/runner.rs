@@ -7,7 +7,9 @@
 //! output order is therefore *deterministic* regardless of worker count
 //! or scheduling. The runner also deduplicates jobs before dispatch, so
 //! the unsafe baseline a figure needs under both the NDA and STT trios
-//! runs once per benchmark, not once per trio.
+//! runs once per benchmark, not once per trio. A job is the whole cell,
+//! (experiment, benchmark, scheme): [`run_cells`] takes cells from many
+//! experiments, and [`run_batch`] is the one-experiment case.
 //!
 //! Per-job wall-clock timings are recorded and can be written to
 //! `BENCH_runner.json` for cross-host speedup comparisons.
@@ -18,7 +20,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use recon_secure::SecureConfig;
-use recon_workloads::Benchmark;
+use recon_workloads::{Benchmark, Suite};
 
 use crate::ckpt::{self, CkptContext};
 use crate::error::Budget;
@@ -155,15 +157,25 @@ pub struct BatchCkptStats {
     pub gc_deleted: u64,
 }
 
-/// Results of a deduplicated batch of (benchmark, scheme) jobs.
+/// A job's whole identity: experiment, benchmark (suite and name) and
+/// scheme. Jobs are deduplicated and looked up by it, so cells that
+/// differ only in, say, their ReCon configuration never alias.
+type JobKey = (Experiment, Suite, &'static str, SecureConfig);
+
+fn key(exp: &Experiment, bench: &Benchmark, config: SecureConfig) -> JobKey {
+    (*exp, bench.suite, bench.name, config)
+}
+
+/// Results of a deduplicated batch of (experiment, benchmark, scheme)
+/// jobs.
 ///
 /// A job that panics (after one retry) is recorded as `failed` instead
 /// of aborting the batch: the remaining jobs still run and report.
 #[derive(Clone, Debug)]
 pub struct BatchResults {
-    /// One entry per *unique* job, in deterministic (benchmark-major)
-    /// order: (benchmark name, config, result-or-failure-message).
-    entries: Vec<(&'static str, SecureConfig, Result<SystemResult, String>)>,
+    /// One entry per *unique* job, in the order the jobs were first
+    /// requested: (job, result-or-failure-message).
+    entries: Vec<(JobKey, Result<SystemResult, String>)>,
     /// Per-job timings, same order as the entries.
     pub timings: Vec<JobTiming>,
     /// Wall-clock seconds for the whole batch.
@@ -175,29 +187,49 @@ pub struct BatchResults {
 }
 
 impl BatchResults {
-    /// The result of `bench` under `config`, if it was in the batch and
-    /// succeeded.
+    /// The result of the first job running `bench` under `config`, if
+    /// it was in the batch and succeeded.
     #[must_use]
     pub fn get(&self, bench: &str, config: SecureConfig) -> Option<&SystemResult> {
-        self.entries
-            .iter()
-            .find(|(b, c, _)| *b == bench && *c == config)
-            .and_then(|(_, _, r)| r.as_ref().ok())
-    }
-
-    /// Like [`get`](Self::get) but panicking with a clear message —
-    /// for harnesses that know what they asked for.
-    #[must_use]
-    pub fn expect(&self, bench: &str, config: SecureConfig) -> &SystemResult {
-        match self
+        let hit = self
             .entries
             .iter()
-            .find(|(b, c, _)| *b == bench && *c == config)
-        {
-            Some((_, _, Ok(r))) => r,
-            Some((_, _, Err(e))) => panic!("job {bench} under {config} failed: {e}"),
-            None => panic!("batch has no result for {bench} under {config}"),
-        }
+            .find(|(k, _)| (k.2, k.3) == (bench, config));
+        hit?.1.as_ref().ok()
+    }
+
+    /// The result of `bench` under `config` in `exp`, if that cell was
+    /// in the batch and succeeded.
+    #[must_use]
+    pub fn cell(
+        &self,
+        exp: &Experiment,
+        bench: &Benchmark,
+        config: SecureConfig,
+    ) -> Option<&SystemResult> {
+        let want = key(exp, bench, config);
+        self.entries
+            .iter()
+            .find(|(k, _)| *k == want)?
+            .1
+            .as_ref()
+            .ok()
+    }
+
+    /// The five-scheme matrix of `bench` in `exp`, if all five cells
+    /// were in the batch and succeeded.
+    #[must_use]
+    pub fn matrix(&self, exp: &Experiment, bench: &Benchmark) -> Option<SchemeMatrix> {
+        let [baseline, nda, nda_recon, stt, stt_recon] =
+            SecureConfig::ALL.map(|c| self.cell(exp, bench, c).cloned());
+        Some(SchemeMatrix {
+            name: bench.name,
+            baseline: baseline?,
+            nda: nda?,
+            nda_recon: nda_recon?,
+            stt: stt?,
+            stt_recon: stt_recon?,
+        })
     }
 
     /// Jobs that failed (after a retry), as (bench, config, message).
@@ -205,14 +237,14 @@ impl BatchResults {
     pub fn failures(&self) -> Vec<(&'static str, SecureConfig, &str)> {
         self.entries
             .iter()
-            .filter_map(|(b, c, r)| r.as_ref().err().map(|e| (*b, *c, e.as_str())))
+            .filter_map(|(k, r)| r.as_ref().err().map(|e| (k.2, k.3, e.as_str())))
             .collect()
     }
 
     /// Number of failed jobs.
     #[must_use]
     pub fn failed_count(&self) -> usize {
-        self.entries.iter().filter(|(_, _, r)| r.is_err()).count()
+        self.entries.iter().filter(|(_, r)| r.is_err()).count()
     }
 
     /// Number of unique jobs executed.
@@ -313,18 +345,34 @@ pub fn run_batch_with(
     budget: &Budget,
     persist: Option<(&CkptContext, &str)>,
 ) -> BatchResults {
-    let mut work: Vec<(&Benchmark, SecureConfig)> = Vec::new();
-    for b in benches {
-        let mut seen: Vec<SecureConfig> = Vec::new();
-        for &c in configs {
-            if !seen.contains(&c) {
-                seen.push(c);
-                work.push((b, c));
-            }
+    let cells = benches
+        .iter()
+        .flat_map(|b| configs.iter().map(move |&c| (*exp, b, c)));
+    run_cells(cells, jobs, budget, persist)
+}
+
+/// Runs each distinct (experiment, benchmark, scheme) cell once on
+/// `jobs` workers, in the order the cells are first named, under
+/// `budget` and `persist` as in [`run_batch_with`]; look the results up
+/// with [`BatchResults::cell`] or [`BatchResults::matrix`]. Persisted
+/// records are keyed by the tag but not the experiment, so a persisted
+/// batch should hold one experiment per tag.
+#[must_use]
+pub fn run_cells<'b>(
+    cells: impl IntoIterator<Item = (Experiment, &'b Benchmark, SecureConfig)>,
+    jobs: usize,
+    budget: &Budget,
+    persist: Option<(&CkptContext, &str)>,
+) -> BatchResults {
+    let mut work: Vec<(Experiment, &Benchmark, SecureConfig)> = Vec::new();
+    for (exp, b, c) in cells {
+        let k = key(&exp, b, c);
+        if !work.iter().any(|(e, b, c)| key(e, b, *c) == k) {
+            work.push((exp, b, c));
         }
     }
     let start = Instant::now();
-    let ran = parallel_map(jobs, work, |(b, c)| {
+    let ran = parallel_map(jobs, work, |(exp, b, c)| {
         let t0 = Instant::now();
         // One panicking experiment must not abort the suite: catch it,
         // retry once, and report it as a failed entry.
@@ -340,7 +388,7 @@ pub fn run_batch_with(
                 let digest = ckpt::run_digest(&[tag, b.name, &scheme, &cadence], budget);
                 let caught = catch_retry(|| {
                     ckpt::run_with_checkpoints(
-                        exp,
+                        &exp,
                         &b.workload,
                         c,
                         budget,
@@ -362,13 +410,13 @@ pub fn run_batch_with(
             }
         };
         let seconds = t0.elapsed().as_secs_f64();
-        (b.name, c, outcome, info, seconds)
+        (key(&exp, b, c), outcome, info, seconds)
     });
     let wall_seconds = start.elapsed().as_secs_f64();
     let mut entries = Vec::with_capacity(ran.len());
     let mut timings = Vec::with_capacity(ran.len());
     let mut ckpt_stats = persist.map(|_| BatchCkptStats::default());
-    for (bench, config, outcome, info, seconds) in ran {
+    for (key, outcome, info, seconds) in ran {
         if let (Some(s), Some(i)) = (ckpt_stats.as_mut(), info) {
             s.cached += usize::from(i.result_cached);
             s.resumed += usize::from(i.resumed_from_cycle.is_some());
@@ -377,14 +425,14 @@ pub fn run_batch_with(
             s.gc_deleted += i.gc_deleted;
         }
         timings.push(JobTiming {
-            bench,
-            config,
+            bench: key.2,
+            config: key.3,
             seconds,
             cycles: outcome.as_ref().map_or(0, |r| r.cycles),
             instructions: outcome.as_ref().map_or(0, SystemResult::committed),
             failed: outcome.is_err(),
         });
-        entries.push((bench, config, outcome));
+        entries.push((key, outcome));
     }
     BatchResults {
         entries,
@@ -426,28 +474,11 @@ impl Experiment {
         persist: Option<(&CkptContext, &str)>,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
         let batch = run_batch_with(self, benches, &SecureConfig::ALL, jobs, budget, persist);
-        (Self::matrices_from(benches, &batch), batch)
-    }
-
-    fn matrices_from(benches: &[Benchmark], batch: &BatchResults) -> Vec<SchemeMatrix> {
-        benches
+        let matrices = benches
             .iter()
-            .filter(|b| {
-                SecureConfig::ALL
-                    .iter()
-                    .all(|&c| batch.get(b.name, c).is_some())
-            })
-            .map(|b| SchemeMatrix {
-                name: b.name,
-                baseline: batch
-                    .expect(b.name, SecureConfig::unsafe_baseline())
-                    .clone(),
-                nda: batch.expect(b.name, SecureConfig::nda()).clone(),
-                nda_recon: batch.expect(b.name, SecureConfig::nda_recon()).clone(),
-                stt: batch.expect(b.name, SecureConfig::stt()).clone(),
-                stt_recon: batch.expect(b.name, SecureConfig::stt_recon()).clone(),
-            })
-            .collect()
+            .filter_map(|b| batch.matrix(self, b))
+            .collect();
+        (matrices, batch)
     }
 }
 
